@@ -8,15 +8,26 @@ the fraction of the section's required facts whose key content appears in
 the draft.  Unknown capitalized phrases are deliberately not claims; the
 check is lexical and conservative, a reviewer's net rather than a lie
 detector.
+
+A GroundingContext holds what one bundle offers as evidence: the roster
+with its compiled phrase alternations, the lookup index, and the required
+facts per (section, topic), each built on first use.  Build one per
+experiment or report and pass it wherever score, verify and
+required_facts_for take a bundle; a plain bundle gets a fresh context for
+that call alone.  Nothing is cached beyond a context: no module-level
+cache is keyed by bundle or text, so evidence lives exactly as long as
+the caller keeps its context.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterator, Optional, Sequence, Union
 
 from .ingest import (
     SourceFormat,
@@ -28,7 +39,7 @@ from .ingest import (
     parse_tool_report_locations,
     parse_tool_report_messages,
 )
-from .model import CaseBundle, Mandate, ReportSectionKind
+from .model import CaseBundle, Mandate, ReportSectionKind, parse_offset
 from .transform import DEFAULT_CLUSTER_RADIUS_M, group_locations_spatial
 
 __all__ = [
@@ -38,6 +49,7 @@ __all__ = [
     "Claim",
     "Roster",
     "build_roster",
+    "GroundingContext",
     "extract_claims",
     "verify",
     "TokenPhrase",
@@ -100,10 +112,47 @@ def _norm_phrase(text: str) -> str:
 # ---------------------------------------------------------------------------
 # rosters: names the bundle itself vouches for
 
+class _PhraseMatcher:
+    """Finds roster phrases as whole words, case-insensitively.
+
+    One alternation of all phrases finds every position where some phrase
+    starts; only those positions are tried per phrase.  Matches come out
+    phrase by phrase in roster order, each phrase's own matches left to
+    right and non-overlapping, as one re.finditer per phrase would give.
+    """
+
+    def __init__(self, phrases: Sequence[str]):
+        alternatives = [rf"\b{re.escape(p)}\b" for p in phrases]
+        self.patterns = [re.compile(a, re.IGNORECASE) for a in alternatives]
+        self.starts = re.compile(f"(?=(?:{'|'.join(alternatives)}))", re.IGNORECASE) if phrases else None
+
+    def finditer(self, text: str) -> Iterator[re.Match]:
+        if self.starts is None:
+            return
+        starts = [m.start() for m in self.starts.finditer(text)]
+        for pattern in self.patterns:
+            end = 0
+            for pos in starts:
+                if pos < end:
+                    continue
+                m = pattern.match(text, pos)
+                if m:
+                    end = m.end()
+                    yield m
+
+
 @dataclass(frozen=True)
 class Roster:
     person_names: tuple[str, ...] = ()
     place_names: tuple[str, ...] = ()
+
+    @cached_property
+    def person_matcher(self) -> _PhraseMatcher:
+        return _PhraseMatcher(self.person_names)
+
+    @cached_property
+    def place_matcher(self) -> _PhraseMatcher:
+        return _PhraseMatcher(self.place_names)
 
 
 def build_roster(bundle: CaseBundle) -> Roster:
@@ -160,20 +209,22 @@ def _num(token: str) -> float:
     return float(token.replace(",", "."))
 
 
-def _claims_overlapping(span: tuple[int, int], taken: list[tuple[int, int]]) -> bool:
-    return any(not (span[1] <= s or e <= span[0]) for s, e in taken)
-
-
 def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Claim]:
     """Pattern- and roster-based claim extraction, earlier kinds take
     precedence on overlapping spans."""
     claims: list[Claim] = []
-    taken: list[tuple[int, int]] = []
+    # taken spans never overlap, so sorted by start their ends ascend too
+    starts: list[int] = []
+    ends: list[int] = []
 
     def add(kind: ClaimKind, m_span: tuple[int, int], surface: str, normalized: str) -> None:
-        if _claims_overlapping(m_span, taken):
+        start, end = m_span
+        before = bisect_left(starts, end)  # spans starting before this one ends
+        if before and ends[before - 1] > start:
             return
-        taken.append(m_span)
+        i = bisect_left(starts, start)
+        starts.insert(i, start)
+        ends.insert(i, end)
         claims.append(Claim(kind, surface, normalized, m_span))
 
     for m in _TIMESTAMP.finditer(draft_text):
@@ -212,12 +263,10 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
         add(ClaimKind.PERSON_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
 
     if roster:
-        for phrase in roster.person_names:
-            for m in re.finditer(rf"\b{re.escape(phrase)}\b", draft_text, re.IGNORECASE):
-                add(ClaimKind.PERSON_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
-        for phrase in roster.place_names:
-            for m in re.finditer(rf"\b{re.escape(phrase)}\b", draft_text, re.IGNORECASE):
-                add(ClaimKind.PLACE_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
+        for m in roster.person_matcher.finditer(draft_text):
+            add(ClaimKind.PERSON_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
+        for m in roster.place_matcher.finditer(draft_text):
+            add(ClaimKind.PLACE_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
 
     claims.sort(key=lambda c: c.span)
     return claims
@@ -227,31 +276,40 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
 # verification against the bundle
 
 class _BundleIndex:
-    def __init__(self, bundle: CaseBundle):
-        self.coords: list[tuple[float, float]] = []
-        self.instants: list[datetime] = []
-        self.filenames: list[str] = []
-        self.places: list[str] = []
+    """The bundle's values in the shape each claim kind looks them up by."""
+
+    def __init__(self, bundle: CaseBundle, places: int):
+        self.places = places
+        self.coords: set[tuple[float, float]] = set()
+        aware: list[datetime] = []
+        walls: list[datetime] = []
+        filenames: list[str] = []
+        place_names: list[str] = []
         self.sizes: set[int] = set()
         self.versions: set[str] = set()
         self.persons: list[str] = []
 
+        def add_instant(ts: datetime) -> None:
+            if ts.utcoffset() is not None:
+                aware.append(ts)
+            walls.append(ts.replace(tzinfo=None))
+
         for rec in bundle.all_locations():
-            self.coords.append((rec.latitude, rec.longitude))
-            self.instants.append(rec.timestamp)
-            self.filenames.append(rec.name.casefold())
+            self.coords.add((round(rec.latitude, places), round(rec.longitude, places)))
+            add_instant(rec.timestamp)
+            filenames.append(rec.name.casefold())
             if rec.source_file:
-                self.filenames.append(rec.source_file.casefold())
+                filenames.append(rec.source_file.casefold())
                 self._mine_sizes(rec.source_file)
             if rec.related_location:
-                self.places.append(_norm_phrase(rec.related_location))
+                place_names.append(_norm_phrase(rec.related_location))
             if rec.size_bytes is not None:
                 self.sizes.add(rec.size_bytes)
 
         for msg in bundle.all_messages():
-            self.instants.append(msg.timestamp)
+            add_instant(msg.timestamp)
             for src in msg.source_files:
-                self.filenames.append(src.casefold())
+                filenames.append(src.casefold())
                 self._mine_sizes(src)
             if msg.sender:
                 if msg.sender.display_name:
@@ -274,69 +332,69 @@ class _BundleIndex:
         if bundle.mandate.investigator_name:
             self.persons.append(_norm_phrase(bundle.mandate.investigator_name))
 
+        self.aware_instants = sorted(aware)
+        self.wall_instants = sorted(walls)
+        # claims never hold a newline, so one joined string answers
+        # "is it a substring of some value" in a single search
+        self.filenames = "\n".join(filenames)
+        self.place_names = "\n".join(place_names)
+
     def _mine_sizes(self, text: str) -> None:
         # stored source strings often carry "(Size : N bytes)" annotations
         for m in _BYTE_COUNT.finditer(text):
             self.sizes.add(int(m.group(1)))
 
 
-def _coordinate_grounded(
-    lat: float, lon: float, index: _BundleIndex, places: int
-) -> bool:
-    for blat, blon in index.coords:
-        if round(blat, places) == round(lat, places) and round(blon, places) == round(lon, places):
-            return True
-    return False
+def _near(instants: list[datetime], claimed: datetime, slack: timedelta) -> bool:
+    """Whether some instant of the sorted list lies within slack of claimed;
+    only the two instants around claimed's place in the list can."""
+    i = bisect_left(instants, claimed)
+    return any(abs(claimed - instants[j]) <= slack for j in (i - 1, i) if 0 <= j < len(instants))
 
 
 def _timestamp_grounded(normalized: str, index: _BundleIndex, slack: timedelta) -> bool:
     parts = normalized.split(" ")
     naive = datetime.fromisoformat(parts[0])
     if len(parts) > 1:
-        from .model import parse_offset
-
         claimed = naive.replace(tzinfo=parse_offset(parts[1]))
-        return any(abs(claimed - inst) <= slack for inst in index.instants)
+        return _near(index.aware_instants, claimed, slack)
     # no offset stated: match wall-clock time as each record displays it
-    for inst in index.instants:
-        wall = inst.replace(tzinfo=None)
-        if abs(wall - naive) <= slack:
-            return True
+    return _near(index.wall_instants, naive, slack)
+
+
+def _claim_grounded(claim: Claim, index: _BundleIndex, tolerances: Tolerances) -> bool:
+    value = claim.normalized_value
+    if claim.kind is ClaimKind.COORDINATE:
+        lat_s, lon_s = value.split(",")
+        places = index.places
+        return (round(float(lat_s), places), round(float(lon_s), places)) in index.coords
+    if claim.kind is ClaimKind.TIMESTAMP:
+        return _timestamp_grounded(value, index, tolerances.timestamp_slack)
+    if claim.kind is ClaimKind.PERSON_NAME:
+        return any(value == p or value in p or p in value for p in index.persons)
+    if claim.kind is ClaimKind.FILENAME:
+        return value in index.filenames
+    if claim.kind is ClaimKind.PLACE_NAME:
+        return value in index.place_names
+    if claim.kind is ClaimKind.TOOL_VERSION:
+        return value in index.versions
+    if claim.kind is ClaimKind.NUMERIC_VALUE:
+        return int(value) in index.sizes
     return False
 
 
 def verify(
-    claims: Sequence[Claim], bundle: CaseBundle, tolerances: Tolerances = Tolerances()
+    claims: Sequence[Claim],
+    bundle: Union[CaseBundle, "GroundingContext"],
+    tolerances: Optional[Tolerances] = None,
 ) -> list[tuple[Claim, ClaimStatus]]:
     """Each claim is grounded iff the bundle supports it within tolerance."""
-    index = _BundleIndex(bundle)
-    out: list[tuple[Claim, ClaimStatus]] = []
-    for claim in claims:
-        ok = False
-        if claim.kind is ClaimKind.COORDINATE:
-            lat_s, lon_s = claim.normalized_value.split(",")
-            ok = _coordinate_grounded(
-                float(lat_s), float(lon_s), index, tolerances.coordinate_decimal_places
-            )
-        elif claim.kind is ClaimKind.TIMESTAMP:
-            ok = _timestamp_grounded(claim.normalized_value, index, tolerances.timestamp_slack)
-        elif claim.kind is ClaimKind.PERSON_NAME:
-            ok = any(
-                claim.normalized_value == p
-                or claim.normalized_value in p
-                or p in claim.normalized_value
-                for p in index.persons
-            )
-        elif claim.kind is ClaimKind.FILENAME:
-            ok = any(claim.normalized_value in f for f in index.filenames)
-        elif claim.kind is ClaimKind.PLACE_NAME:
-            ok = any(claim.normalized_value in p for p in index.places)
-        elif claim.kind is ClaimKind.TOOL_VERSION:
-            ok = claim.normalized_value in index.versions
-        elif claim.kind is ClaimKind.NUMERIC_VALUE:
-            ok = int(claim.normalized_value) in index.sizes
-        out.append((claim, ClaimStatus.GROUNDED if ok else ClaimStatus.UNGROUNDED))
-    return out
+    context = _context(bundle, tolerances)
+    index, tolerances = context.index, context.tolerances
+    return [
+        (claim, ClaimStatus.GROUNDED if _claim_grounded(claim, index, tolerances) else ClaimStatus.UNGROUNDED)
+        for claim in claims
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +404,12 @@ def verify(
 class TokenPhrase:
     text: str
 
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(tokens_of(self.text))
+
     def satisfied_by(self, draft_tokens: set[str], draft_coords, places: int) -> bool:
-        wanted = tokens_of(self.text)
+        wanted = self.tokens
         return bool(wanted) and all(t in draft_tokens for t in wanted)
 
 
@@ -460,18 +522,9 @@ def _location_cluster_facts(records) -> list[RequiredFact]:
     return facts
 
 
-def required_facts_for(
-    section: ReportSectionKind,
-    bundle: CaseBundle,
-    topic: "PromptTopicLike" = None,
+def _required_facts(
+    section: ReportSectionKind, bundle: CaseBundle, topic_value
 ) -> list[RequiredFact]:
-    """The facts a draft of this section must carry, derived from the bundle.
-
-    For Results, topic narrows the facts to conversations or locations;
-    left unset, both apply.  Items land at the end of the Introduction
-    list; Discussion and Conclusion require nothing (never drafted).
-    """
-    topic_value = getattr(topic, "value", topic)
     if section is ReportSectionKind.INTRODUCTION:
         return _mandate_intro_facts(bundle.mandate)
     if section is ReportSectionKind.ITEMS_RECEIVED:
@@ -486,6 +539,20 @@ def required_facts_for(
             facts += _location_cluster_facts(bundle.all_locations())
         return facts
     return []
+
+
+def required_facts_for(
+    section: ReportSectionKind,
+    bundle: Union[CaseBundle, "GroundingContext"],
+    topic: "PromptTopicLike" = None,
+) -> list[RequiredFact]:
+    """The facts a draft of this section must carry, derived from the bundle.
+
+    For Results, topic narrows the facts to conversations or locations;
+    left unset, both apply.  Items land at the end of the Introduction
+    list; Discussion and Conclusion require nothing (never drafted).
+    """
+    return list(_context(bundle, None).required_facts(section, topic))
 
 
 PromptTopicLike = Optional[object]
@@ -535,6 +602,55 @@ def facts_from_input(
 
 
 # ---------------------------------------------------------------------------
+# the evidence of one bundle, built once per experiment or report
+
+class GroundingContext:
+    """What one bundle offers as evidence for grounding drafts.
+
+    The roster (with its compiled phrase alternations), the lookup index
+    and the required facts per (section, topic) are each built on first
+    use and then kept for the life of the context.  The caller owns that
+    life: pipeline.run_experiment and pipeline.assemble build one context
+    per call and score every draft against it.  The bundle must not change
+    while a context built from it is in use.
+    """
+
+    def __init__(self, bundle: CaseBundle, tolerances: Tolerances = Tolerances()):
+        self.bundle = bundle
+        self.tolerances = tolerances
+        self._facts: dict[tuple[ReportSectionKind, object], tuple[RequiredFact, ...]] = {}
+
+    @cached_property
+    def roster(self) -> Roster:
+        return build_roster(self.bundle)
+
+    @cached_property
+    def index(self) -> _BundleIndex:
+        return _BundleIndex(self.bundle, self.tolerances.coordinate_decimal_places)
+
+    def required_facts(
+        self, section: ReportSectionKind, topic: "PromptTopicLike" = None
+    ) -> tuple[RequiredFact, ...]:
+        key = (section, getattr(topic, "value", topic))
+        facts = self._facts.get(key)
+        if facts is None:
+            facts = self._facts[key] = tuple(_required_facts(section, self.bundle, key[1]))
+        return facts
+
+
+def _context(
+    evidence: Union[CaseBundle, GroundingContext], tolerances: Optional[Tolerances]
+) -> GroundingContext:
+    """The context to ground against: the given one, or a fresh one for a
+    plain bundle."""
+    if isinstance(evidence, GroundingContext):
+        if tolerances is not None and tolerances != evidence.tolerances:
+            raise ValueError("tolerances differ from those the context was built with")
+        return evidence
+    return GroundingContext(evidence, Tolerances() if tolerances is None else tolerances)
+
+
+# ---------------------------------------------------------------------------
 # scoring
 
 @dataclass(frozen=True)
@@ -568,20 +684,21 @@ class GroundingReport:
 
 def score(
     draft,
-    bundle: CaseBundle,
+    bundle: Union[CaseBundle, GroundingContext],
     section: ReportSectionKind,
-    tolerances: Tolerances = Tolerances(),
+    tolerances: Optional[Tolerances] = None,
     topic: PromptTopicLike = None,
 ) -> GroundingReport:
-    """Extract, verify and tally.  draft is a GeneratedDraft or plain text."""
+    """Extract, verify and tally.  draft is a GeneratedDraft or plain text;
+    bundle is a CaseBundle or a GroundingContext built from one."""
     if isinstance(draft, str):
         text, ref = draft, "text"
     else:
         text = draft.text
         ref = f"{draft.backend_label}:{draft.prompt_id}"
 
-    roster = build_roster(bundle)
-    checked = verify(extract_claims(text, roster), bundle, tolerances)
+    context = _context(bundle, tolerances)
+    checked = verify(extract_claims(text, context.roster), context)
     hallucinations = sum(1 for _, s in checked if s is ClaimStatus.UNGROUNDED)
 
     draft_tokens = set(tokens_of(text))
@@ -591,8 +708,8 @@ def score(
             lat_s, lon_s = claim.normalized_value.split(",")
             draft_coords.append((float(lat_s), float(lon_s)))
 
-    facts = required_facts_for(section, bundle, topic)
-    places = tolerances.coordinate_decimal_places
+    facts = context.required_facts(section, topic)
+    places = context.tolerances.coordinate_decimal_places
     results = tuple(
         (f.description, f.satisfied_by(draft_tokens, draft_coords, places)) for f in facts
     )

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from .gateway import BackendConfig, GatewayError, GeneratedDraft, generate
-from .grounding import GroundingReport, Tolerances, score
+from .grounding import GroundingContext, GroundingReport, Tolerances, score
 from .model import CaseBundle, ReportSectionKind
 from .prompting import PromptSpec, PromptTopic, build_matrix
 
@@ -109,6 +109,7 @@ def assemble(
         if kind in _MANUAL_ONLY:
             raise ValueError(f"{kind.value} is reserved for the examiner; no draft accepted")
 
+    context = GroundingContext(bundle, tolerances)
     sections: list[tuple[ReportSectionKind, SectionContent]] = []
     for kind in SECTION_ORDER:
         if kind in _MANUAL_ONLY:
@@ -123,7 +124,7 @@ def assemble(
         if draft is None:
             sections.append((kind, ManualPlaceholder()))
             continue
-        report = score(draft, bundle, kind, tolerances)
+        report = score(draft, context, kind)
         sections.append(
             (
                 kind,
@@ -201,6 +202,7 @@ def run_experiment(
     if prompts is None:
         prompts = build_matrix(bundle)
     run_id = next_run_id(read_store(store_path))
+    context = GroundingContext(bundle, tolerances)
 
     records: list[dict] = []
     for config in configs:
@@ -208,7 +210,7 @@ def run_experiment(
             base = {"run_id": run_id, "backend": config.name, "prompt": prompt.to_dict()}
             try:
                 draft = generate(config, prompt)
-                report = score(draft, bundle, prompt.section, tolerances, prompt.topic)
+                report = score(draft, context, prompt.section, topic=prompt.topic)
                 base["record_kind"] = "result"
                 base["draft"] = draft.to_dict()
                 base["grounding"] = report.to_dict()

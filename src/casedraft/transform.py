@@ -111,11 +111,41 @@ def _order_clusters(records: Sequence[LocationRecord], groups: list[list[int]]) 
     return clusters
 
 
+# Cells of the spatial grid are cubes in 3-D unit-sphere coordinates.  Their
+# edge exceeds the chord of the clustering radius by this much, so that
+# rounding can never put two points within the radius more than one cell
+# apart; it is about 6 mm on the Earth, far above the rounding error.
+_CELL_MARGIN = 1e-9
+_NEIGHBOUR_OFFSETS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
+
+
+def _grid_cell(lat: float, lon: float, edge: float) -> Optional[tuple[int, int, int]]:
+    """The grid cell of a point on the unit sphere; None for a non-finite
+    coordinate, which is within no radius of anything."""
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        return None
+    phi, lam = math.radians(lat), math.radians(lon)
+    c = math.cos(phi)
+    return (
+        math.floor(c * math.cos(lam) / edge),
+        math.floor(c * math.sin(lam) / edge),
+        math.floor(math.sin(phi) / edge),
+    )
+
+
 def group_locations_spatial(
     records: Sequence[LocationRecord], radius_m: float = DEFAULT_CLUSTER_RADIUS_M
 ) -> list[LocationCluster]:
     """Single-linkage clustering: records chain together whenever some pair
-    sits within radius_m.  Every record lands in exactly one cluster."""
+    sits within radius_m.  Every record lands in exactly one cluster.
+
+    Exact fixed-radius neighbour search on a grid (Bentley, Stanat and
+    Williams, 1977): points are bucketed by their position on the unit
+    sphere in cubes at least as wide as the chord of radius_m, so only
+    pairs in the same or adjacent cubes can be within radius_m, and
+    haversine_m decides each of those.  Working in 3-D leaves no pole or
+    antimeridian to special-case.
+    """
     n = len(records)
     parent = list(range(n))
 
@@ -125,14 +155,31 @@ def group_locations_spatial(
             x = parent[x]
         return x
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = haversine_m(
-                records[i].latitude, records[i].longitude,
-                records[j].latitude, records[j].longitude,
-            )
-            if d <= radius_m:
-                parent[find(i)] = find(j)
+    if radius_m >= 0:  # a negative or NaN radius joins nothing
+        half_angle = min(radius_m, math.pi * EARTH_RADIUS_M) / (2 * EARTH_RADIUS_M)
+        edge = min(2.0, 2 * math.sin(half_angle) + _CELL_MARGIN)
+        cells: dict[tuple[int, int, int], list[int]] = {}
+        for i, rec in enumerate(records):
+            cell = _grid_cell(rec.latitude, rec.longitude, edge)
+            if cell is not None:
+                cells.setdefault(cell, []).append(i)
+
+        for (cx, cy, cz), members in cells.items():
+            for dx, dy, dz in _NEIGHBOUR_OFFSETS:
+                others = cells.get((cx + dx, cy + dy, cz + dz))
+                if others is None:
+                    continue
+                for i in members:
+                    for j in others:
+                        if i >= j:
+                            continue
+                        root_i, root_j = find(i), find(j)
+                        # a pair already chained together needs no distance
+                        if root_i != root_j and haversine_m(
+                            records[i].latitude, records[i].longitude,
+                            records[j].latitude, records[j].longitude,
+                        ) <= radius_m:
+                            parent[root_i] = root_j
 
     groups: dict[int, list[int]] = {}
     for i in range(n):

@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casedraft.gateway import BackendConfig, BackendKind, generate
+from casedraft.gateway import (
+    BackendConfig,
+    BackendKind,
+    DropFacts,
+    Faithful,
+    InjectCoordinate,
+    InjectName,
+    generate,
+)
 from casedraft.grounding import (
     Claim,
     ClaimKind,
     ClaimStatus,
+    GroundingContext,
     GroundingReport,
     Roster,
     Tolerances,
@@ -32,7 +42,7 @@ from casedraft.model import (
     ReportSectionKind,
     Sender,
 )
-from casedraft.prompting import PromptTopic, render_input
+from casedraft.prompting import PromptTopic, build_matrix, render_input
 
 UTC = timezone.utc
 MINUS5 = timezone(timedelta(hours=-5))
@@ -125,6 +135,47 @@ def test_roster_matching_is_case_insensitive():
 
 def test_four_digit_year_is_not_a_version():
     assert extract_claims("dated 01.10.2023 in text") == []
+
+
+def _per_phrase_roster_claims(text, roster):
+    """The oracle: one regex pass per roster phrase, in roster order, each
+    match kept unless it overlaps a claim already taken."""
+    claims = extract_claims(text)
+    taken = [c.span for c in claims]
+    for kind, phrases in (
+        (ClaimKind.PERSON_NAME, roster.person_names),
+        (ClaimKind.PLACE_NAME, roster.place_names),
+    ):
+        for phrase in phrases:
+            for m in re.finditer(rf"\b{re.escape(phrase)}\b", text, re.IGNORECASE):
+                if any(not (m.end() <= s or e <= m.start()) for s, e in taken):
+                    continue
+                taken.append(m.span())
+                claims.append(Claim(kind, m.group(0), " ".join(tokens_of(m.group(0))), m.span()))
+    claims.sort(key=lambda c: c.span)
+    return claims
+
+
+# few words, so that phrases overlap and nest in each other and in the text
+_WORDS = ["Mr", "mr", "Sforza", "Sforz", "SFORZA", "Hall", "Healy", "x", "X", "St.", "37th", "O'Neil", "Dr"]
+_OTHER = [" ", ", ", "\n", "-", "(38.9075, -77.0728)", "7.3.0.75", "x.jpg", "4894559 bytes"]
+
+
+@st.composite
+def _roster_and_text(draw):
+    phrase = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+    persons = tuple(draw(st.lists(phrase, max_size=6)))
+    places = tuple(draw(st.lists(phrase, max_size=6)))
+    # the text is built from the roster's own phrases as well as loose words
+    pieces = draw(st.lists(st.sampled_from(_WORDS + _OTHER + list(persons + places)), max_size=30))
+    return Roster(person_names=persons, place_names=places), " ".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_roster_and_text())
+def test_roster_alternation_matches_per_phrase_oracle(roster_and_text):
+    roster, text = roster_and_text
+    assert extract_claims(text, roster) == _per_phrase_roster_claims(text, roster)
 
 
 # --- verification -----------------------------------------------------------------
@@ -333,6 +384,31 @@ def test_score_accepts_draft_objects(golden_bundle):
     assert report.draft_ref == f"mock:{prompt.prompt_id}"
     assert report.hallucination_count == 0
     assert report.completeness == 1.0
+
+
+def test_shared_context_scores_like_the_bare_bundle(golden_bundle):
+    context = GroundingContext(golden_bundle)
+    faults = [
+        Faithful(),
+        DropFacts(1),
+        DropFacts(3),
+        InjectCoordinate(40.7128, -74.0060),
+        InjectName("Mr Moriarty"),
+        InjectName("Mr Sforz"),
+    ]
+    for fault in faults:
+        config = BackendConfig(name="mock", kind=BackendKind.MOCK, fault_profile=fault)
+        for prompt in build_matrix(golden_bundle):
+            draft = generate(config, prompt)
+            shared = score(draft, context, prompt.section, topic=prompt.topic)
+            assert shared == score(draft, golden_bundle, prompt.section, topic=prompt.topic)
+
+
+def test_context_rejects_other_tolerances(golden_bundle):
+    context = GroundingContext(golden_bundle, Tolerances(coordinate_decimal_places=6))
+    assert score("text", context, ReportSectionKind.INTRODUCTION, Tolerances(6)).draft_ref == "text"
+    with pytest.raises(ValueError):
+        score("text", context, ReportSectionKind.INTRODUCTION, Tolerances())
 
 
 def test_score_plain_text_ref(golden_bundle):

@@ -204,6 +204,101 @@ def test_spatial_clustering_matches_connected_components_oracle():
         assert got == _brute_force_components(records, radius)
 
 
+def _assert_matches_oracle(records, radius):
+    got = {frozenset(c.member_indices) for c in group_locations_spatial(records, radius)}
+    assert got == _brute_force_components(records, radius), radius
+
+
+def test_spatial_clustering_oracle_near_the_poles():
+    rng = random.Random(11)
+    for pole in (90.0, -90.0):
+        for _ in range(20):
+            records = [
+                _loc(pole - math.copysign(rng.uniform(0.0, 0.006), pole), rng.uniform(-180.0, 180.0), minute=k)
+                for k in range(rng.randint(2, 15))
+            ]
+            _assert_matches_oracle(records, rng.choice([50.0, 200.0, 500.0, 1000.0]))
+
+
+def test_spatial_clustering_oracle_across_the_antimeridian():
+    rng = random.Random(13)
+    for _ in range(40):
+        lat = rng.choice([0.0, 38.9, -61.5, 84.0])
+        records = [
+            _loc(lat + rng.uniform(-0.002, 0.002), rng.choice([1, -1]) * (180.0 - rng.uniform(0.0, 0.004)), minute=k)
+            for k in range(rng.randint(2, 15))
+        ]
+        _assert_matches_oracle(records, rng.choice([50.0, 200.0, 500.0]))
+    # a pair 2 m apart whose longitudes read almost 360 degrees apart
+    _assert_matches_oracle([_loc(0.0, 179.99999), _loc(0.0, -179.99999)], 5.0)
+    assert len(group_locations_spatial([_loc(0.0, 179.99999), _loc(0.0, -179.99999)], 5.0)) == 1
+
+
+def test_spatial_clustering_oracle_extreme_radii():
+    rng = random.Random(17)
+    spread = [
+        _loc(math.degrees(math.asin(rng.uniform(-1.0, 1.0))), rng.uniform(-180.0, 180.0), minute=k)
+        for k in range(12)
+    ]
+    antipodes = [_loc(10.0, 20.0), _loc(-10.0, -160.0), _loc(90.0, 0.0), _loc(-90.0, 0.0)]
+    half_circumference = math.pi * EARTH_RADIUS_M
+    for records in (spread, antipodes):
+        for radius in (half_circumference, 2 * half_circumference, math.inf, 0.0, -1.0, -math.inf, math.nan):
+            _assert_matches_oracle(records, radius)
+    assert len(group_locations_spatial(spread, half_circumference)) == 1
+    assert len(group_locations_spatial(spread, -1.0)) == len(spread)
+
+
+def test_spatial_clustering_oracle_duplicates_and_tiny_inputs():
+    assert group_locations_spatial([], 200.0) == []
+    assert [c.member_indices for c in group_locations_spatial([_loc(38.9, -77.0)], 200.0)] == [(0,)]
+    same = [_loc(38.9, -77.0, minute=k) for k in range(4)] + [_loc(38.95, -77.0, minute=9)] * 3
+    for radius in (0.0, 1.0, 200.0):
+        _assert_matches_oracle(same, radius)
+    assert len(group_locations_spatial(same, 0.0)) == 2
+
+
+def test_spatial_clustering_non_finite_coordinate_stays_single():
+    records = [
+        _loc(38.9, -77.0, minute=1),
+        _loc(math.nan, -77.0, minute=2),
+        _loc(38.9, math.nan, minute=3),
+        _loc(38.9001, -77.0, minute=4),
+    ]
+    for radius in (0.0, 200.0, 1e6):
+        _assert_matches_oracle(records, radius)
+    # from half the circumference up, haversine_m's min(1.0, nan) reads a NaN
+    # pair as antipodal, and the all-pairs loop joined it; a point that is
+    # nowhere stays alone, and an infinite one (haversine_m raises) too
+    records.append(_loc(math.inf, -77.0, minute=5))
+    for radius in (200.0, math.pi * EARTH_RADIUS_M, math.inf):
+        got = {c.member_indices for c in group_locations_spatial(records, radius)}
+        assert got == {(0, 3), (1,), (2,), (4,)}
+
+
+def test_spatial_clustering_distance_calls_grow_linearly(monkeypatch):
+    # 2,000 fixes spread over a 10 km square: all pairs would be ~2 million
+    # distance calls, the grid needs a few per fix
+    from casedraft import transform
+
+    rng = random.Random(19)
+    records = [
+        _loc(38.9 + rng.uniform(0.0, 0.09), -77.1 + rng.uniform(0.0, 0.115), minute=k)
+        for k in range(2000)
+    ]
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return haversine_m(*args)
+
+    monkeypatch.setattr(transform, "haversine_m", counting)
+    clusters = group_locations_spatial(records, DEFAULT_CLUSTER_RADIUS_M)
+    assert sum(len(c) for c in clusters) == len(records)
+    assert calls < 20 * len(records)
+
+
 # --- chronological clustering and day buckets --------------------------------
 
 def test_chronological_split_on_gap():
