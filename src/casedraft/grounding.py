@@ -283,11 +283,11 @@ class _BundleIndex:
         self.coords: set[tuple[float, float]] = set()
         aware: list[datetime] = []
         walls: list[datetime] = []
-        filenames: list[str] = []
+        self.filenames: set[str] = set()
         place_names: list[str] = []
         self.sizes: set[int] = set()
         self.versions: set[str] = set()
-        self.persons: list[str] = []
+        persons: list[str] = []
 
         def add_instant(ts: datetime) -> None:
             if ts.utcoffset() is not None:
@@ -297,9 +297,9 @@ class _BundleIndex:
         for rec in bundle.all_locations():
             self.coords.add((round(rec.latitude, places), round(rec.longitude, places)))
             add_instant(rec.timestamp)
-            filenames.append(rec.name.casefold())
+            self.filenames.add(rec.name.casefold())
             if rec.source_file:
-                filenames.append(rec.source_file.casefold())
+                self.filenames.update(_path_components(rec.source_file))
                 self._mine_sizes(rec.source_file)
             if rec.related_location:
                 place_names.append(_norm_phrase(rec.related_location))
@@ -309,12 +309,12 @@ class _BundleIndex:
         for msg in bundle.all_messages():
             add_instant(msg.timestamp)
             for src in msg.source_files:
-                filenames.append(src.casefold())
+                self.filenames.update(_path_components(src))
                 self._mine_sizes(src)
             if msg.sender:
                 if msg.sender.display_name:
-                    self.persons.append(_norm_phrase(msg.sender.display_name))
-                self.persons.append(msg.sender.identifier.casefold())
+                    persons.append(msg.sender.display_name)
+                persons.append(msg.sender.identifier)
 
         for item in bundle.items:
             if item.storage_size is not None:
@@ -327,22 +327,43 @@ class _BundleIndex:
             if profile.os_version:
                 self.versions.add(profile.os_version)
 
-        for s in bundle.mandate.suspects:
-            self.persons.append(_norm_phrase(s))
+        persons += bundle.mandate.suspects
         if bundle.mandate.investigator_name:
-            self.persons.append(_norm_phrase(bundle.mandate.investigator_name))
+            persons.append(bundle.mandate.investigator_name)
 
         self.aware_instants = sorted(aware)
         self.wall_instants = sorted(walls)
-        # claims never hold a newline, so one joined string answers
-        # "is it a substring of some value" in a single search
-        self.filenames = "\n".join(filenames)
+        # a place claim never holds a newline, so one joined string answers
+        # "is it a substring of some place" in a single search
         self.place_names = "\n".join(place_names)
+        # each person as a token sequence, and every contiguous run of
+        # tokens inside one
+        self.persons: set[tuple[str, ...]] = set()
+        self.person_parts: set[tuple[str, ...]] = set()
+        for name in persons:
+            tokens = tuple(tokens_of(name))
+            self.persons.add(tokens)
+            self.person_parts.update(_token_runs(tokens))
+        self.persons.discard(())
 
     def _mine_sizes(self, text: str) -> None:
         # stored source strings often carry "(Size : N bytes)" annotations
         for m in _BYTE_COUNT.finditer(text):
             self.sizes.add(int(m.group(1)))
+
+
+_PATH_SEPARATORS = re.compile(r"[/\\\s]+")
+
+
+def _path_components(path: str) -> set[str]:
+    return {c for c in _PATH_SEPARATORS.split(path.casefold()) if c}
+
+
+def _token_runs(tokens: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+    """Every non-empty contiguous run of tokens."""
+    for i in range(len(tokens)):
+        for j in range(i + 1, len(tokens) + 1):
+            yield tokens[i:j]
 
 
 def _near(instants: list[datetime], claimed: datetime, slack: timedelta) -> bool:
@@ -371,7 +392,9 @@ def _claim_grounded(claim: Claim, index: _BundleIndex, tolerances: Tolerances) -
     if claim.kind is ClaimKind.TIMESTAMP:
         return _timestamp_grounded(value, index, tolerances.timestamp_slack)
     if claim.kind is ClaimKind.PERSON_NAME:
-        return any(value == p or value in p or p in value for p in index.persons)
+        # whole tokens only: "Mr Sforz" is no part of "Mr Sforza"
+        tokens = tuple(value.split())
+        return tokens in index.person_parts or any(run in index.persons for run in _token_runs(tokens))
     if claim.kind is ClaimKind.FILENAME:
         return value in index.filenames
     if claim.kind is ClaimKind.PLACE_NAME:

@@ -259,6 +259,19 @@ def test_verify_filename(tiny_bundle):
     assert got["nope.jpg"] is False
 
 
+def test_verify_person_needs_whole_tokens(tiny_bundle, golden_bundle):
+    assert grounded_map("Mr Sforz was here", tiny_bundle) == {"Mr Sforz": False}
+    # the golden investigator is "X": no name grounds merely by holding an x
+    assert grounded_map("Mr Maxwell met Dr Xu", golden_bundle) == {"Mr Maxwell": False, "Dr Xu": False}
+    assert grounded_map("signed by X", golden_bundle) == {"X": True}
+
+
+def test_verify_filename_needs_a_whole_name_or_path_component(tiny_bundle, golden_bundle):
+    assert grounded_map("photo 1.jpg", golden_bundle) == {"1.jpg": False}
+    got = grounded_map("143344.jpg and 4.db and USERDATA and cache4.db", tiny_bundle)
+    assert got == {"143344.jpg": False, "4.db": False, "cache4.db": True}
+
+
 def test_tolerances_are_adjustable(tiny_bundle):
     strict = Tolerances(coordinate_decimal_places=6)
     checked = verify(
