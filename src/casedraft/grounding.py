@@ -482,7 +482,8 @@ def _item_facts_from_lines(lines: Sequence[str]) -> list[RequiredFact]:
             facts.append(_phrase_fact("item", line))
             continue
         item_ref = m.group(1)
-        facts.append(_phrase_fact(f"item {item_ref} make and model", m.group(2)))
+        if tokens_of(m.group(2)):
+            facts.append(_phrase_fact(f"item {item_ref} make and model", m.group(2)))
         idents: list[FactAlternative] = []
         hm = re.search(r"\bhash\s+([0-9A-Fa-f]{8,})", line)
         if hm:
@@ -501,7 +502,10 @@ def _item_facts_from_lines(lines: Sequence[str]) -> list[RequiredFact]:
 def _items_received_facts(bundle: CaseBundle) -> list[RequiredFact]:
     facts: list[RequiredFact] = []
     for item in bundle.items:
-        facts.append(_phrase_fact(f"item {item.item_id} make and model", f"{item.vendor} {item.model}"))
+        # an item recorded without make or model has no such fact to state
+        make_and_model = f"{item.vendor} {item.model}"
+        if tokens_of(make_and_model):
+            facts.append(_phrase_fact(f"item {item.item_id} make and model", make_and_model))
         idents: list[FactAlternative] = []
         if item.hash is not None:
             idents.append(TokenPhrase(item.hash.digest))

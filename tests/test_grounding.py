@@ -33,6 +33,7 @@ from casedraft.grounding import (
     tokens_of,
     verify,
 )
+from casedraft.cli import main
 from casedraft.ingest import SourceFormat
 from casedraft.model import (
     CaseBundle,
@@ -41,8 +42,11 @@ from casedraft.model import (
     MessageRecord,
     ReportSectionKind,
     Sender,
+    bundle_from_json,
 )
 from casedraft.prompting import PromptTopic, build_matrix, render_input
+
+from conftest import DATA_DIR
 
 UTC = timezone.utc
 MINUS5 = timezone(timedelta(hours=-5))
@@ -311,6 +315,34 @@ def test_items_received_facts(golden_bundle):
         ReportSectionKind.ITEMS_RECEIVED,
     )
     assert rep.completeness == 1.0
+
+
+def test_item_without_make_or_model_requires_none(tmp_path):
+    # the golden papers ingested without an items file, as the end-to-end
+    # run does: IP6 is known only by its id
+    bundle_path = tmp_path / "bundle.json"
+    assert main([
+        "ingest",
+        "--mandate", str(DATA_DIR / "full_mandate.txt"),
+        "--lablog-locations", f"S1={DATA_DIR / 'lablog_locations.txt'}",
+        "--lablog-messages", f"IP6={DATA_DIR / 'lablog_messages.txt'}",
+        "--device-profile", f"S1={DATA_DIR / 'device_lablog.txt'}",
+        "--method-steps", str(DATA_DIR / "method_steps.txt"),
+        "--default-offset", "UTC-5",
+        "-o", str(bundle_path),
+    ]) == 0
+    bundle = bundle_from_json(bundle_path.read_text(encoding="utf-8"))
+    descriptions = [
+        f.description for f in required_facts_for(ReportSectionKind.ITEMS_RECEIVED, bundle)
+    ]
+    assert "item IP6 make and model" not in descriptions
+    config = BackendConfig(name="mock", kind=BackendKind.MOCK)
+    prompts = [p for p in build_matrix(bundle) if p.section is ReportSectionKind.ITEMS_RECEIVED]
+    assert prompts
+    for prompt in prompts:
+        report = score(generate(config, prompt), bundle, prompt.section, topic=prompt.topic)
+        assert report.completeness == 1.0, prompt.prompt_id
+        assert [d for d, _ in report.required_facts] == descriptions
 
 
 def test_methodology_facts(golden_bundle):
