@@ -13,10 +13,10 @@ A GroundingContext holds what one bundle offers as evidence: the roster
 with its compiled phrase alternations, the lookup index, and the required
 facts per (section, topic), each built on first use.  Build one per
 experiment or report and pass it wherever score, verify and
-required_facts_for take a bundle; a plain bundle gets a fresh context for
-that call alone.  Nothing is cached beyond a context: no module-level
-cache is keyed by bundle or text, so evidence lives exactly as long as
-the caller keeps its context.
+required_facts_for take a bundle; for a plain bundle the evidence is built
+afresh and dropped when the call returns.  Nothing is cached beyond a
+context: no module-level cache is keyed by bundle or text, so evidence
+lives exactly as long as the caller keeps its context.
 """
 
 from __future__ import annotations
@@ -278,8 +278,9 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
 class _BundleIndex:
     """The bundle's values in the shape each claim kind looks them up by."""
 
-    def __init__(self, bundle: CaseBundle, places: int):
-        self.places = places
+    def __init__(self, bundle: CaseBundle, tolerances: Tolerances):
+        self.places = places = tolerances.coordinate_decimal_places
+        self.slack = tolerances.timestamp_slack
         self.coords: set[tuple[float, float]] = set()
         aware: list[datetime] = []
         walls: list[datetime] = []
@@ -344,7 +345,6 @@ class _BundleIndex:
             tokens = tuple(tokens_of(name))
             self.persons.add(tokens)
             self.person_parts.update(_token_runs(tokens))
-        self.persons.discard(())
 
     def _mine_sizes(self, text: str) -> None:
         # stored source strings often carry "(Size : N bytes)" annotations
@@ -373,24 +373,24 @@ def _near(instants: list[datetime], claimed: datetime, slack: timedelta) -> bool
     return any(abs(claimed - instants[j]) <= slack for j in (i - 1, i) if 0 <= j < len(instants))
 
 
-def _timestamp_grounded(normalized: str, index: _BundleIndex, slack: timedelta) -> bool:
+def _timestamp_grounded(normalized: str, index: _BundleIndex) -> bool:
     parts = normalized.split(" ")
     naive = datetime.fromisoformat(parts[0])
     if len(parts) > 1:
         claimed = naive.replace(tzinfo=parse_offset(parts[1]))
-        return _near(index.aware_instants, claimed, slack)
+        return _near(index.aware_instants, claimed, index.slack)
     # no offset stated: match wall-clock time as each record displays it
-    return _near(index.wall_instants, naive, slack)
+    return _near(index.wall_instants, naive, index.slack)
 
 
-def _claim_grounded(claim: Claim, index: _BundleIndex, tolerances: Tolerances) -> bool:
+def _claim_grounded(claim: Claim, index: _BundleIndex) -> bool:
     value = claim.normalized_value
     if claim.kind is ClaimKind.COORDINATE:
         lat_s, lon_s = value.split(",")
         places = index.places
         return (round(float(lat_s), places), round(float(lon_s), places)) in index.coords
     if claim.kind is ClaimKind.TIMESTAMP:
-        return _timestamp_grounded(value, index, tolerances.timestamp_slack)
+        return _timestamp_grounded(value, index)
     if claim.kind is ClaimKind.PERSON_NAME:
         # whole tokens only: "Mr Sforz" is no part of "Mr Sforza"
         tokens = tuple(value.split())
@@ -412,10 +412,9 @@ def verify(
     tolerances: Optional[Tolerances] = None,
 ) -> list[tuple[Claim, ClaimStatus]]:
     """Each claim is grounded iff the bundle supports it within tolerance."""
-    context = _context(bundle, tolerances)
-    index, tolerances = context.index, context.tolerances
+    index = _context(bundle, tolerances).index
     return [
-        (claim, ClaimStatus.GROUNDED if _claim_grounded(claim, index, tolerances) else ClaimStatus.UNGROUNDED)
+        (claim, ClaimStatus.GROUNDED if _claim_grounded(claim, index) else ClaimStatus.UNGROUNDED)
         for claim in claims
     ]
 
@@ -549,9 +548,21 @@ def _location_cluster_facts(records) -> list[RequiredFact]:
     return facts
 
 
-def _required_facts(
-    section: ReportSectionKind, bundle: CaseBundle, topic_value
+def required_facts_for(
+    section: ReportSectionKind,
+    bundle: Union[CaseBundle, "GroundingContext"],
+    topic: "PromptTopicLike" = None,
 ) -> list[RequiredFact]:
+    """The facts a draft of this section must carry, derived from the bundle.
+
+    For Results, topic narrows the facts to conversations or locations;
+    left unset, both apply.  Items land at the end of the Introduction
+    list; Discussion and Conclusion require nothing (never drafted).
+    Given a context, the facts it already derived are reused.
+    """
+    if isinstance(bundle, GroundingContext):
+        return list(bundle.required_facts(section, topic))
+    topic_value = getattr(topic, "value", topic)
     if section is ReportSectionKind.INTRODUCTION:
         return _mandate_intro_facts(bundle.mandate)
     if section is ReportSectionKind.ITEMS_RECEIVED:
@@ -566,20 +577,6 @@ def _required_facts(
             facts += _location_cluster_facts(bundle.all_locations())
         return facts
     return []
-
-
-def required_facts_for(
-    section: ReportSectionKind,
-    bundle: Union[CaseBundle, "GroundingContext"],
-    topic: "PromptTopicLike" = None,
-) -> list[RequiredFact]:
-    """The facts a draft of this section must carry, derived from the bundle.
-
-    For Results, topic narrows the facts to conversations or locations;
-    left unset, both apply.  Items land at the end of the Introduction
-    list; Discussion and Conclusion require nothing (never drafted).
-    """
-    return list(_context(bundle, None).required_facts(section, topic))
 
 
 PromptTopicLike = Optional[object]
@@ -653,7 +650,7 @@ class GroundingContext:
 
     @cached_property
     def index(self) -> _BundleIndex:
-        return _BundleIndex(self.bundle, self.tolerances.coordinate_decimal_places)
+        return _BundleIndex(self.bundle, self.tolerances)
 
     def required_facts(
         self, section: ReportSectionKind, topic: "PromptTopicLike" = None
@@ -661,7 +658,7 @@ class GroundingContext:
         key = (section, getattr(topic, "value", topic))
         facts = self._facts.get(key)
         if facts is None:
-            facts = self._facts[key] = tuple(_required_facts(section, self.bundle, key[1]))
+            facts = self._facts[key] = tuple(required_facts_for(section, self.bundle, topic))
         return facts
 
 
