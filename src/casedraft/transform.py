@@ -170,16 +170,18 @@ def group_locations_spatial(
                 if others is None:
                     continue
                 for i in members:
+                    root_i = find(i)
                     for j in others:
                         if i >= j:
                             continue
-                        root_i, root_j = find(i), find(j)
+                        root_j = find(j)
                         # a pair already chained together needs no distance
                         if root_i != root_j and haversine_m(
                             records[i].latitude, records[i].longitude,
                             records[j].latitude, records[j].longitude,
                         ) <= radius_m:
                             parent[root_i] = root_j
+                            root_i = root_j
 
     groups: dict[int, list[int]] = {}
     for i in range(n):
