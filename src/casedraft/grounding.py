@@ -147,11 +147,11 @@ class Roster:
     place_names: tuple[str, ...] = ()
 
     @cached_property
-    def person_matcher(self) -> _PhraseMatcher:
+    def _person_matcher(self) -> _PhraseMatcher:
         return _PhraseMatcher(self.person_names)
 
     @cached_property
-    def place_matcher(self) -> _PhraseMatcher:
+    def _place_matcher(self) -> _PhraseMatcher:
         return _PhraseMatcher(self.place_names)
 
 
@@ -263,9 +263,9 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
         add(ClaimKind.PERSON_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
 
     if roster:
-        for m in roster.person_matcher.finditer(draft_text):
+        for m in roster._person_matcher.finditer(draft_text):
             add(ClaimKind.PERSON_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
-        for m in roster.place_matcher.finditer(draft_text):
+        for m in roster._place_matcher.finditer(draft_text):
             add(ClaimKind.PLACE_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
 
     claims.sort(key=lambda c: c.span)
