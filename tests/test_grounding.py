@@ -8,6 +8,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casedraft.cli import main
 from casedraft.gateway import (
     BackendConfig,
     BackendKind,
@@ -33,7 +34,6 @@ from casedraft.grounding import (
     tokens_of,
     verify,
 )
-from casedraft.cli import main
 from casedraft.ingest import SourceFormat
 from casedraft.model import (
     CaseBundle,
