@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timedelta
+from datetime import timedelta
 from pathlib import Path
 
 from . import gateway, grounding, ingest, pipeline, prompting, transform
@@ -24,9 +24,10 @@ from .model import (
     ReportSectionKind,
     bundle_from_json,
     bundle_to_json,
+    from_data,
     parse_offset,
+    to_data,
     validate_bundle,
-    _item_from_dict,
 )
 
 def _fail(message: str) -> int:
@@ -119,7 +120,7 @@ def _cmd_ingest(args) -> int:
     if args.items:
         try:
             for d in json.loads(_read(args.items)):
-                item = _item_from_dict(d)
+                item = from_data(EvidenceItem, d)
                 items[item.item_id] = item
         except (OSError, ValueError, KeyError) as exc:
             return _fail(f"items file: {exc}")
@@ -169,15 +170,6 @@ def _records_for(bundle: CaseBundle, item: str | None, kind: str):
     return [rec for recs in source.values() for rec in recs]
 
 
-def _cluster_dict(cluster: transform.LocationCluster) -> dict:
-    return {
-        "member_indices": list(cluster.member_indices),
-        "centroid": list(cluster.centroid),
-        "time_span": [cluster.time_span[0].isoformat(), cluster.time_span[1].isoformat()],
-        "label": cluster.label,
-    }
-
-
 def _cmd_transform(args) -> int:
     try:
         bundle = _load_bundle(args.bundle)
@@ -189,13 +181,13 @@ def _cmd_transform(args) -> int:
         if op == "spatial":
             records = _records_for(bundle, args.item, "locations")
             clusters = transform.group_locations_spatial(records, args.radius)
-            out = [_cluster_dict(c) for c in clusters]
+            out = [to_data(c) for c in clusters]
         elif op == "chrono":
             records = _records_for(bundle, args.item, "locations")
             clusters = transform.group_locations_chronological(
                 records, timedelta(minutes=args.max_gap_minutes)
             )
-            out = [_cluster_dict(c) for c in clusters]
+            out = [to_data(c) for c in clusters]
         elif op == "days":
             records = _records_for(bundle, args.item, "locations")
             buckets = transform.bucket_by_day(records, parse_offset(args.offset))
@@ -288,19 +280,12 @@ def _cmd_generate(args) -> int:
         draft = gateway.generate(config, chosen)
     except gateway.GatewayError as exc:
         return _fail(str(exc))
-    _save_text(json.dumps(draft.to_dict(), indent=2, ensure_ascii=False) + "\n", args.output)
+    _save_text(json.dumps(to_data(draft), indent=2, ensure_ascii=False) + "\n", args.output)
     return 0
 
 
-def _draft_from_dict(d: dict) -> gateway.GeneratedDraft:
-    return gateway.GeneratedDraft(
-        prompt_id=d["prompt_id"],
-        backend_label=d["backend_label"],
-        text=d["text"],
-        latency_s=d.get("latency_s", 0.0),
-        created_at=datetime.fromisoformat(d["created_at"]),
-        token_estimate=d.get("token_estimate"),
-    )
+def _load_draft(path: str) -> gateway.GeneratedDraft:
+    return from_data(gateway.GeneratedDraft, json.loads(_read(path)))
 
 
 def _cmd_score(args) -> int:
@@ -312,7 +297,7 @@ def _cmd_score(args) -> int:
     topic = args.topic
     try:
         if args.draft:
-            draft = _draft_from_dict(json.loads(_read(args.draft)))
+            draft = _load_draft(args.draft)
             report = grounding.score(draft, bundle, section, topic=topic)
         else:
             report = grounding.score(_read(args.text), bundle, section, topic=topic)
@@ -333,7 +318,7 @@ def _cmd_assemble(args) -> int:
             if "=" not in pair:
                 return _fail(f"expected SECTION=FILE, got {pair!r}")
             name, path = pair.split("=", 1)
-            drafts[ReportSectionKind(name)] = _draft_from_dict(json.loads(_read(path)))
+            drafts[ReportSectionKind(name)] = _load_draft(path)
         document = pipeline.assemble(bundle, drafts)
         _save_text(pipeline.render_markdown(document), args.output)
     except (OSError, ValueError, KeyError) as exc:

@@ -93,7 +93,6 @@ class BackendConfig:
     max_retries: int = 2
     retry_backoff: float = 0.5  # seconds; doubles per attempt
     api_key_env: str = DEFAULT_API_KEY_ENV
-    concurrency: int = 1
     fault_profile: FaultProfile = field(default_factory=Faithful)
 
 
@@ -123,7 +122,6 @@ def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
         max_retries=int(d.get("max_retries", 2)),
         retry_backoff=float(d.get("retry_backoff", 0.5)),
         api_key_env=d.get("api_key_env", DEFAULT_API_KEY_ENV),
-        concurrency=int(d.get("concurrency", 1)),
         fault_profile=fault_profile,
     )
 
@@ -136,16 +134,6 @@ class GeneratedDraft:
     latency_s: float
     created_at: datetime
     token_estimate: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "prompt_id": self.prompt_id,
-            "backend_label": self.backend_label,
-            "text": self.text,
-            "latency_s": self.latency_s,
-            "created_at": self.created_at.isoformat(),
-            "token_estimate": self.token_estimate,
-        }
 
 
 class GatewayError(Exception):

@@ -30,7 +30,9 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 from .ingest import (
+    HONORIFIC_NAME,
     SourceFormat,
+    parse_csv_locations,
     parse_csv_messages,
     parse_lablog_locations,
     parse_lablog_messages,
@@ -202,7 +204,6 @@ _FILENAME = re.compile(
     r"db-wal|db-shm|db|sqlite|plist|txt|csv|pdf|docx?|xlsx?|zip|bin|log)\b",
     re.IGNORECASE,
 )
-_HONORIFIC = re.compile(r"\b(?:M(?:rs?|s)|Dr|Mme|Mlle)\.?\s+[A-Z][\w'-]+")
 
 
 def _num(token: str) -> float:
@@ -230,13 +231,13 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
     for m in _TIMESTAMP.finditer(draft_text):
         a, b, sep, c = int(m.group(1)), int(m.group(3)), m.group(2), int(m.group(4))
         day, month = (a, b) if sep == "." else (b, a)
-        try:
-            datetime(c, month, day)
+        hour, minute, second = int(m.group(5)), int(m.group(6)), int(m.group(7) or 0)
+        offset = m.group(8) or ""
+        try:  # only an instant that exists is a claim: date, clock time and offset
+            datetime(c, month, day, hour, minute, second, tzinfo=parse_offset(offset) if offset else None)
         except ValueError:
             continue
-        second = int(m.group(7) or 0)
-        offset = m.group(8) or ""
-        normalized = f"{c:04d}-{month:02d}-{day:02d}T{int(m.group(5)):02d}:{int(m.group(6)):02d}:{second:02d}"
+        normalized = f"{c:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}"
         if offset:
             normalized += f" {offset}"
         add(ClaimKind.TIMESTAMP, m.span(), m.group(0), normalized)
@@ -259,7 +260,7 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
     for m in _FILENAME.finditer(draft_text):
         add(ClaimKind.FILENAME, m.span(), m.group(0), m.group(0).casefold())
 
-    for m in _HONORIFIC.finditer(draft_text):
+    for m in HONORIFIC_NAME.finditer(draft_text):
         add(ClaimKind.PERSON_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
 
     if roster:
@@ -613,14 +614,12 @@ def facts_from_input(
         messages, _ = parser(input_text)
         return _message_facts(messages)
     if section is ReportSectionKind.RESULTS and topic_value == "locations":
-        if input_format is SourceFormat.REDUCED_CSV:
-            from .prompting import parse_csv_locations
-
-            records, _ = parse_csv_locations(input_text)
-        elif input_format is SourceFormat.TOOL_REPORT_EXCERPT:
-            records, _ = parse_tool_report_locations(input_text)
-        else:
-            records, _ = parse_lablog_locations(input_text)
+        parser = {
+            SourceFormat.TOOL_REPORT_EXCERPT: parse_tool_report_locations,
+            SourceFormat.LAB_LOG_TABLE: parse_lablog_locations,
+            SourceFormat.REDUCED_CSV: parse_csv_locations,
+        }[input_format]
+        records, _ = parser(input_text)
         return _location_cluster_facts(records)
     raise ValueError(f"no fact derivation for {section.value!r} with topic {topic_value!r}")
 

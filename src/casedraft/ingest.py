@@ -1,19 +1,20 @@
 """Recoverable parsers for the source texts a case bundle is built from.
 
 Four layouts are understood: commercial tool-report excerpts, lab-log
-tables, reduced CSV exports, and free-text mandates.  Parsers never raise
-on malformed content; they return whatever records could be recovered plus
-a list of diagnostics carrying line numbers.  Labels may appear in English
-or French; a built-in synonym table maps them.
+tables, reduced CSV exports (of messages and of locations), and free-text
+mandates.  Parsers never raise on malformed content; they return whatever
+records could be recovered plus a list of diagnostics carrying line
+numbers.  Labels may appear in English or French; a built-in synonym table
+maps them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from .model import (
     DeviceProfile,
@@ -23,6 +24,7 @@ from .model import (
     MessageRecord,
     MethodStep,
     Sender,
+    parse_offset,
 )
 
 __all__ = [
@@ -30,12 +32,14 @@ __all__ = [
     "Severity",
     "ParseDiagnostic",
     "FRENCH_LABELS",
+    "HONORIFIC_NAME",
     "parse_mandate",
     "parse_tool_report_locations",
     "parse_lablog_locations",
     "parse_tool_report_messages",
     "parse_lablog_messages",
     "parse_csv_messages",
+    "parse_csv_locations",
     "parse_device_profile",
     "parse_method_steps",
 ]
@@ -107,19 +111,12 @@ def _decimal(token: str) -> float:
 _OFFSET_RE = r"UTC[+-]\d{1,2}(?::\d{2})?"
 
 
-def _offset_from(text: Optional[str], default: timezone) -> timezone:
-    if not text:
-        return default
-    m = re.fullmatch(r"UTC([+-])(\d{1,2})(?::(\d{2}))?", text)
-    if not m:
-        return default
-    sign = -1 if m.group(1) == "-" else 1
-    return timezone(sign * timedelta(hours=int(m.group(2)), minutes=int(m.group(3) or 0)))
-
-
 def _instant(
-    day: int, month: int, year: int, time_text: str, offset: timezone
+    day: int, month: int, year: int, time_text: str,
+    offset_text: Optional[str], default_offset: timezone,
 ) -> Optional[datetime]:
+    """The instant a timestamp names, at its own offset or else the default;
+    None when the date, the clock time or the offset does not exist."""
     tm = re.fullmatch(r"(\d{1,2}):(\d{2})(?::(\d{2}))?", time_text.strip())
     if not tm:
         return None
@@ -127,7 +124,7 @@ def _instant(
         return datetime(
             year, month, day,
             int(tm.group(1)), int(tm.group(2)), int(tm.group(3) or 0),
-            tzinfo=offset,
+            tzinfo=parse_offset(offset_text) if offset_text else default_offset,
         )
     except ValueError:
         return None
@@ -144,13 +141,11 @@ _TS_MONTHFIRST = re.compile(
 
 
 def _dayfirst_instant(m: re.Match, default_offset: timezone) -> Optional[datetime]:
-    off = _offset_from(m.group(5), default_offset)
-    return _instant(int(m.group(1)), int(m.group(2)), int(m.group(3)), m.group(4), off)
+    return _instant(int(m.group(1)), int(m.group(2)), int(m.group(3)), m.group(4), m.group(5), default_offset)
 
 
 def _monthfirst_instant(m: re.Match, default_offset: timezone) -> Optional[datetime]:
-    off = _offset_from(m.group(5), default_offset)
-    return _instant(int(m.group(2)), int(m.group(1)), int(m.group(3)), m.group(4), off)
+    return _instant(int(m.group(2)), int(m.group(1)), int(m.group(3)), m.group(4), m.group(5), default_offset)
 
 
 def _app_from_sources(sources: tuple[str, ...]) -> str:
@@ -338,10 +333,9 @@ def parse_lablog_locations(
             # bad rows are recoverable; a missing header is not
             _warn(diags, n, f"skipping unreadable table row: {line.strip()[:60]!r}")
             continue
-        off = _offset_from(m.group("off"), default_offset)
         ts = _instant(
             int(m.group("day")), int(m.group("month")), int(m.group("year")),
-            m.group("time"), off,
+            m.group("time"), m.group("off"), default_offset,
         )
         if ts is None:
             _warn(diags, n, f"skipping row with unreadable timestamp: {line.strip()[:60]!r}")
@@ -403,10 +397,9 @@ def parse_tool_report_messages(
     bounds = [i for i, _ in starts] + [len(lines)]
     for k, (i, head) in enumerate(starts):
         line_no = i + 1
-        off = _offset_from(head.group("off"), default_offset)
         ts = _instant(
             int(head.group("day")), int(head.group("month")), int(head.group("year")),
-            head.group("time"), off,
+            head.group("time"), head.group("off"), default_offset,
         )
         if ts is None:
             _err(diags, line_no, "entry has no parseable timestamp; dropped")
@@ -501,10 +494,9 @@ def parse_lablog_messages(
     bounds = [i for i, _ in rows] + [len(lines)]
     for k, (i, row) in enumerate(rows):
         line_no = i + 1
-        off = _offset_from(row.group("off"), default_offset)
         ts = _instant(
             int(row.group("day")), int(row.group("month")), int(row.group("year")),
-            row.group("time"), off,
+            row.group("time"), row.group("off"), default_offset,
         )
         if ts is None:
             _err(diags, line_no, "row has no parseable timestamp; dropped")
@@ -613,6 +605,45 @@ def parse_csv_messages(
 
 
 # ---------------------------------------------------------------------------
+# reduced CSV locations
+
+def parse_csv_locations(
+    text: str, default_offset: timezone = UTC
+) -> tuple[list[LocationRecord], list[ParseDiagnostic]]:
+    """Parse the reduced ' ; '-delimited location table (Name, Latitude,
+    Longitude, Timestamp, Related Location) as prompting renders it."""
+    diags: list[ParseDiagnostic] = []
+    records: list[LocationRecord] = []
+    for n, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        cells = _split_csv_row(line)
+        if len(cells) < 4:
+            _err(diags, n, "row has too few cells; dropped")
+            continue
+        if cells[0].casefold() == "name":
+            continue
+        tm = _TS_DAYFIRST.search(cells[3])
+        ts = _dayfirst_instant(tm, default_offset) if tm else None
+        if ts is None:
+            _err(diags, n, "row has no parseable timestamp; dropped")
+            continue
+        try:
+            lat, lon = _decimal(cells[1]), _decimal(cells[2])
+        except ValueError:
+            _err(diags, n, "unreadable coordinates; dropped")
+            continue
+        related = cells[4].strip() or None if len(cells) > 4 else None
+        records.append(
+            LocationRecord(
+                name=cells[0], timestamp=ts, category="", latitude=lat,
+                longitude=lon, related_location=related,
+            )
+        )
+    return records, diags
+
+
+# ---------------------------------------------------------------------------
 # device profile tables
 
 _PROFILE_KEYS: list[tuple[str, str]] = [
@@ -691,7 +722,7 @@ _INVESTIGATOR = re.compile(
     r"investigator\s+(?:is\s+)?([^\s.,;!?]+(?:\s+[A-Z][^\s.,;!?]*)*)",
     re.IGNORECASE,
 )
-_HONORIFIC_NAME = re.compile(r"\b(M(?:rs?|s)|Dr|Mme|Mlle)\.?\s+([A-Z][\w'-]+)")
+HONORIFIC_NAME = re.compile(r"\b(M(?:rs?|s)|Dr|Mme|Mlle)\.?\s+([A-Z][\w'-]+)")
 _MONTHS = {
     name.casefold(): i
     for i, name in enumerate(
@@ -815,7 +846,7 @@ def parse_mandate(text: str) -> tuple[Mandate, list[ParseDiagnostic]]:
 
     suspects: list[str] = []
     seen: set[tuple[str, str]] = set()
-    for hm in _HONORIFIC_NAME.finditer(text):
+    for hm in HONORIFIC_NAME.finditer(text):
         key = (hm.group(1).casefold(), hm.group(2).casefold())
         if key not in seen:
             seen.add(key)

@@ -8,13 +8,16 @@ construction; validation reports issues as data instead of raising.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import re
+from collections import abc
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from typing import Mapping, Optional, Sequence
-
-import re
+from operator import attrgetter
+from typing import Callable, Mapping, Optional, TypeVar, Union, get_args, get_origin, get_type_hints
 
 __all__ = [
     "LlmPotential",
@@ -35,11 +38,15 @@ __all__ = [
     "CaseBundle",
     "ValidationIssue",
     "validate_bundle",
+    "to_data",
+    "from_data",
     "bundle_to_json",
     "bundle_from_json",
     "format_offset",
     "parse_offset",
 ]
+
+T = TypeVar("T")
 
 
 class LlmPotential(Enum):
@@ -122,8 +129,8 @@ class ImageHash:
 class EvidenceItem:
     item_id: str
     kind: ItemKind
-    vendor: str
-    model: str
+    vendor: str = ""
+    model: str = ""
     storage_size: Optional[int] = None  # bytes
     hash: Optional[ImageHash] = None  # forensic images only
     physical_condition: Optional[str] = None  # physical devices only
@@ -323,8 +330,9 @@ def format_offset(ts: datetime) -> str:
 
 
 def parse_offset(text: str) -> timezone:
-    """Parse UTC+0 / UTC-5 / UTC+5:30 into a fixed-offset timezone."""
-    m = re.fullmatch(r"UTC([+-])(\d{1,2})(?::(\d{2}))?", text.strip())
+    """Parse UTC+0 / UTC-5 / UTC+5:30 into a fixed-offset timezone; raises
+    ValueError on other text, 60 minutes or more, and 24 hours or more."""
+    m = re.fullmatch(r"UTC([+-])(\d{1,2})(?::([0-5]\d))?", text.strip())
     if not m:
         raise ValueError(f"unrecognized offset: {text!r}")
     sign = -1 if m.group(1) == "-" else 1
@@ -334,185 +342,88 @@ def parse_offset(text: str) -> timezone:
 
 
 # ---------------------------------------------------------------------------
-# serialization: one human-auditable JSON document, field names as above
+# serialization: one codec for every dataclass document, driven by the field
+# types.  Enums become their values, dates and datetimes ISO text, tuples
+# lists, mappings and dataclasses objects (fields in declaration order);
+# other values pass through unchanged.  Each type's converter is built once,
+# on first use.
 
-def _mandate_to_dict(m: Mandate) -> dict:
-    return {
-        "description": m.description,
-        "questions": list(m.questions),
-        "received_date": m.received_date.isoformat() if m.received_date else None,
-        "deadline": m.deadline.isoformat() if m.deadline else None,
-        "investigator_name": m.investigator_name,
-        "suspects": list(m.suspects),
-        "transmitted_items": list(m.transmitted_items),
-    }
+def to_data(obj) -> dict:
+    """The JSON-ready document of a dataclass instance."""
+    return _converter(type(obj), False)(obj)
 
 
-def _mandate_from_dict(d: dict) -> Mandate:
-    return Mandate(
-        description=d.get("description", ""),
-        questions=tuple(d.get("questions", ())),
-        received_date=date.fromisoformat(d["received_date"]) if d.get("received_date") else None,
-        deadline=date.fromisoformat(d["deadline"]) if d.get("deadline") else None,
-        investigator_name=d.get("investigator_name"),
-        suspects=tuple(d.get("suspects", ())),
-        transmitted_items=tuple(d.get("transmitted_items", ())),
-    )
+def from_data(cls: type[T], data: Mapping) -> T:
+    """Rebuild a dataclass instance from its document.  A missing key takes
+    the field's default; a missing field without one raises KeyError."""
+    return _converter(cls, True)(data)
 
 
-def _item_to_dict(item: EvidenceItem) -> dict:
-    return {
-        "item_id": item.item_id,
-        "kind": item.kind.value,
-        "vendor": item.vendor,
-        "model": item.model,
-        "storage_size": item.storage_size,
-        "hash": {"algorithm": item.hash.algorithm, "digest": item.hash.digest}
-        if item.hash
-        else None,
-        "physical_condition": item.physical_condition,
-        "acquisition_methods": list(item.acquisition_methods),
-    }
+@functools.cache
+def _converter(tp, decode: bool) -> Optional[Callable]:
+    """What encodes (or decodes) a value of type tp; None when the value
+    passes through unchanged."""
+    origin, args = get_origin(tp), get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return _dataclass_decoder(tp) if decode else _dataclass_encoder(tp)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp if decode else attrgetter("value")
+    if tp in (date, datetime):
+        return tp.fromisoformat if decode else tp.isoformat
+    if origin is Union:
+        (inner,) = [a for a in args if a is not type(None)]  # Optional only
+        fn = _converter(inner, decode)
+        return None if fn is None else lambda v: None if v is None else fn(v)
+    if origin is tuple:
+        seq = tuple if decode else list
+        if args[-1] is Ellipsis:
+            fn = _converter(args[0], decode)
+            return seq if fn is None else lambda v: seq(map(fn, v))
+        fns = [_converter(a, decode) or (lambda v: v) for a in args]
+        return lambda v: seq(fn(x) for fn, x in zip(fns, v))
+    if origin is abc.Mapping:
+        fn = _converter(args[1], decode)
+        return dict if fn is None else lambda v: {k: fn(x) for k, x in v.items()}
+    return None
 
 
-def _item_from_dict(d: dict) -> EvidenceItem:
-    h = d.get("hash")
-    return EvidenceItem(
-        item_id=d["item_id"],
-        kind=ItemKind(d["kind"]),
-        vendor=d.get("vendor", ""),
-        model=d.get("model", ""),
-        storage_size=d.get("storage_size"),
-        hash=ImageHash(h["algorithm"], h["digest"]) if h else None,
-        physical_condition=d.get("physical_condition"),
-        acquisition_methods=tuple(d.get("acquisition_methods", ())),
-    )
+def _dataclass_encoder(cls) -> Callable:
+    hints = get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    convert = [(n, fn) for n in names if (fn := _converter(hints[n], False)) is not None]
+
+    def encode(obj) -> dict:
+        data = {n: getattr(obj, n) for n in names}
+        for n, fn in convert:
+            data[n] = fn(data[n])
+        return data
+
+    return encode
 
 
-def _profile_to_dict(p: DeviceProfile) -> dict:
-    return {
-        "vendor": p.vendor,
-        "model_code": p.model_code,
-        "os_version": p.os_version,
-        "mac_address": p.mac_address,
-        "timezone": p.timezone,
-    }
+def _dataclass_decoder(cls) -> Callable:
+    hints = get_type_hints(cls)
+    fields = [
+        (f.name, _converter(hints[f.name], True),
+         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    ]
 
+    def decode(data: Mapping):
+        kwargs = {}
+        for name, fn, required in fields:
+            if name in data:
+                kwargs[name] = data[name] if fn is None else fn(data[name])
+            elif required:
+                raise KeyError(name)
+        return cls(**kwargs)
 
-def _profile_from_dict(d: dict) -> DeviceProfile:
-    return DeviceProfile(
-        vendor=d.get("vendor", ""),
-        model_code=d.get("model_code", ""),
-        os_version=d.get("os_version", ""),
-        mac_address=d.get("mac_address", ""),
-        timezone=d.get("timezone", ""),
-    )
-
-
-def _location_to_dict(r: LocationRecord) -> dict:
-    return {
-        "name": r.name,
-        "timestamp": r.timestamp.isoformat(),
-        "category": r.category,
-        "latitude": r.latitude,
-        "longitude": r.longitude,
-        "related_location": r.related_location,
-        "source_file": r.source_file,
-        "size_bytes": r.size_bytes,
-    }
-
-
-def _location_from_dict(d: dict) -> LocationRecord:
-    return LocationRecord(
-        name=d["name"],
-        timestamp=datetime.fromisoformat(d["timestamp"]),
-        category=d.get("category", ""),
-        latitude=d["latitude"],
-        longitude=d["longitude"],
-        related_location=d.get("related_location"),
-        source_file=d.get("source_file"),
-        size_bytes=d.get("size_bytes"),
-    )
-
-
-def _message_to_dict(r: MessageRecord) -> dict:
-    return {
-        "body": r.body,
-        "timestamp": r.timestamp.isoformat(),
-        "app": r.app,
-        "sender": {"identifier": r.sender.identifier, "display_name": r.sender.display_name}
-        if r.sender
-        else None,
-        "direction": r.direction.value if r.direction else None,
-        "source_files": list(r.source_files),
-        "deleted": r.deleted,
-    }
-
-
-def _message_from_dict(d: dict) -> MessageRecord:
-    s = d.get("sender")
-    return MessageRecord(
-        body=d["body"],
-        timestamp=datetime.fromisoformat(d["timestamp"]),
-        app=d.get("app", ""),
-        sender=Sender(s["identifier"], s.get("display_name")) if s else None,
-        direction=Direction(d["direction"]) if d.get("direction") else None,
-        source_files=tuple(d.get("source_files", ())),
-        deleted=d.get("deleted"),
-    )
-
-
-def _step_to_dict(s: MethodStep) -> dict:
-    return {
-        "ordinal": s.ordinal,
-        "action": s.action,
-        "purpose": s.purpose,
-        "tool_name": s.tool_name,
-        "tool_version": s.tool_version,
-    }
-
-
-def _step_from_dict(d: dict) -> MethodStep:
-    return MethodStep(
-        ordinal=d["ordinal"],
-        action=d["action"],
-        purpose=d.get("purpose", ""),
-        tool_name=d.get("tool_name"),
-        tool_version=d.get("tool_version"),
-    )
+    return decode
 
 
 def bundle_to_json(bundle: CaseBundle) -> str:
-    doc = {
-        "mandate": _mandate_to_dict(bundle.mandate),
-        "items": [_item_to_dict(i) for i in bundle.items],
-        "device_profiles": {k: _profile_to_dict(v) for k, v in bundle.device_profiles.items()},
-        "locations": {
-            k: [_location_to_dict(r) for r in v] for k, v in bundle.locations.items()
-        },
-        "messages": {
-            k: [_message_to_dict(r) for r in v] for k, v in bundle.messages.items()
-        },
-        "method_steps": [_step_to_dict(s) for s in bundle.method_steps],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(to_data(bundle), indent=2, ensure_ascii=False) + "\n"
 
 
 def bundle_from_json(text: str) -> CaseBundle:
-    doc = json.loads(text)
-    return CaseBundle(
-        mandate=_mandate_from_dict(doc.get("mandate", {})),
-        items=tuple(_item_from_dict(d) for d in doc.get("items", ())),
-        device_profiles={
-            k: _profile_from_dict(v) for k, v in doc.get("device_profiles", {}).items()
-        },
-        locations={
-            k: tuple(_location_from_dict(r) for r in v)
-            for k, v in doc.get("locations", {}).items()
-        },
-        messages={
-            k: tuple(_message_from_dict(r) for r in v)
-            for k, v in doc.get("messages", {}).items()
-        },
-        method_steps=tuple(_step_from_dict(d) for d in doc.get("method_steps", ())),
-    )
+    return from_data(CaseBundle, json.loads(text))

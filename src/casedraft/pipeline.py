@@ -18,9 +18,10 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from .gateway import BackendConfig, GatewayError, GeneratedDraft, generate
-from .grounding import GroundingContext, GroundingReport, Tolerances, score
-from .model import CaseBundle, ReportSectionKind
-from .prompting import PromptSpec, PromptTopic, build_matrix
+from .grounding import GroundingContext, Tolerances, score
+from .model import CaseBundle, ReportSectionKind, to_data
+from .prompting import PromptSpec, build_matrix
+from .transform import render_padded_table
 
 __all__ = [
     "DISCLAIMER_BANNER",
@@ -212,7 +213,7 @@ def run_experiment(
                 draft = generate(config, prompt)
                 report = score(draft, context, prompt.section, topic=prompt.topic)
                 base["record_kind"] = "result"
-                base["draft"] = draft.to_dict()
+                base["draft"] = to_data(draft)
                 base["grounding"] = report.to_dict()
             except GatewayError as exc:
                 base["record_kind"] = "error"
@@ -237,26 +238,13 @@ class SummaryRow:
     mean_hallucinations: Optional[float]
     mean_completeness: Optional[float]
 
-    def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "section": self.section,
-            "input_format": self.input_format,
-            "count": self.count,
-            "error_count": self.error_count,
-            "mean_latency_s": self.mean_latency_s,
-            "median_latency_s": self.median_latency_s,
-            "mean_hallucinations": self.mean_hallucinations,
-            "mean_completeness": self.mean_completeness,
-        }
-
 
 @dataclass(frozen=True)
 class SummaryTable:
     rows: tuple[SummaryRow, ...]
 
     def to_dicts(self) -> list[dict]:
-        return [r.to_dict() for r in self.rows]
+        return to_data(self)["rows"]
 
     def render_text(self) -> str:
         headers = [
@@ -274,10 +262,7 @@ class SummaryTable:
             ]
             for r in self.rows
         ]
-        table = [headers] + body
-        widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-        lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in table]
-        return "\n".join(lines) + "\n"
+        return render_padded_table([headers] + body, "  ")
 
 
 def summarize(records: Sequence[dict]) -> SummaryTable:

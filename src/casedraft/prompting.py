@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from typing import Optional, Sequence
 
-from .ingest import SourceFormat, _split_csv_row
+from .ingest import SourceFormat
 from .model import (
     CaseBundle,
     EvidenceItem,
@@ -31,7 +30,7 @@ from .model import (
     ReportSectionKind,
     format_offset,
 )
-from .transform import reduce_to_csv
+from .transform import reduce_to_csv, render_padded_table
 
 __all__ = [
     "Placement",
@@ -49,7 +48,6 @@ __all__ = [
     "render_tool_report_messages",
     "render_lablog_messages",
     "render_csv_locations",
-    "parse_csv_locations",
     "build_prompt",
     "build_matrix",
     "matrix_to_json",
@@ -318,7 +316,7 @@ def render_lablog_messages(records: Sequence[MessageRecord]) -> str:
 
 def render_csv_locations(records: Sequence[LocationRecord]) -> str:
     """Reduced ' ; '-delimited location table (Name, Latitude, Longitude,
-    Timestamp, Related Location)."""
+    Timestamp, Related Location); parse_csv_locations reads it back."""
     rows = [["Name", "Latitude", "Longitude", "Timestamp: Time", "Related Location"]]
     for rec in records:
         ts = rec.timestamp
@@ -331,45 +329,7 @@ def render_csv_locations(records: Sequence[LocationRecord]) -> str:
                 rec.related_location or "",
             ]
         )
-    widths = [max(len(r[i]) for r in rows) for i in range(5)]
-    lines = [" ; ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip() for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-def parse_csv_locations(text: str):
-    """Read render_csv_locations output back into LocationRecords."""
-    from .ingest import ParseDiagnostic, Severity, _TS_DAYFIRST, _dayfirst_instant, _decimal
-    from datetime import timezone
-
-    records: list[LocationRecord] = []
-    diags: list[ParseDiagnostic] = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        cells = _split_csv_row(line)
-        if len(cells) < 4:
-            diags.append(ParseDiagnostic(n, Severity.ERROR, "row has too few cells; dropped"))
-            continue
-        if cells[0].casefold() == "name":
-            continue
-        tm = _TS_DAYFIRST.search(cells[3])
-        ts = _dayfirst_instant(tm, timezone.utc) if tm else None
-        if ts is None:
-            diags.append(ParseDiagnostic(n, Severity.ERROR, "row has no parseable timestamp; dropped"))
-            continue
-        try:
-            lat, lon = _decimal(cells[1]), _decimal(cells[2])
-        except ValueError:
-            diags.append(ParseDiagnostic(n, Severity.ERROR, "unreadable coordinates; dropped"))
-            continue
-        related = cells[4].strip() or None if len(cells) > 4 else None
-        records.append(
-            LocationRecord(
-                name=cells[0], timestamp=ts, category="", latitude=lat,
-                longitude=lon, related_location=related,
-            )
-        )
-    return records, diags
+    return render_padded_table(rows, " ; ")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Optional, Sequence, TypeVar
 
-from .model import LocationRecord, MessageRecord, Sender, format_offset
+from .model import LocationRecord, MessageRecord, format_offset
 
 __all__ = [
     "EARTH_RADIUS_M",
@@ -33,6 +33,7 @@ __all__ = [
     "bucket_by_day",
     "detect_colocations",
     "reduce_to_csv",
+    "render_padded_table",
     "load_gazetteer",
     "resolve_place",
 ]
@@ -66,7 +67,9 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dp = math.radians(lat2 - lat1)
     dl = math.radians(lon2 - lon1)
     a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
-    return 2 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
+    # min(nan, 1.0) is nan where min(1.0, nan) is 1.0: a NaN coordinate is
+    # at a NaN distance, within no radius, not at the antipode
+    return 2 * EARTH_RADIUS_M * math.asin(min(math.sqrt(a), 1.0))
 
 
 @dataclass(frozen=True)
@@ -306,12 +309,16 @@ def reduce_to_csv(
             cont[body_col] = extra
             rows.append(cont)
 
-    widths = [max(len(r[i]) for r in rows) for i in range(len(columns))]
-    lines = []
-    for r in rows:
-        padded = [cell.ljust(widths[i]) for i, cell in enumerate(r)]
-        lines.append(" ; ".join(padded).rstrip())
-    return "\n".join(lines) + "\n"
+    return render_padded_table(rows, " ; ")
+
+
+def render_padded_table(rows: Sequence[Sequence[str]], delimiter: str) -> str:
+    """One line per row: every column padded to its widest cell, the cells
+    joined by delimiter and the line end stripped."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "".join(
+        delimiter.join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in rows
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from casedraft.gateway import (
     generate,
 )
 from casedraft.ingest import SourceFormat
-from casedraft.model import CaseBundle, Mandate, ReportSectionKind
+from casedraft.model import CaseBundle, Mandate, ReportSectionKind, to_data
 from casedraft.prompting import (
     Placement,
     PromptVariant,
@@ -69,6 +69,11 @@ def test_backend_config_from_dict_parses_fault_profiles():
         {"kind": "mock", "fault": {"kind": "inject_coordinate", "latitude": 1.0, "longitude": 2.0}},
     )
     assert isinstance(cfg.fault_profile, InjectCoordinate)
+
+
+def test_backend_config_ignores_unknown_keys():
+    cfg = backend_config_from_dict("m", {"kind": "mock", "concurrency": 4, "colour": "blue"})
+    assert cfg == BackendConfig("m", BackendKind.MOCK)
 
 
 def test_backend_config_rejects_unknown_kind():
@@ -131,7 +136,7 @@ def test_mock_token_estimate(intro_prompt):
 
 
 def test_draft_to_dict_round_trips_created_at(intro_prompt):
-    d = generate(mock_config(), intro_prompt).to_dict()
+    d = to_data(generate(mock_config(), intro_prompt))
     assert d["created_at"] == "1970-01-01T00:00:00+00:00"
     assert json.dumps(d)  # serializable
 

@@ -44,6 +44,7 @@ from casedraft.model import (
     Sender,
     bundle_from_json,
 )
+from casedraft.pipeline import run_experiment
 from casedraft.prompting import PromptTopic, build_matrix, render_input
 
 from conftest import DATA_DIR
@@ -487,3 +488,28 @@ def test_scoring_arbitrary_text_is_total(text):
         1 for _, s in report.claims if s is ClaimStatus.UNGROUNDED
     )
     assert report.hallucination_count <= len(report.claims)
+
+
+# --- instants that do not exist ------------------------------------------------
+
+NONEXISTENT_INSTANTS = [
+    "05.02.2019 25:16",
+    "05.02.2019 12:61",
+    "05.02.2019 12:16:61",
+    "05.02.2019 12:16 (UTC+30)",
+    "05.02.2019 12:16 (UTC+5:99)",
+]
+
+
+@pytest.mark.parametrize("instant", NONEXISTENT_INSTANTS)
+def test_nonexistent_instant_is_no_timestamp_claim(golden_bundle, instant):
+    text = f"The phone was seized on {instant}."
+    assert extract_claims(text) == []
+    report = score(text, golden_bundle, ReportSectionKind.RESULTS)
+    assert report.claims == ()
+
+
+def test_experiment_survives_a_draft_naming_a_nonexistent_instant(golden_bundle, tmp_path):
+    odd = BackendConfig("odd", BackendKind.MOCK, fault_profile=InjectName(NONEXISTENT_INSTANTS[0]))
+    records = run_experiment(golden_bundle, [odd], tmp_path / "store.jsonl")
+    assert [r["record_kind"] for r in records] == ["result"] * 36

@@ -8,6 +8,7 @@ import pytest
 
 from casedraft.ingest import (
     Severity,
+    parse_csv_locations,
     parse_csv_messages,
     parse_device_profile,
     parse_lablog_locations,
@@ -17,12 +18,21 @@ from casedraft.ingest import (
     parse_tool_report_locations,
     parse_tool_report_messages,
 )
-from casedraft.model import Direction
+from casedraft.model import Direction, LocationRecord, MessageRecord, Sender
+from casedraft.prompting import (
+    render_csv_locations,
+    render_lablog_locations,
+    render_lablog_messages,
+    render_tool_report_locations,
+    render_tool_report_messages,
+)
+from casedraft.transform import reduce_to_csv
 
 from conftest import read_fixture
 
 UTC = timezone.utc
 MINUS5 = timezone(timedelta(hours=-5))
+PLUS1 = timezone(timedelta(hours=1))
 
 
 def errors(diags):
@@ -341,6 +351,41 @@ def test_every_record_carries_an_aware_timestamp(name, parser):
     for record in records:
         assert record.timestamp.tzinfo is not None
         assert record.timestamp.utcoffset() is not None
+
+
+_LOCATIONS = [
+    LocationRecord(f"{k}.jpg", datetime(2019, 2, 14, 14, k, 4, tzinfo=PLUS1), "Media", 38.9, -77.0)
+    for k in (1, 2)
+]
+_MESSAGES = [
+    MessageRecord(
+        f"body {k}", datetime(2019, 2, 5, 12, k, 4, tzinfo=PLUS1),
+        sender=Sender("695862679"), direction=Direction.INCOMING,
+    )
+    for k in (1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "render,parser,records",
+    [
+        (render_tool_report_locations, parse_tool_report_locations, _LOCATIONS),
+        (render_lablog_locations, parse_lablog_locations, _LOCATIONS),
+        (render_csv_locations, parse_csv_locations, _LOCATIONS),
+        (render_tool_report_messages, parse_tool_report_messages, _MESSAGES),
+        (render_lablog_messages, parse_lablog_messages, _MESSAGES),
+        (reduce_to_csv, parse_csv_messages, _MESSAGES),
+    ],
+)
+def test_out_of_range_offset_drops_the_record_with_a_diagnostic(render, parser, records):
+    text = render(records)
+    clean, clean_diags = parser(text)
+    assert [r.timestamp for r in clean] == [r.timestamp for r in records]
+    # both have the shape of an offset, but no such offset exists
+    for offset in ("(UTC+30)", "(UTC+1:99)"):
+        broken, diags = parser(text.replace("(UTC+1)", offset, 1))
+        assert [r.timestamp for r in broken] == [records[1].timestamp]
+        assert [d for d in diags if d not in clean_diags]
 
 
 def test_diagnostic_render_format():

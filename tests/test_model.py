@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 
 from casedraft.model import (
     CaseBundle,
+    DeviceProfile,
+    Direction,
     EvidenceItem,
     ImageHash,
     InputSource,
@@ -19,13 +21,17 @@ from casedraft.model import (
     MessageRecord,
     MethodStep,
     ReportSectionKind,
+    Sender,
     bundle_from_json,
     bundle_to_json,
     format_offset,
+    from_data,
     parse_offset,
     section_metadata,
+    to_data,
     validate_bundle,
 )
+from casedraft.transform import LocationCluster
 
 UTC = timezone.utc
 
@@ -207,6 +213,186 @@ def test_round_trip_preserves_offsets(golden_bundle):
         assert original.timestamp.utcoffset() == restored.timestamp.utcoffset()
 
 
+def _every_kind_bundle() -> CaseBundle:
+    """Enums, a date, datetimes at two offsets, tuples, mappings, optional
+    fields set and unset, nested dataclasses and an int latitude."""
+    plus1 = timezone(timedelta(hours=1))
+    return CaseBundle(
+        mandate=Mandate(
+            description="Théft of a phone",
+            questions=("Who met?",),
+            received_date=date(2019, 2, 1),
+            investigator_name="X",
+            suspects=("Mr Sforza",),
+        ),
+        items=(
+            EvidenceItem(
+                "S1", ItemKind.PHYSICAL_DEVICE, "Samsung", "S6", storage_size=32,
+                physical_condition="scratched", acquisition_methods=("logical",),
+            ),
+            EvidenceItem("IMG", ItemKind.FORENSIC_IMAGE, "", "", hash=ImageHash("SHA-256", "ab")),
+        ),
+        device_profiles={"S1": DeviceProfile("Samsung", "SM-G925F", "7.0", "00:11:22:33:44:55", "Europe/Paris")},
+        locations={
+            "S1": (
+                LocationRecord(
+                    "a.jpg", datetime(2019, 2, 14, 14, 33, 44, tzinfo=plus1), "Media", 38, -77.5,
+                    related_location="Healy Hall", source_file="DCIM/a.jpg", size_bytes=1024,
+                ),
+            )
+        },
+        messages={
+            "S1": (
+                MessageRecord(
+                    "hi", datetime(2019, 2, 5, 12, 16, tzinfo=UTC), app="Telegram",
+                    sender=Sender("695862679", "Wonder Woman"), direction=Direction.INCOMING,
+                    source_files=("cache4.db",), deleted=False,
+                ),
+                MessageRecord("joined", datetime(2019, 2, 5, 12, 17, tzinfo=UTC)),
+            )
+        },
+        method_steps=(MethodStep(1, "Acquire", tool_name="UFED", tool_version="7.5.0"),),
+    )
+
+
+EVERY_KIND_JSON = """\
+{
+  "mandate": {
+    "description": "Théft of a phone",
+    "questions": [
+      "Who met?"
+    ],
+    "received_date": "2019-02-01",
+    "deadline": null,
+    "investigator_name": "X",
+    "suspects": [
+      "Mr Sforza"
+    ],
+    "transmitted_items": []
+  },
+  "items": [
+    {
+      "item_id": "S1",
+      "kind": "physical_device",
+      "vendor": "Samsung",
+      "model": "S6",
+      "storage_size": 32,
+      "hash": null,
+      "physical_condition": "scratched",
+      "acquisition_methods": [
+        "logical"
+      ]
+    },
+    {
+      "item_id": "IMG",
+      "kind": "forensic_image",
+      "vendor": "",
+      "model": "",
+      "storage_size": null,
+      "hash": {
+        "algorithm": "SHA-256",
+        "digest": "ab"
+      },
+      "physical_condition": null,
+      "acquisition_methods": []
+    }
+  ],
+  "device_profiles": {
+    "S1": {
+      "vendor": "Samsung",
+      "model_code": "SM-G925F",
+      "os_version": "7.0",
+      "mac_address": "00:11:22:33:44:55",
+      "timezone": "Europe/Paris"
+    }
+  },
+  "locations": {
+    "S1": [
+      {
+        "name": "a.jpg",
+        "timestamp": "2019-02-14T14:33:44+01:00",
+        "category": "Media",
+        "latitude": 38,
+        "longitude": -77.5,
+        "related_location": "Healy Hall",
+        "source_file": "DCIM/a.jpg",
+        "size_bytes": 1024
+      }
+    ]
+  },
+  "messages": {
+    "S1": [
+      {
+        "body": "hi",
+        "timestamp": "2019-02-05T12:16:00+00:00",
+        "app": "Telegram",
+        "sender": {
+          "identifier": "695862679",
+          "display_name": "Wonder Woman"
+        },
+        "direction": "incoming",
+        "source_files": [
+          "cache4.db"
+        ],
+        "deleted": false
+      },
+      {
+        "body": "joined",
+        "timestamp": "2019-02-05T12:17:00+00:00",
+        "app": "",
+        "sender": null,
+        "direction": null,
+        "source_files": [],
+        "deleted": null
+      }
+    ]
+  },
+  "method_steps": [
+    {
+      "ordinal": 1,
+      "action": "Acquire",
+      "purpose": "",
+      "tool_name": "UFED",
+      "tool_version": "7.5.0"
+    }
+  ]
+}
+"""
+
+
+def test_bundle_json_text_is_pinned():
+    bundle = _every_kind_bundle()
+    assert bundle_to_json(bundle) == EVERY_KIND_JSON
+    again = bundle_from_json(EVERY_KIND_JSON)
+    assert again == bundle
+    assert type(again.all_locations()[0].latitude) is int
+
+
+def test_fixed_length_tuples_become_lists():
+    early, late = datetime(2019, 2, 14, 14, 29, 1, tzinfo=UTC), datetime(2019, 2, 14, 14, 33, 44, tzinfo=UTC)
+    cluster = LocationCluster((0, 2), (38.9, -77.0), (early, late), "Healy Hall")
+    assert to_data(cluster) == {
+        "member_indices": [0, 2],
+        "centroid": [38.9, -77.0],
+        "time_span": ["2019-02-14T14:29:01+00:00", "2019-02-14T14:33:44+00:00"],
+        "label": "Healy Hall",
+    }
+
+
+def test_missing_optional_keys_take_their_defaults():
+    item = from_data(EvidenceItem, {"item_id": "A", "kind": "physical_device"})
+    assert item == EvidenceItem("A", ItemKind.PHYSICAL_DEVICE, "", "")
+    bundle = bundle_from_json('{"mandate": {}}')
+    assert bundle == CaseBundle(mandate=Mandate())
+
+
+def test_missing_required_key_raises_key_error():
+    with pytest.raises(KeyError, match="item_id"):
+        from_data(EvidenceItem, {"kind": "physical_device"})
+    with pytest.raises(KeyError, match="mandate"):
+        bundle_from_json("{}")
+
+
 # --- offsets ----------------------------------------------------------------
 
 def _at(tz: timezone) -> datetime:
@@ -229,6 +415,12 @@ def test_format_offset_rejects_naive():
 @pytest.mark.parametrize("text", ["UTC+0", "UTC-5", "UTC+5:30", "UTC+14"])
 def test_parse_offset_round_trip(text):
     assert format_offset(_at(parse_offset(text))) == text
+
+
+@pytest.mark.parametrize("text", ["UTC+24", "UTC+30", "UTC-5:60", "UTC+5:99", "UTC5", "GMT+1"])
+def test_parse_offset_rejects_offsets_that_do_not_exist(text):
+    with pytest.raises(ValueError):
+        parse_offset(text)
 
 
 @given(st.integers(min_value=-14 * 60, max_value=14 * 60))

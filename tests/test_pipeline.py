@@ -270,6 +270,22 @@ def test_cli_ingest_builds_bundle(tmp_path, capsys):
     assert {i["item_id"] for i in doc["items"]} == {"S1", "IP6"}
 
 
+def test_cli_ingest_items_may_omit_vendor_and_model(tmp_path):
+    items = tmp_path / "items.json"
+    items.write_text(json.dumps([{"item_id": "IMG", "kind": "forensic_image"}]), encoding="utf-8")
+    out = tmp_path / "bundle.json"
+    assert main(["ingest", "--items", str(items), "-o", str(out)]) == 0
+    (item,) = json.loads(out.read_text(encoding="utf-8"))["items"]
+    assert (item["kind"], item["vendor"], item["model"]) == ("forensic_image", "", "")
+
+
+def test_cli_ingest_items_need_an_id(tmp_path, capsys):
+    items = tmp_path / "items.json"
+    items.write_text(json.dumps([{"kind": "forensic_image"}]), encoding="utf-8")
+    assert main(["ingest", "--items", str(items), "-o", str(tmp_path / "bundle.json")]) == 2
+    assert "items file" in capsys.readouterr().err
+
+
 def test_cli_validate(bundle_file):
     assert main(["validate", "--bundle", str(bundle_file)]) == 0
 

@@ -9,6 +9,7 @@ import pytest
 
 from casedraft.ingest import (
     SourceFormat,
+    parse_csv_locations,
     parse_lablog_locations,
     parse_lablog_messages,
     parse_mandate,
@@ -24,7 +25,6 @@ from casedraft.prompting import (
     build_matrix,
     build_prompt,
     matrix_to_json,
-    parse_csv_locations,
     render_csv_locations,
     render_input,
     render_lablog_locations,

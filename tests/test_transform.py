@@ -31,6 +31,7 @@ from casedraft.transform import (
     load_gazetteer,
     minute_equal,
     reduce_to_csv,
+    render_padded_table,
     resolve_place,
 )
 
@@ -73,6 +74,12 @@ def test_haversine_antipodal_is_half_circumference():
     assert haversine_m(0.0, 0.0, 0.0, 180.0) == pytest.approx(
         math.pi * EARTH_RADIUS_M, abs=1e-6
     )
+
+
+def test_haversine_of_a_nan_coordinate_is_nan():
+    # not half the circumference, as if the point were antipodal
+    assert math.isnan(haversine_m(math.nan, -77.0, 38.9, -77.0))
+    assert math.isnan(haversine_m(38.9, -77.0, 38.9, math.nan))
 
 
 def _law_of_cosines_m(lat1, lon1, lat2, lon2):
@@ -267,9 +274,9 @@ def test_spatial_clustering_non_finite_coordinate_stays_single():
     ]
     for radius in (0.0, 200.0, 1e6):
         _assert_matches_oracle(records, radius)
-    # from half the circumference up, haversine_m's min(1.0, nan) reads a NaN
-    # pair as antipodal, and the all-pairs loop joined it; a point that is
-    # nowhere stays alone, and an infinite one (haversine_m raises) too
+    # at every radius, half the circumference and beyond included, a point
+    # that is nowhere stays alone (haversine_m puts it at a NaN distance),
+    # and an infinite one (haversine_m raises) too
     records.append(_loc(math.inf, -77.0, minute=5))
     for radius in (200.0, math.pi * EARTH_RADIUS_M, math.inf):
         got = {c.member_indices for c in group_locations_spatial(records, radius)}
@@ -348,6 +355,12 @@ def test_colocation_simple_hit_and_miss():
     assert detect_colocations(a, b_far) == []
     # 59 minutes is inside the default 60-minute window
     assert len(detect_colocations(a, b_late)) == 1
+
+
+def test_colocation_never_pairs_a_nan_fix():
+    a = [_loc(math.nan, -77.0, minute=0)]
+    b = [_loc(38.9, -77.0, minute=1)]
+    assert detect_colocations(a, b, math.pi * EARTH_RADIUS_M) == []
 
 
 def _brute_force_pairs(recs_a, recs_b, radius_m, window):
@@ -435,6 +448,11 @@ def test_csv_round_trip_property(items):
     assert [m.timestamp for m in again] == [m.timestamp for m in records]
 
 
+def test_padded_table_pads_every_column_and_strips_line_ends():
+    rows = [["a", "bb", ""], ["ccc", "d", ""]]
+    assert render_padded_table(rows, " ; ") == "a   ; bb ;\nccc ; d  ;\n"
+
+
 # --- gazetteer ----------------------------------------------------------------
 
 def test_gazetteer_load_and_resolve():
@@ -459,6 +477,12 @@ def test_gazetteer_file_order_breaks_ties():
         "10.0 ; 10.0 ; 1000 ; Second\n"
     )
     assert resolve_place(10.0, 10.0, entries) == "First"
+
+
+def test_gazetteer_never_resolves_a_nan_point():
+    entries = load_gazetteer("38.9 ; -77.0 ; 100000000 ; Everywhere\n")
+    assert resolve_place(38.9, -77.0, entries) == "Everywhere"
+    assert resolve_place(math.nan, -77.0, entries) is None
 
 
 @pytest.mark.parametrize(
