@@ -131,7 +131,7 @@ class GeneratedDraft:
     prompt_id: str
     backend_label: str
     text: str
-    latency_s: float
+    latency_s: float = field(metadata={"if_absent": 0.0})
     created_at: datetime
     token_estimate: Optional[int] = None
 

@@ -234,7 +234,8 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
         hour, minute, second = int(m.group(5)), int(m.group(6)), int(m.group(7) or 0)
         offset = m.group(8) or ""
         try:  # only an instant that exists is a claim: date, clock time and offset
-            datetime(c, month, day, hour, minute, second, tzinfo=parse_offset(offset) if offset else None)
+            tz = parse_offset(offset) if offset else None
+            datetime(c, month, day, hour, minute, second, tzinfo=tz)
         except ValueError:
             continue
         normalized = f"{c:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}"

@@ -111,20 +111,19 @@ def _decimal(token: str) -> float:
 _OFFSET_RE = r"UTC[+-]\d{1,2}(?::\d{2})?"
 
 
-def _instant(
-    day: int, month: int, year: int, time_text: str,
-    offset_text: Optional[str], default_offset: timezone,
-) -> Optional[datetime]:
-    """The instant a timestamp names, at its own offset or else the default;
-    None when the date, the clock time or the offset does not exist."""
-    tm = re.fullmatch(r"(\d{1,2}):(\d{2})(?::(\d{2}))?", time_text.strip())
+def _instant(m: re.Match, default_offset: timezone) -> Optional[datetime]:
+    """The instant a match's day, month, year, time and off groups name, at
+    its own offset or else the default; None when the date, the clock time
+    or the offset does not exist."""
+    tm = re.fullmatch(r"(\d{1,2}):(\d{2})(?::(\d{2}))?", m.group("time").strip())
     if not tm:
         return None
+    off = m.group("off")
     try:
         return datetime(
-            year, month, day,
+            int(m.group("year")), int(m.group("month")), int(m.group("day")),
             int(tm.group(1)), int(tm.group(2)), int(tm.group(3) or 0),
-            tzinfo=parse_offset(offset_text) if offset_text else default_offset,
+            tzinfo=parse_offset(off) if off else default_offset,
         )
     except ValueError:
         return None
@@ -132,20 +131,14 @@ def _instant(
 
 # timestamp with day first: 05.02.2019 12:16:04(UTC-5), seconds and offset optional
 _TS_DAYFIRST = re.compile(
-    r"(\d{2})\.(\d{2})\.(\d{4})\s+(\d{1,2}:\d{2}(?::\d{2})?)\s*(?:\((" + _OFFSET_RE + r")\))?"
+    r"(?P<day>\d{2})\.(?P<month>\d{2})\.(?P<year>\d{4})\s+"
+    r"(?P<time>\d{1,2}:\d{2}(?::\d{2})?)\s*(?:\((?P<off>" + _OFFSET_RE + r")\))?"
 )
 # timestamp with month first: 02/14/2019 14:33:44, as tool reports render Hour
 _TS_MONTHFIRST = re.compile(
-    r"(\d{2})/(\d{2})/(\d{4})\s+(\d{1,2}:\d{2}(?::\d{2})?)\s*(?:\((" + _OFFSET_RE + r")\))?"
+    r"(?P<month>\d{2})/(?P<day>\d{2})/(?P<year>\d{4})\s+"
+    r"(?P<time>\d{1,2}:\d{2}(?::\d{2})?)\s*(?:\((?P<off>" + _OFFSET_RE + r")\))?"
 )
-
-
-def _dayfirst_instant(m: re.Match, default_offset: timezone) -> Optional[datetime]:
-    return _instant(int(m.group(1)), int(m.group(2)), int(m.group(3)), m.group(4), m.group(5), default_offset)
-
-
-def _monthfirst_instant(m: re.Match, default_offset: timezone) -> Optional[datetime]:
-    return _instant(int(m.group(2)), int(m.group(1)), int(m.group(3)), m.group(4), m.group(5), default_offset)
 
 
 def _app_from_sources(sources: tuple[str, ...]) -> str:
@@ -243,7 +236,7 @@ def parse_tool_report_locations(
             if hm:
                 tm = _TS_MONTHFIRST.search(hm.group(1))
                 if tm:
-                    ts = _monthfirst_instant(tm, default_offset)
+                    ts = _instant(tm, default_offset)
                 if ts is None:
                     _err(diags, n, f"unreadable timestamp: {hm.group(1)!r}")
                 in_source = False
@@ -333,12 +326,9 @@ def parse_lablog_locations(
             # bad rows are recoverable; a missing header is not
             _warn(diags, n, f"skipping unreadable table row: {line.strip()[:60]!r}")
             continue
-        ts = _instant(
-            int(m.group("day")), int(m.group("month")), int(m.group("year")),
-            m.group("time"), m.group("off"), default_offset,
-        )
+        ts = _instant(m, default_offset)
         if ts is None:
-            _warn(diags, n, f"skipping row with unreadable timestamp: {line.strip()[:60]!r}")
+            _err(diags, n, f"skipping row with unreadable timestamp: {line.strip()[:60]!r}")
             continue
         try:
             lat, lon = _decimal(m.group("lat")), _decimal(m.group("lon"))
@@ -397,10 +387,7 @@ def parse_tool_report_messages(
     bounds = [i for i, _ in starts] + [len(lines)]
     for k, (i, head) in enumerate(starts):
         line_no = i + 1
-        ts = _instant(
-            int(head.group("day")), int(head.group("month")), int(head.group("year")),
-            head.group("time"), head.group("off"), default_offset,
-        )
+        ts = _instant(head, default_offset)
         if ts is None:
             _err(diags, line_no, "entry has no parseable timestamp; dropped")
             continue
@@ -494,10 +481,7 @@ def parse_lablog_messages(
     bounds = [i for i, _ in rows] + [len(lines)]
     for k, (i, row) in enumerate(rows):
         line_no = i + 1
-        ts = _instant(
-            int(row.group("day")), int(row.group("month")), int(row.group("year")),
-            row.group("time"), row.group("off"), default_offset,
-        )
+        ts = _instant(row, default_offset)
         if ts is None:
             _err(diags, line_no, "row has no parseable timestamp; dropped")
             continue
@@ -588,7 +572,7 @@ def parse_csv_messages(
             continue
 
         tm = _TS_DAYFIRST.search(ts_text)
-        ts = _dayfirst_instant(tm, default_offset) if tm else None
+        ts = _instant(tm, default_offset) if tm else None
         if ts is None:
             _err(diags, n, f"row has no parseable timestamp: {ts_text!r}; dropped")
             continue
@@ -607,9 +591,7 @@ def parse_csv_messages(
 # ---------------------------------------------------------------------------
 # reduced CSV locations
 
-def parse_csv_locations(
-    text: str, default_offset: timezone = UTC
-) -> tuple[list[LocationRecord], list[ParseDiagnostic]]:
+def parse_csv_locations(text: str) -> tuple[list[LocationRecord], list[ParseDiagnostic]]:
     """Parse the reduced ' ; '-delimited location table (Name, Latitude,
     Longitude, Timestamp, Related Location) as prompting renders it."""
     diags: list[ParseDiagnostic] = []
@@ -624,7 +606,7 @@ def parse_csv_locations(
         if cells[0].casefold() == "name":
             continue
         tm = _TS_DAYFIRST.search(cells[3])
-        ts = _dayfirst_instant(tm, default_offset) if tm else None
+        ts = _instant(tm, UTC) if tm else None
         if ts is None:
             _err(diags, n, "row has no parseable timestamp; dropped")
             continue

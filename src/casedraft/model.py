@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Mapping, Optional, TypeVar, Union, get_args, get_origin, get_type_hints
+from typing import (
+    Callable, Mapping, Optional, TypeVar, Union, get_args, get_origin, get_type_hints,
+)
 
 __all__ = [
     "LlmPotential",
@@ -142,11 +144,11 @@ _MAC_RE = re.compile(r"^[0-9A-Fa-f]{2}(:[0-9A-Fa-f]{2}){5}$")
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    vendor: str
-    model_code: str
-    os_version: str
-    mac_address: str
-    timezone: str  # IANA name as reported by the device
+    vendor: str = ""
+    model_code: str = ""
+    os_version: str = ""
+    mac_address: str = ""
+    timezone: str = ""  # IANA name as reported by the device
 
 
 class Direction(Enum):
@@ -181,7 +183,7 @@ class MessageRecord:
 class LocationRecord:
     name: str
     timestamp: datetime  # always offset-aware
-    category: str
+    category: str = field(metadata={"if_absent": ""})
     latitude: float
     longitude: float
     related_location: Optional[str] = None
@@ -211,7 +213,7 @@ class MethodStep:
 
 @dataclass(frozen=True)
 class CaseBundle:
-    mandate: Mandate
+    mandate: Mandate = field(default_factory=Mandate)
     items: tuple[EvidenceItem, ...] = ()
     device_profiles: Mapping[str, DeviceProfile] = field(default_factory=dict)
     locations: Mapping[str, tuple[LocationRecord, ...]] = field(default_factory=dict)
@@ -355,7 +357,8 @@ def to_data(obj) -> dict:
 
 def from_data(cls: type[T], data: Mapping) -> T:
     """Rebuild a dataclass instance from its document.  A missing key takes
-    the field's default; a missing field without one raises KeyError."""
+    the field's default, or the value the field's metadata names under
+    "if_absent"; a missing field with neither raises KeyError."""
     return _converter(cls, True)(data)
 
 
@@ -401,21 +404,32 @@ def _dataclass_encoder(cls) -> Callable:
     return encode
 
 
+_REQUIRED, _DEFAULT = object(), object()
+
+
+def _if_absent(f: dataclasses.Field):
+    """What a document without field f decodes to: the field's default, or
+    the value its metadata names under "if_absent", or else a KeyError."""
+    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+        return f.metadata.get("if_absent", _REQUIRED)
+    return _DEFAULT
+
+
 def _dataclass_decoder(cls) -> Callable:
     hints = get_type_hints(cls)
     fields = [
-        (f.name, _converter(hints[f.name], True),
-         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
-        for f in dataclasses.fields(cls)
+        (f.name, _converter(hints[f.name], True), _if_absent(f)) for f in dataclasses.fields(cls)
     ]
 
     def decode(data: Mapping):
         kwargs = {}
-        for name, fn, required in fields:
+        for name, fn, absent in fields:
             if name in data:
                 kwargs[name] = data[name] if fn is None else fn(data[name])
-            elif required:
+            elif absent is _REQUIRED:
                 raise KeyError(name)
+            elif absent is not _DEFAULT:
+                kwargs[name] = absent
         return cls(**kwargs)
 
     return decode

@@ -317,7 +317,8 @@ def render_padded_table(rows: Sequence[Sequence[str]], delimiter: str) -> str:
     joined by delimiter and the line end stripped."""
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return "".join(
-        delimiter.join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in rows
+        delimiter.join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+        for row in rows
     )
 
 

@@ -389,8 +389,23 @@ def test_missing_optional_keys_take_their_defaults():
 def test_missing_required_key_raises_key_error():
     with pytest.raises(KeyError, match="item_id"):
         from_data(EvidenceItem, {"kind": "physical_device"})
-    with pytest.raises(KeyError, match="mandate"):
-        bundle_from_json("{}")
+    with pytest.raises(KeyError, match="latitude"):
+        bundle_from_json(
+            '{"locations": {"S1": [{"name": "a.jpg", "timestamp": "2019-02-14T14:33:44+01:00",'
+            ' "category": "", "longitude": -77.0}]}}'
+        )
+
+
+def test_hand_written_bundle_may_omit_what_the_old_converters_filled_in():
+    bundle = bundle_from_json(
+        '{"device_profiles": {"S1": {"vendor": "Samsung"}},'
+        ' "locations": {"S1": [{"name": "a.jpg", "timestamp": "2019-02-14T14:33:44+01:00",'
+        ' "latitude": 38, "longitude": -77.0}]}}'
+    )
+    assert bundle.mandate == Mandate()
+    assert bundle.device_profiles["S1"] == DeviceProfile(vendor="Samsung")
+    (rec,) = bundle.locations["S1"]
+    assert (rec.category, rec.latitude, rec.longitude) == ("", 38, -77.0)
 
 
 # --- offsets ----------------------------------------------------------------

@@ -360,6 +360,22 @@ def test_cli_generate_and_score(bundle_file, config_file, tmp_path):
     assert report["completeness"] == 1.0
 
 
+def test_cli_score_and_assemble_accept_a_draft_without_latency(bundle_file, tmp_path):
+    draft_path = tmp_path / "draft.json"
+    draft_path.write_text(json.dumps({
+        "prompt_id": "p", "backend_label": "hand", "text": "Mr Sforza.",
+        "created_at": "2019-02-05T12:16:00+00:00",
+    }), encoding="utf-8")
+    assert main([
+        "score", "--bundle", str(bundle_file), "--section", "introduction",
+        "--draft", str(draft_path), "-o", str(tmp_path / "report.json"),
+    ]) == 0
+    assert main([
+        "assemble", "--bundle", str(bundle_file),
+        "-d", f"introduction={draft_path}", "-o", str(tmp_path / "report.md"),
+    ]) == 0
+
+
 def test_cli_generate_unknown_backend(bundle_file, config_file, capsys):
     rc = main([
         "generate", "--bundle", str(bundle_file), "--config", str(config_file),
