@@ -5,6 +5,8 @@ validate it, run record transforms, enumerate the prompt matrix, generate
 and score single drafts, assemble a report, run the full experiment, and
 summarize a results store.  Parse diagnostics go to stderr as
 file:line: severity: message; recoverable problems never fail the run.
+Rejected input or arguments print one "error: <message>" line and exit 2;
+`main` alone decides which exceptions mean rejected input.
 """
 
 from __future__ import annotations
@@ -29,11 +31,6 @@ from .model import (
     to_data,
     validate_bundle,
 )
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
@@ -69,18 +66,11 @@ def _save_text(text: str, output: str | None) -> None:
 # ingest
 
 def _cmd_ingest(args) -> int:
-    try:
-        offset = parse_offset(args.default_offset)
-    except ValueError as exc:
-        return _fail(str(exc))
+    offset = parse_offset(args.default_offset)
 
     mandate = Mandate()
     if args.mandate:
-        try:
-            text = _read(args.mandate)
-        except OSError as exc:
-            return _fail(str(exc))
-        mandate, diags = ingest.parse_mandate(text)
+        mandate, diags = ingest.parse_mandate(_read(args.mandate))
         _emit_diags(diags, args.mandate)
 
     locations: dict[str, list] = {}
@@ -93,37 +83,29 @@ def _cmd_ingest(args) -> int:
         (args.lablog_messages, ingest.parse_lablog_messages, messages),
         (args.csv_messages, ingest.parse_csv_messages, messages),
     ]
-    try:
-        for values, parser, sink in parser_flags:
-            for item_id, path in _item_file_pairs(values):
-                text = _read(path)
-                records, diags = parser(text, default_offset=offset)
-                _emit_diags(diags, path)
-                sink.setdefault(item_id, []).extend(records)
-        for item_id, path in _item_file_pairs(args.device_profile):
-            profile, diags = ingest.parse_device_profile(_read(path))
+    for values, parser, sink in parser_flags:
+        for item_id, path in _item_file_pairs(values):
+            records, diags = parser(_read(path), default_offset=offset)
             _emit_diags(diags, path)
-            profiles[item_id] = profile
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+            sink.setdefault(item_id, []).extend(records)
+    for item_id, path in _item_file_pairs(args.device_profile):
+        profile, diags = ingest.parse_device_profile(_read(path))
+        _emit_diags(diags, path)
+        profiles[item_id] = profile
 
     steps = ()
     if args.method_steps:
-        try:
-            parsed, diags = ingest.parse_method_steps(_read(args.method_steps))
-        except OSError as exc:
-            return _fail(str(exc))
+        parsed, diags = ingest.parse_method_steps(_read(args.method_steps))
         _emit_diags(diags, args.method_steps)
         steps = tuple(parsed)
 
     items: dict[str, EvidenceItem] = {}
     if args.items:
         try:
-            for d in json.loads(_read(args.items)):
-                item = from_data(EvidenceItem, d)
+            for item in from_data(tuple[EvidenceItem, ...], json.loads(_read(args.items))):
                 items[item.item_id] = item
         except (OSError, ValueError, KeyError) as exc:
-            return _fail(f"items file: {exc}")
+            raise ValueError(f"items file: {exc}") from None
     for item_id in list(locations) + list(messages) + list(profiles):
         if item_id not in items:
             profile = profiles.get(item_id)
@@ -142,19 +124,12 @@ def _cmd_ingest(args) -> int:
         messages={k: tuple(v) for k, v in messages.items()},
         method_steps=steps,
     )
-    try:
-        _save_text(bundle_to_json(bundle), args.output)
-    except OSError as exc:
-        return _fail(str(exc))
+    _save_text(bundle_to_json(bundle), args.output)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    try:
-        bundle = _load_bundle(args.bundle)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
-    issues = validate_bundle(bundle)
+    issues = validate_bundle(_load_bundle(args.bundle))
     for issue in issues:
         print(str(issue), file=sys.stderr)
     return 1 if issues else 0
@@ -171,64 +146,55 @@ def _records_for(bundle: CaseBundle, item: str | None, kind: str):
 
 
 def _cmd_transform(args) -> int:
-    try:
-        bundle = _load_bundle(args.bundle)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
-
+    bundle = _load_bundle(args.bundle)
     op = args.op
-    try:
-        if op == "spatial":
-            records = _records_for(bundle, args.item, "locations")
-            clusters = transform.group_locations_spatial(records, args.radius)
-            out = [to_data(c) for c in clusters]
-        elif op == "chrono":
-            records = _records_for(bundle, args.item, "locations")
-            clusters = transform.group_locations_chronological(
-                records, timedelta(minutes=args.max_gap_minutes)
-            )
-            out = [to_data(c) for c in clusters]
-        elif op == "days":
-            records = _records_for(bundle, args.item, "locations")
-            buckets = transform.bucket_by_day(records, parse_offset(args.offset))
-            out = {day.isoformat(): [r.name for r in recs] for day, recs in buckets.items()}
-        elif op == "colocate":
-            if not args.item or not args.item_b:
-                return _fail("colocate needs --item and --item-b")
-            a = list(bundle.locations.get(args.item, ()))
-            b = list(bundle.locations.get(args.item_b, ()))
-            candidates = transform.detect_colocations(
-                a, b, args.radius, timedelta(minutes=args.window_minutes)
-            )
-            out = [
-                {
-                    "index_a": c.index_a,
-                    "index_b": c.index_b,
-                    "distance_m": c.distance_m,
-                    "time_gap_s": c.time_gap.total_seconds(),
-                }
-                for c in candidates
-            ]
-        elif op == "csv":
-            records = _records_for(bundle, args.item, "messages")
-            _save_text(transform.reduce_to_csv(records), args.output)
-            return 0
-        elif op == "places":
-            if not args.gazetteer:
-                return _fail("places needs --gazetteer")
-            gazetteer = transform.load_gazetteer(_read(args.gazetteer))
-            records = _records_for(bundle, args.item, "locations")
-            out = [
-                {
-                    "name": r.name,
-                    "place": transform.resolve_place(r.latitude, r.longitude, gazetteer),
-                }
-                for r in records
-            ]
-        else:
-            return _fail(f"unknown transform op {op!r}")
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+    if op == "spatial":
+        records = _records_for(bundle, args.item, "locations")
+        clusters = transform.group_locations_spatial(records, args.radius)
+        out = [to_data(c) for c in clusters]
+    elif op == "chrono":
+        records = _records_for(bundle, args.item, "locations")
+        clusters = transform.group_locations_chronological(
+            records, timedelta(minutes=args.max_gap_minutes)
+        )
+        out = [to_data(c) for c in clusters]
+    elif op == "days":
+        records = _records_for(bundle, args.item, "locations")
+        buckets = transform.bucket_by_day(records, parse_offset(args.offset))
+        out = {day.isoformat(): [r.name for r in recs] for day, recs in buckets.items()}
+    elif op == "colocate":
+        if not args.item or not args.item_b:
+            raise ValueError("colocate needs --item and --item-b")
+        a = list(bundle.locations.get(args.item, ()))
+        b = list(bundle.locations.get(args.item_b, ()))
+        candidates = transform.detect_colocations(
+            a, b, args.radius, timedelta(minutes=args.window_minutes)
+        )
+        out = [
+            {
+                "index_a": c.index_a,
+                "index_b": c.index_b,
+                "distance_m": c.distance_m,
+                "time_gap_s": c.time_gap.total_seconds(),
+            }
+            for c in candidates
+        ]
+    elif op == "csv":
+        records = _records_for(bundle, args.item, "messages")
+        _save_text(transform.reduce_to_csv(records), args.output)
+        return 0
+    else:  # places
+        if not args.gazetteer:
+            raise ValueError("places needs --gazetteer")
+        gazetteer = transform.load_gazetteer(_read(args.gazetteer))
+        records = _records_for(bundle, args.item, "locations")
+        out = [
+            {
+                "name": r.name,
+                "place": transform.resolve_place(r.latitude, r.longitude, gazetteer),
+            }
+            for r in records
+        ]
 
     _save_text(json.dumps(out, indent=2, ensure_ascii=False) + "\n", args.output)
     return 0
@@ -238,48 +204,41 @@ def _cmd_transform(args) -> int:
 # prompts and generation
 
 def _cmd_matrix(args) -> int:
-    try:
-        bundle = _load_bundle(args.bundle)
-        prompts = prompting.build_matrix(bundle, french_labels=args.french_labels)
-        _save_text(prompting.matrix_to_json(prompts), args.output)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
+    bundle = _load_bundle(args.bundle)
+    prompts = prompting.build_matrix(bundle, french_labels=args.french_labels)
+    _save_text(prompting.matrix_to_json(prompts), args.output)
     return 0
 
 
 def _load_profiles(path: str) -> dict[str, gateway.BackendConfig]:
     doc = json.loads(_read(path))
+    profiles = doc.get("profiles", {}) if isinstance(doc, dict) else None
+    if not isinstance(profiles, dict):
+        raise ValueError(f'{path}: expected {{"profiles": {{NAME: PROFILE, ...}}}}')
     return {
         name: gateway.backend_config_from_dict(name, entry)
-        for name, entry in doc.get("profiles", {}).items()
+        for name, entry in profiles.items()
     }
 
 
 def _cmd_generate(args) -> int:
-    try:
-        bundle = _load_bundle(args.bundle)
-        profiles = _load_profiles(args.config)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
+    bundle = _load_bundle(args.bundle)
+    profiles = _load_profiles(args.config)
     config = profiles.get(args.backend)
     if config is None:
-        return _fail(f"no backend profile named {args.backend!r}")
+        raise ValueError(f"no backend profile named {args.backend!r}")
 
     prompts = prompting.build_matrix(bundle, french_labels=args.french_labels)
-    chosen = None
     if args.prompt_id:
         chosen = next((p for p in prompts if p.prompt_id == args.prompt_id), None)
         if chosen is None:
-            return _fail(f"prompt {args.prompt_id!r} is not in the matrix")
-    else:
-        if not 0 <= args.index < len(prompts):
-            return _fail(f"--index out of range 0..{len(prompts) - 1}")
+            raise ValueError(f"prompt {args.prompt_id!r} is not in the matrix")
+    elif 0 <= args.index < len(prompts):
         chosen = prompts[args.index]
+    else:
+        raise ValueError(f"--index out of range 0..{len(prompts) - 1}")
 
-    try:
-        draft = gateway.generate(config, chosen)
-    except gateway.GatewayError as exc:
-        return _fail(str(exc))
+    draft = gateway.generate(config, chosen)
     _save_text(json.dumps(to_data(draft), indent=2, ensure_ascii=False) + "\n", args.output)
     return 0
 
@@ -289,53 +248,34 @@ def _load_draft(path: str) -> gateway.GeneratedDraft:
 
 
 def _cmd_score(args) -> int:
-    try:
-        bundle = _load_bundle(args.bundle)
-        section = ReportSectionKind(args.section)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
-    topic = args.topic
-    try:
-        if args.draft:
-            draft = _load_draft(args.draft)
-            report = grounding.score(draft, bundle, section, topic=topic)
-        else:
-            report = grounding.score(_read(args.text), bundle, section, topic=topic)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
+    bundle = _load_bundle(args.bundle)
+    section = ReportSectionKind(args.section)
+    draft = _load_draft(args.draft) if args.draft else _read(args.text)
+    report = grounding.score(draft, bundle, section, topic=args.topic)
     _save_text(json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", args.output)
     return 0
 
 
 def _cmd_assemble(args) -> int:
-    try:
-        bundle = _load_bundle(args.bundle)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
+    bundle = _load_bundle(args.bundle)
     drafts = {}
-    try:
-        for pair in args.draft or ():
-            if "=" not in pair:
-                return _fail(f"expected SECTION=FILE, got {pair!r}")
-            name, path = pair.split("=", 1)
-            drafts[ReportSectionKind(name)] = _load_draft(path)
-        document = pipeline.assemble(bundle, drafts)
-        _save_text(pipeline.render_markdown(document), args.output)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
+    for pair in args.draft or ():
+        if "=" not in pair:
+            raise ValueError(f"expected SECTION=FILE, got {pair!r}")
+        name, path = pair.split("=", 1)
+        drafts[ReportSectionKind(name)] = _load_draft(path)
+    document = pipeline.assemble(bundle, drafts)
+    _save_text(pipeline.render_markdown(document), args.output)
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        bundle = _load_bundle(args.bundle)
-        profiles = _load_profiles(args.config)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
+    bundle = _load_bundle(args.bundle)
+    profiles = _load_profiles(args.config)
     names = [n.strip() for n in args.backends.split(",") if n.strip()]
     missing = [n for n in names if n not in profiles]
     if missing:
-        return _fail(f"no backend profile named {missing[0]!r}")
+        raise ValueError(f"no backend profile named {missing[0]!r}")
 
     prompts = prompting.build_matrix(bundle, french_labels=args.french_labels)
     records = pipeline.run_experiment(
@@ -348,11 +288,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    try:
-        records = pipeline.read_store(args.store)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    table = pipeline.summarize(records)
+    table = pipeline.summarize(pipeline.read_store(args.store))
     if args.json:
         _save_text(json.dumps(table.to_dicts(), indent=2) + "\n", args.output)
     else:
@@ -452,7 +388,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, KeyError, gateway.GatewayError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

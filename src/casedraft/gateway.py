@@ -10,6 +10,7 @@ environment only, never from config files.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -105,25 +106,34 @@ _FAULT_KINDS = {
 
 
 def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
-    """Build a profile from one config-file entry; API keys never appear here."""
+    """Build a profile from one config-file entry; API keys never appear here.
+    An entry that is not a JSON object, an unknown fault kind or a number
+    field of the wrong JSON type raises ValueError naming the profile."""
+    if not isinstance(d, dict):
+        raise ValueError(f"profile {name!r}: expected a JSON object, got {d!r:.40}")
     fault = d.get("fault", "faithful")
-    if isinstance(fault, str):
-        fault_profile = _FAULT_KINDS[fault]({})
-    else:
-        fault_profile = _FAULT_KINDS[fault["kind"]](fault)
-    return BackendConfig(
-        name=name,
-        kind=BackendKind(d["kind"]),
-        endpoint_url=d.get("endpoint_url", ""),
-        model_name=d.get("model_name", ""),
-        max_new_tokens=int(d.get("max_new_tokens", 512)),
-        temperature=float(d.get("temperature", 0.7)),
-        timeout=float(d.get("timeout", 120.0)),
-        max_retries=int(d.get("max_retries", 2)),
-        retry_backoff=float(d.get("retry_backoff", 0.5)),
-        api_key_env=d.get("api_key_env", DEFAULT_API_KEY_ENV),
-        fault_profile=fault_profile,
-    )
+    params = {"kind": fault} if isinstance(fault, str) else fault
+    kind = params.get("kind") if isinstance(params, dict) else None
+    if not isinstance(kind, str) or kind not in _FAULT_KINDS:
+        raise ValueError(
+            f"profile {name!r}: unknown fault {fault!r:.60}; kinds are {', '.join(_FAULT_KINDS)}"
+        )
+    try:
+        return BackendConfig(
+            name=name,
+            kind=BackendKind(d["kind"]),
+            endpoint_url=d.get("endpoint_url", ""),
+            model_name=d.get("model_name", ""),
+            max_new_tokens=int(d.get("max_new_tokens", 512)),
+            temperature=float(d.get("temperature", 0.7)),
+            timeout=float(d.get("timeout", 120.0)),
+            max_retries=int(d.get("max_retries", 2)),
+            retry_backoff=float(d.get("retry_backoff", 0.5)),
+            api_key_env=d.get("api_key_env", DEFAULT_API_KEY_ENV),
+            fault_profile=_FAULT_KINDS[kind](params),
+        )
+    except TypeError as exc:  # int() or float() of null, an array or an object
+        raise ValueError(f"profile {name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -259,8 +269,6 @@ def _generate_local(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraft
 
 
 def _generate_hosted(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraft:
-    import os
-
     key = os.environ.get(config.api_key_env, "")
     if not key:
         raise GatewayError(

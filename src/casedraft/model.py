@@ -347,8 +347,9 @@ def parse_offset(text: str) -> timezone:
 # serialization: one codec for every dataclass document, driven by the field
 # types.  Enums become their values, dates and datetimes ISO text, tuples
 # lists, mappings and dataclasses objects (fields in declaration order);
-# other values pass through unchanged.  Each type's converter is built once,
-# on first use.
+# other values pass through unchanged.  Decoding a value of the wrong JSON
+# type raises ValueError naming the field.  Each type's converter is built
+# once, on first use.
 
 def to_data(obj) -> dict:
     """The JSON-ready document of a dataclass instance."""
@@ -356,10 +357,26 @@ def to_data(obj) -> dict:
 
 
 def from_data(cls: type[T], data: Mapping) -> T:
-    """Rebuild a dataclass instance from its document.  A missing key takes
-    the field's default, or the value the field's metadata names under
-    "if_absent"; a missing field with neither raises KeyError."""
+    """Rebuild a dataclass instance (or a tuple of them) from its document.
+    A missing key takes the field's default, or the value the field's
+    metadata names under "if_absent"; a missing field with neither raises
+    KeyError.  A value of the wrong JSON type raises ValueError."""
     return _converter(cls, True)(data)
+
+
+class _ShapeError(ValueError):
+    """A value of the wrong JSON type; the enclosing decoder names the field."""
+
+
+def _checked(json_type: type, what: str, fn: Callable) -> Callable:
+    """fn, after checking that its argument is a json_type."""
+
+    def convert(v):
+        if isinstance(v, json_type):
+            return fn(v)
+        raise _ShapeError(f"expected {what}, got {v!r:.40}")
+
+    return convert
 
 
 @functools.cache
@@ -368,11 +385,13 @@ def _converter(tp, decode: bool) -> Optional[Callable]:
     passes through unchanged."""
     origin, args = get_origin(tp), get_args(tp)
     if dataclasses.is_dataclass(tp):
-        return _dataclass_decoder(tp) if decode else _dataclass_encoder(tp)
+        if decode:
+            return _checked(abc.Mapping, "a JSON object", _dataclass_decoder(tp))
+        return _dataclass_encoder(tp)
     if isinstance(tp, type) and issubclass(tp, Enum):
         return tp if decode else attrgetter("value")
     if tp in (date, datetime):
-        return tp.fromisoformat if decode else tp.isoformat
+        return _checked(str, "a string", tp.fromisoformat) if decode else tp.isoformat
     if origin is Union:
         (inner,) = [a for a in args if a is not type(None)]  # Optional only
         fn = _converter(inner, decode)
@@ -381,12 +400,15 @@ def _converter(tp, decode: bool) -> Optional[Callable]:
         seq = tuple if decode else list
         if args[-1] is Ellipsis:
             fn = _converter(args[0], decode)
-            return seq if fn is None else lambda v: seq(map(fn, v))
-        fns = [_converter(a, decode) or (lambda v: v) for a in args]
-        return lambda v: seq(fn(x) for fn, x in zip(fns, v))
+            convert = seq if fn is None else lambda v: seq(map(fn, v))
+        else:
+            fns = [_converter(a, decode) or (lambda v: v) for a in args]
+            convert = lambda v: seq(fn(x) for fn, x in zip(fns, v))
+        return _checked(list, "a JSON array", convert) if decode else convert
     if origin is abc.Mapping:
         fn = _converter(args[1], decode)
-        return dict if fn is None else lambda v: {k: fn(x) for k, x in v.items()}
+        convert = dict if fn is None else lambda v: {k: fn(x) for k, x in v.items()}
+        return _checked(abc.Mapping, "a JSON object", convert) if decode else convert
     return None
 
 
@@ -425,7 +447,10 @@ def _dataclass_decoder(cls) -> Callable:
         kwargs = {}
         for name, fn, absent in fields:
             if name in data:
-                kwargs[name] = data[name] if fn is None else fn(data[name])
+                try:
+                    kwargs[name] = data[name] if fn is None else fn(data[name])
+                except _ShapeError as exc:
+                    raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
             elif absent is _REQUIRED:
                 raise KeyError(name)
             elif absent is not _DEFAULT:

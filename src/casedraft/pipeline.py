@@ -171,15 +171,23 @@ def append_records(path: Union[str, Path], records: Sequence[dict]) -> None:
 
 
 def read_store(path: Union[str, Path]) -> list[dict]:
+    """Every record of the store, in order; [] for a store not yet made.
+    A line that is not one JSON object raises ValueError naming the store
+    and the line's number."""
     p = Path(path)
     if not p.exists():
         return []
     records = []
     with open(p, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    record = None
+                if not isinstance(record, dict):
+                    raise ValueError(f"{path}:{lineno}: invalid record")
+                records.append(record)
     return records
 
 

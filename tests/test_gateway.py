@@ -259,3 +259,22 @@ def test_hosted_chat_honors_custom_key_env(stub_server, intro_prompt, monkeypatc
     )
     generate(cfg, intro_prompt)
     assert stub_server.requests[0]["headers"]["authorization"] == "Bearer sk-other"
+
+
+@pytest.mark.parametrize("fault, shown", [
+    ("bogus", "'bogus'"),
+    ({"kind": "bogus"}, "{'kind': 'bogus'}"),
+    ({"count": 2}, "{'count': 2}"),
+    (5, "5"),
+])
+def test_backend_config_unknown_fault_names_profile_and_value(fault, shown):
+    with pytest.raises(ValueError, match=r"^profile 'm': unknown fault ") as raised:
+        backend_config_from_dict("m", {"kind": "mock", "fault": fault})
+    assert f"unknown fault {shown}; kinds are faithful, drop_facts," in str(raised.value)
+
+
+@pytest.mark.parametrize("entry", [5, [], None, {"kind": "mock", "timeout": None},
+                                   {"kind": "mock", "fault": {"kind": "drop_facts", "count": []}}])
+def test_backend_config_of_the_wrong_shape_raises_value_error(entry):
+    with pytest.raises(ValueError, match=r"^profile 'm': "):
+        backend_config_from_dict("m", entry)

@@ -396,6 +396,34 @@ def test_missing_required_key_raises_key_error():
         )
 
 
+@pytest.mark.parametrize("doc, message", [
+    ("5", "expected a JSON object, got 5"),
+    ('"x"', "expected a JSON object, got 'x'"),
+    ("null", "expected a JSON object, got None"),
+    ('{"mandate": 5}', "CaseBundle.mandate: expected a JSON object, got 5"),
+    ('{"mandate": {"deadline": 5}}', "Mandate.deadline: expected a string, got 5"),
+    ('{"mandate": {"questions": "why"}}', "Mandate.questions: expected a JSON array, got 'why'"),
+    ('{"items": [5]}', "CaseBundle.items: expected a JSON object, got 5"),
+    ('{"locations": []}', "CaseBundle.locations: expected a JSON object, got []"),
+    ('{"locations": {"S1": {}}}', "CaseBundle.locations: expected a JSON array, got {}"),
+    ('{"messages": {"S1": [{"body": "b", "timestamp": null}]}}',
+     "MessageRecord.timestamp: expected a string, got None"),
+])
+def test_wrong_json_type_raises_value_error_naming_the_field(doc, message):
+    with pytest.raises(ValueError) as raised:
+        bundle_from_json(doc)
+    assert str(raised.value) == message
+
+
+def test_scalar_fields_stay_lenient():
+    (record,) = bundle_from_json(
+        '{"locations": {"S1": [{"name": 7, "timestamp": "2019-02-14T14:33:44+01:00",'
+        ' "latitude": 38, "longitude": -77}]}}'
+    ).locations["S1"]
+    assert (record.name, record.latitude, record.category) == (7, 38, "")
+    assert type(record.latitude) is int
+
+
 def test_hand_written_bundle_may_omit_what_the_old_converters_filled_in():
     bundle = bundle_from_json(
         '{"device_profiles": {"S1": {"vendor": "Samsung"}},'

@@ -442,3 +442,119 @@ def test_cli_experiment_and_summarize(bundle_file, config_file, tmp_path, capsys
     assert rc == 0
     rows = json.loads(out.read_text(encoding="utf-8"))
     assert sum(r["count"] for r in rows) == 36
+
+
+# --- rejected input: one error line, exit 2, nothing written ---------------------
+
+_ITEM_WITH_METHOD_STRING = {"item_id": "A", "kind": "physical_device", "acquisition_methods": "logical"}
+_WRONG_BUNDLES = {
+    "number": 5,
+    "array": [5],
+    "string": "x",
+    "null": None,
+    "received-date-number": {"mandate": {"received_date": 5}},
+    "methods-string": {"items": [_ITEM_WITH_METHOD_STRING]},
+}
+_WRONG_CONFIGS = {
+    "number": 5,
+    "array": [5],
+    "string": "x",
+    "null": None,
+    "profiles-array": {"profiles": []},
+    "profile-number": {"profiles": {"m": 5}},
+}
+_WRONG_DRAFTS = {
+    "number": 5,
+    "null": None,
+    "created-at-number": {"prompt_id": "p", "backend_label": "b", "text": "t", "created_at": 5},
+}
+_WRONG_ITEMS = {
+    "number": 5,
+    "array-of-number": [5],
+    "null": None,
+    "methods-string": [_ITEM_WITH_METHOD_STRING],
+}
+
+
+def _wrong_shape_cases():
+    for command in ("validate", "matrix", "transform"):
+        for name, doc in _WRONG_BUNDLES.items():
+            yield pytest.param(command, "bundle", doc, id=f"{command}-bundle-{name}")
+    for command in ("generate", "experiment"):
+        for name, doc in _WRONG_CONFIGS.items():
+            yield pytest.param(command, "config", doc, id=f"{command}-config-{name}")
+    for command in ("score", "assemble"):
+        for name, doc in _WRONG_DRAFTS.items():
+            yield pytest.param(command, "draft", doc, id=f"{command}-draft-{name}")
+    for name, doc in _WRONG_ITEMS.items():
+        yield pytest.param("ingest", "items", doc, id=f"ingest-items-{name}")
+
+
+@pytest.mark.parametrize("command,slot,doc", list(_wrong_shape_cases()))
+def test_cli_rejects_a_json_document_of_the_wrong_shape(
+    command, slot, doc, bundle_file, config_file, tmp_path, capsys
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    bundle = str(bad if slot == "bundle" else bundle_file)
+    config = str(bad if slot == "config" else config_file)
+    out = tmp_path / "out"
+    argv = {
+        "validate": ["validate", "--bundle", bundle],
+        "matrix": ["matrix", "--bundle", bundle, "-o", str(out)],
+        "transform": ["transform", "spatial", "--bundle", bundle, "-o", str(out)],
+        "generate": ["generate", "--bundle", bundle, "--config", config, "--backend", "m",
+                     "-o", str(out)],
+        "experiment": ["experiment", "--bundle", bundle, "--config", config, "--backends", "m",
+                       "--store", str(out)],
+        "score": ["score", "--bundle", bundle, "--section", "introduction",
+                  "--draft", str(bad), "-o", str(out)],
+        "assemble": ["assemble", "--bundle", bundle, "-d", f"introduction={bad}", "-o", str(out)],
+        "ingest": ["ingest", "--items", str(bad), "-o", str(out)],
+    }[command]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_wrong_shape_errors_name_the_field(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_WRONG_BUNDLES["received-date-number"]), encoding="utf-8")
+    assert main(["validate", "--bundle", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: Mandate.received_date: expected a string, got 5\n"
+    bad.write_text(json.dumps(_WRONG_ITEMS["methods-string"]), encoding="utf-8")
+    assert main(["ingest", "--items", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: items file: EvidenceItem.acquisition_methods: expected a JSON array, got 'logical'\n"
+    )
+
+
+@pytest.mark.parametrize("corrupt", ['{"run_id": "run-0001", "backe', "[1, 2]"])
+def test_store_line_that_is_no_record_names_its_line(corrupt, golden_bundle, tmp_path):
+    store = tmp_path / "store.jsonl"
+    run_experiment(golden_bundle, [MOCK], store)
+    lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = corrupt + "\n"
+    store.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"store\.jsonl:2: invalid record$"):
+        read_store(store)
+
+
+def test_cli_store_with_a_corrupt_middle_line_is_rejected(bundle_file, config_file, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    argv = ["experiment", "--bundle", str(bundle_file), "--config", str(config_file),
+            "--backends", "mock", "--store", str(store)]
+    assert main(argv) == 0
+    lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[18] = lines[18][:40] + "\n"  # line 19 of 36, cut short
+    store.write_text("".join(lines), encoding="utf-8")
+    before = store.read_bytes()
+    capsys.readouterr()
+
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {store}:19: invalid record\n"
+    assert store.read_bytes() == before
+    assert main(["summarize", "--store", str(store), "-o", str(tmp_path / "summary.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {store}:19: invalid record\n"
+    assert not (tmp_path / "summary.txt").exists()
