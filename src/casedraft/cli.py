@@ -251,7 +251,8 @@ def _cmd_score(args) -> int:
     bundle = _load_bundle(args.bundle)
     section = ReportSectionKind(args.section)
     draft = _load_draft(args.draft) if args.draft else _read(args.text)
-    report = grounding.score(draft, bundle, section, topic=args.topic)
+    topic = prompting.PromptTopic(args.topic) if args.topic else None
+    report = grounding.score(draft, grounding.GroundingContext(bundle), section, topic)
     _save_text(json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", args.output)
     return 0
 

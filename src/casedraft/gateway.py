@@ -107,10 +107,14 @@ _FAULT_KINDS = {
 
 def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
     """Build a profile from one config-file entry; API keys never appear here.
-    An entry that is not a JSON object, an unknown fault kind or a number
-    field of the wrong JSON type raises ValueError naming the profile."""
+    An entry that is not a JSON object, an unknown fault kind or a string or
+    number field of the wrong JSON type raises ValueError naming the
+    profile."""
     if not isinstance(d, dict):
         raise ValueError(f"profile {name!r}: expected a JSON object, got {d!r:.40}")
+    for key in ("endpoint_url", "model_name", "api_key_env"):
+        if not isinstance(d.get(key, ""), str):
+            raise ValueError(f"profile {name!r}: {key}: expected a string, got {d[key]!r:.40}")
     fault = d.get("fault", "faithful")
     params = {"kind": fault} if isinstance(fault, str) else fault
     kind = params.get("kind") if isinstance(params, dict) else None
@@ -151,7 +155,8 @@ class GatewayError(Exception):
 
 
 class TransportError(GatewayError):
-    """Network-level failure that survived every retry."""
+    """Network-level failure that survived every retry, or a request that
+    could not be sent at all."""
 
 
 class ProtocolError(GatewayError):
@@ -218,7 +223,9 @@ def mock_complete(prompt: PromptSpec, fault_profile: FaultProfile = Faithful()) 
 # HTTP adapters
 
 def _post_json(url: str, payload: dict, config: BackendConfig, headers: Optional[dict] = None):
-    """POST with retries on transport failure; returns (body, latency_s)."""
+    """POST with retries on connection failures and timeouts; returns
+    (body, latency_s).  Any other request failure, such as a URL without a
+    scheme, fails at once."""
     last_exc: Optional[Exception] = None
     for attempt in range(config.max_retries + 1):
         started = time.monotonic()
@@ -229,6 +236,8 @@ def _post_json(url: str, payload: dict, config: BackendConfig, headers: Optional
             if attempt < config.max_retries:
                 time.sleep(config.retry_backoff * (2 ** attempt))
             continue
+        except requests.RequestException as exc:
+            raise TransportError(f"{config.name}: request failed: {exc}") from exc
         latency = time.monotonic() - started
         if not 200 <= response.status_code < 300:
             snippet = response.text[:200]

@@ -9,12 +9,12 @@ the draft.  Unknown capitalized phrases are deliberately not claims; the
 check is lexical and conservative, a reviewer's net rather than a lie
 detector.
 
-A GroundingContext holds what one bundle offers as evidence: the roster
-with its compiled phrase alternations, the lookup index, and the required
-facts per (section, topic), each built on first use.  Build one per
-experiment or report and pass it wherever score, verify and
-required_facts_for take a bundle; for a plain bundle the evidence is built
-afresh and dropped when the call returns.  Nothing is cached beyond a
+score and verify take their evidence as a GroundingContext: one bundle's
+roster with its compiled phrase alternations, its lookup index under the
+context's tolerances, and the required facts per (section, topic), each
+built on first use.  Build one per experiment or report and score every
+draft against it.  required_facts_for derives a section's facts from a
+plain bundle; the context caches its results.  Nothing is cached beyond a
 context: no module-level cache is keyed by bundle or text, so evidence
 lives exactly as long as the caller keeps its context.
 """
@@ -42,6 +42,7 @@ from .ingest import (
     parse_tool_report_messages,
 )
 from .model import CaseBundle, Mandate, ReportSectionKind, parse_offset
+from .prompting import PromptTopic
 from .transform import DEFAULT_CLUSTER_RADIUS_M, group_locations_spatial
 
 __all__ = [
@@ -408,13 +409,10 @@ def _claim_grounded(claim: Claim, index: _BundleIndex) -> bool:
     return False
 
 
-def verify(
-    claims: Sequence[Claim],
-    bundle: Union[CaseBundle, "GroundingContext"],
-    tolerances: Optional[Tolerances] = None,
-) -> list[tuple[Claim, ClaimStatus]]:
-    """Each claim is grounded iff the bundle supports it within tolerance."""
-    index = _context(bundle, tolerances).index
+def verify(claims: Sequence[Claim], context: GroundingContext) -> list[tuple[Claim, ClaimStatus]]:
+    """Each claim is grounded iff the context's bundle supports it within
+    the context's tolerances."""
+    index = context.index
     return [
         (claim, ClaimStatus.GROUNDED if _claim_grounded(claim, index) else ClaimStatus.UNGROUNDED)
         for claim in claims
@@ -551,20 +549,15 @@ def _location_cluster_facts(records) -> list[RequiredFact]:
 
 
 def required_facts_for(
-    section: ReportSectionKind,
-    bundle: Union[CaseBundle, "GroundingContext"],
-    topic: "PromptTopicLike" = None,
+    section: ReportSectionKind, bundle: CaseBundle, topic: Optional[PromptTopic] = None
 ) -> list[RequiredFact]:
     """The facts a draft of this section must carry, derived from the bundle.
 
     For Results, topic narrows the facts to conversations or locations;
-    left unset, both apply.  Items land at the end of the Introduction
-    list; Discussion and Conclusion require nothing (never drafted).
-    Given a context, the facts it already derived are reused.
+    left unset or general, both apply.  Items land at the end of the
+    Introduction list; Discussion and Conclusion require nothing (never
+    drafted).
     """
-    if isinstance(bundle, GroundingContext):
-        return list(bundle.required_facts(section, topic))
-    topic_value = getattr(topic, "value", topic)
     if section is ReportSectionKind.INTRODUCTION:
         return _mandate_intro_facts(bundle.mandate)
     if section is ReportSectionKind.ITEMS_RECEIVED:
@@ -573,21 +566,18 @@ def required_facts_for(
         return _method_facts(bundle.method_steps)
     if section is ReportSectionKind.RESULTS:
         facts: list[RequiredFact] = []
-        if topic_value in (None, "general", "conversations"):
+        if topic is not PromptTopic.LOCATIONS:
             facts += _message_facts(bundle.all_messages())
-        if topic_value in (None, "general", "locations"):
+        if topic is not PromptTopic.CONVERSATIONS:
             facts += _location_cluster_facts(bundle.all_locations())
         return facts
     return []
 
 
-PromptTopicLike = Optional[object]
-
-
 def facts_from_input(
     section: ReportSectionKind,
     input_format: SourceFormat,
-    topic: PromptTopicLike,
+    topic: Optional[PromptTopic],
     input_text: str,
 ) -> list[RequiredFact]:
     """Rebuild the required-fact list from a rendered input block alone.
@@ -596,7 +586,6 @@ def facts_from_input(
     the same facts the bundle would require.  This is what lets a fault
     profile drop or keep exact facts without seeing the bundle.
     """
-    topic_value = getattr(topic, "value", topic)
     if section is ReportSectionKind.INTRODUCTION:
         mandate, _ = parse_mandate(input_text)
         return _mandate_intro_facts(mandate)
@@ -606,7 +595,7 @@ def facts_from_input(
     if section is ReportSectionKind.METHODOLOGY:
         steps, _ = parse_method_steps(input_text)
         return _method_facts(steps)
-    if section is ReportSectionKind.RESULTS and topic_value == "conversations":
+    if section is ReportSectionKind.RESULTS and topic is PromptTopic.CONVERSATIONS:
         parser = {
             SourceFormat.TOOL_REPORT_EXCERPT: parse_tool_report_messages,
             SourceFormat.LAB_LOG_TABLE: parse_lablog_messages,
@@ -614,7 +603,7 @@ def facts_from_input(
         }[input_format]
         messages, _ = parser(input_text)
         return _message_facts(messages)
-    if section is ReportSectionKind.RESULTS and topic_value == "locations":
+    if section is ReportSectionKind.RESULTS and topic is PromptTopic.LOCATIONS:
         parser = {
             SourceFormat.TOOL_REPORT_EXCERPT: parse_tool_report_locations,
             SourceFormat.LAB_LOG_TABLE: parse_lablog_locations,
@@ -622,6 +611,7 @@ def facts_from_input(
         }[input_format]
         records, _ = parser(input_text)
         return _location_cluster_facts(records)
+    topic_value = topic.value if topic else None
     raise ValueError(f"no fact derivation for {section.value!r} with topic {topic_value!r}")
 
 
@@ -635,14 +625,17 @@ class GroundingContext:
     and the required facts per (section, topic) are each built on first
     use and then kept for the life of the context.  The caller owns that
     life: pipeline.run_experiment and pipeline.assemble build one context
-    per call and score every draft against it.  The bundle must not change
-    while a context built from it is in use.
+    per call and score every draft against it.  The tolerances are set
+    here and nowhere else.  The bundle must not change while a context
+    built from it is in use.
     """
 
     def __init__(self, bundle: CaseBundle, tolerances: Tolerances = Tolerances()):
         self.bundle = bundle
         self.tolerances = tolerances
-        self._facts: dict[tuple[ReportSectionKind, object], tuple[RequiredFact, ...]] = {}
+        self._facts: dict[
+            tuple[ReportSectionKind, Optional[PromptTopic]], tuple[RequiredFact, ...]
+        ] = {}
 
     @cached_property
     def roster(self) -> Roster:
@@ -653,25 +646,15 @@ class GroundingContext:
         return _BundleIndex(self.bundle, self.tolerances)
 
     def required_facts(
-        self, section: ReportSectionKind, topic: "PromptTopicLike" = None
+        self, section: ReportSectionKind, topic: Optional[PromptTopic] = None
     ) -> tuple[RequiredFact, ...]:
-        key = (section, getattr(topic, "value", topic))
+        """required_facts_for this context's bundle, derived once per
+        (section, topic)."""
+        key = (section, topic)
         facts = self._facts.get(key)
         if facts is None:
             facts = self._facts[key] = tuple(required_facts_for(section, self.bundle, topic))
         return facts
-
-
-def _context(
-    evidence: Union[CaseBundle, GroundingContext], tolerances: Optional[Tolerances]
-) -> GroundingContext:
-    """The context to ground against: the given one, or a fresh one for a
-    plain bundle."""
-    if isinstance(evidence, GroundingContext):
-        if tolerances is not None and tolerances != evidence.tolerances:
-            raise ValueError("tolerances differ from those the context was built with")
-        return evidence
-    return GroundingContext(evidence, Tolerances() if tolerances is None else tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -708,20 +691,18 @@ class GroundingReport:
 
 def score(
     draft,
-    bundle: Union[CaseBundle, GroundingContext],
+    context: GroundingContext,
     section: ReportSectionKind,
-    tolerances: Optional[Tolerances] = None,
-    topic: PromptTopicLike = None,
+    topic: Optional[PromptTopic] = None,
 ) -> GroundingReport:
-    """Extract, verify and tally.  draft is a GeneratedDraft or plain text;
-    bundle is a CaseBundle or a GroundingContext built from one."""
+    """Extract, verify and tally against the context's evidence.  draft is
+    a GeneratedDraft or plain text."""
     if isinstance(draft, str):
         text, ref = draft, "text"
     else:
         text = draft.text
         ref = f"{draft.backend_label}:{draft.prompt_id}"
 
-    context = _context(bundle, tolerances)
     checked = verify(extract_claims(text, context.roster), context)
     hallucinations = sum(1 for _, s in checked if s is ClaimStatus.UNGROUNDED)
 

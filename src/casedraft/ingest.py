@@ -4,8 +4,8 @@ Four layouts are understood: commercial tool-report excerpts, lab-log
 tables, reduced CSV exports (of messages and of locations), and free-text
 mandates.  Parsers never raise on malformed content; they return whatever
 records could be recovered plus a list of diagnostics carrying line
-numbers.  Labels may appear in English or French; a built-in synonym table
-maps them.
+numbers.  Labels may appear in English or French; each parser's patterns
+accept both.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .model import (
     DeviceProfile,
@@ -31,7 +31,6 @@ __all__ = [
     "SourceFormat",
     "Severity",
     "ParseDiagnostic",
-    "FRENCH_LABELS",
     "HONORIFIC_NAME",
     "parse_mandate",
     "parse_tool_report_locations",
@@ -66,20 +65,6 @@ class ParseDiagnostic:
     def render(self, source: str = "<input>") -> str:
         return f"{source}:{self.line_number}: {self.severity.value}: {self.message}"
 
-
-def errors(diags: list[ParseDiagnostic]) -> list[ParseDiagnostic]:
-    return [d for d in diags if d.severity is Severity.ERROR]
-
-
-# Synonyms seen in tool output localized to French.  Keys are casefolded.
-FRENCH_LABELS = {
-    "fichier source": "Source File",
-    "entrant": "Incoming",
-    "sortant": "Outgoing",
-    "taille": "Size",
-    "octets": "bytes",
-    "heure": "Hour",
-}
 
 _DIRECTIONS = {
     "incoming": Direction.INCOMING,
@@ -152,6 +137,26 @@ def _app_from_sources(sources: tuple[str, ...]) -> str:
     return ""
 
 
+def _entries(
+    numbered_lines: Iterable[tuple[int, str]], head_re: re.Pattern
+) -> Iterator[tuple[int, re.Match, list[tuple[int, str]]]]:
+    """Split (line number, line) pairs into entries: each line head_re
+    matches opens one, and the non-blank lines up to the next such line are
+    its body.  Yields the head's line number, its match and the body's
+    (line number, line) pairs; lines before the first head are skipped."""
+    entry = None
+    for n, line in numbered_lines:
+        m = head_re.match(line)
+        if m:
+            if entry is not None:
+                yield entry
+            entry = (n, m, [])
+        elif entry is not None and line.strip():
+            entry[2].append((n, line))
+    if entry is not None:
+        yield entry
+
+
 def _sender_from(text: str, parenthesized: bool = False) -> Optional[Sender]:
     """Build a Sender from '695862679 (Wonder Woman)' or '695862679 Wonder Woman'."""
     t = text.strip()
@@ -204,21 +209,11 @@ def parse_tool_report_locations(
     """
     diags: list[ParseDiagnostic] = []
     records: list[LocationRecord] = []
-    lines = text.splitlines()
-
-    entries: list[tuple[int, re.Match, list[tuple[int, str]]]] = []
-    current: Optional[list[tuple[int, str]]] = None
-    for n, line in enumerate(lines, start=1):
-        if line.lstrip().startswith("#"):
-            continue
-        m = _TOOL_LOC_START.match(line)
-        if m:
-            current = []
-            entries.append((n, m, current))
-        elif current is not None and line.strip():
-            current.append((n, line))
-
-    for start_line, head, body in entries:
+    numbered = (
+        (n, line) for n, line in enumerate(text.splitlines(), start=1)
+        if not line.lstrip().startswith("#")
+    )
+    for start_line, head, body in _entries(numbered, _TOOL_LOC_START):
         name = head.group(3).strip()
         coords = _coord_pair(head.group(2))
         if coords is None:
@@ -374,19 +369,8 @@ def parse_tool_report_messages(
     """
     diags: list[ParseDiagnostic] = []
     records: list[MessageRecord] = []
-    lines = text.splitlines()
-
-    starts = [
-        (i, _TOOL_MSG_START.match(lines[i]))
-        for i in range(len(lines))
-        if _TOOL_MSG_START.match(lines[i])
-    ]
-    if not starts:
-        return records, diags
-
-    bounds = [i for i, _ in starts] + [len(lines)]
-    for k, (i, head) in enumerate(starts):
-        line_no = i + 1
+    numbered = enumerate(text.splitlines(), start=1)
+    for line_no, head, entry_body in _entries(numbered, _TOOL_MSG_START):
         ts = _instant(head, default_offset)
         if ts is None:
             _err(diags, line_no, "entry has no parseable timestamp; dropped")
@@ -401,10 +385,7 @@ def parse_tool_report_messages(
         body_lines: list[str] = []
         sources: list[str] = []
         seen_source = False
-        for j in range(i + 1, bounds[k + 1]):
-            raw = lines[j]
-            if not raw.strip():
-                continue
+        for _, raw in entry_body:
             sm = _SOURCE_LABEL.match(raw)
             if sm:
                 seen_source = True
@@ -467,20 +448,8 @@ def parse_lablog_messages(
     """
     diags: list[ParseDiagnostic] = []
     records: list[MessageRecord] = []
-    lines = text.splitlines()
-
-    rows: list[tuple[int, re.Match]] = []
-    for i, line in enumerate(lines):
-        m = _LAB_MSG_ROW.match(line)
-        if m:
-            rows.append((i, m))
-
-    if not rows:
-        return records, diags
-
-    bounds = [i for i, _ in rows] + [len(lines)]
-    for k, (i, row) in enumerate(rows):
-        line_no = i + 1
+    numbered = enumerate(text.splitlines(), start=1)
+    for line_no, row, entry_body in _entries(numbered, _LAB_MSG_ROW):
         ts = _instant(row, default_offset)
         if ts is None:
             _err(diags, line_no, "row has no parseable timestamp; dropped")
@@ -493,10 +462,8 @@ def parse_lablog_messages(
         body_lines: list[str] = []
         source_text_parts: list[str] = []
         in_source = False
-        for j in range(i + 1, bounds[k + 1]):
-            raw = lines[j].strip()
-            if not raw:
-                continue
+        for _, line in entry_body:
+            raw = line.strip()
             if _SOURCEISH.search(raw) or raw.startswith("USERDATA"):
                 in_source = True
             if in_source:

@@ -123,9 +123,6 @@ class ImageHash:
     algorithm: str  # e.g. "SHA-256"
     digest: str  # hex
 
-    def as_text(self) -> str:
-        return f"{self.algorithm}:{self.digest}"
-
 
 @dataclass(frozen=True)
 class EvidenceItem:
@@ -219,9 +216,6 @@ class CaseBundle:
     locations: Mapping[str, tuple[LocationRecord, ...]] = field(default_factory=dict)
     messages: Mapping[str, tuple[MessageRecord, ...]] = field(default_factory=dict)
     method_steps: tuple[MethodStep, ...] = ()
-
-    def item_ids(self) -> tuple[str, ...]:
-        return tuple(item.item_id for item in self.items)
 
     def all_locations(self) -> tuple[LocationRecord, ...]:
         return tuple(rec for recs in self.locations.values() for rec in recs)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from .gateway import BackendConfig, GatewayError, GeneratedDraft, generate
-from .grounding import GroundingContext, Tolerances, score
+from .grounding import GroundingContext, score
 from .model import CaseBundle, ReportSectionKind, to_data
 from .prompting import PromptSpec, build_matrix
 from .transform import render_padded_table
@@ -98,7 +98,6 @@ class ReportDocument:
 def assemble(
     bundle: CaseBundle,
     drafts: Mapping[ReportSectionKind, GeneratedDraft],
-    tolerances: Tolerances = Tolerances(),
 ) -> ReportDocument:
     """Compose the six-section document from chosen drafts.
 
@@ -110,7 +109,7 @@ def assemble(
         if kind in _MANUAL_ONLY:
             raise ValueError(f"{kind.value} is reserved for the examiner; no draft accepted")
 
-    context = GroundingContext(bundle, tolerances)
+    context = GroundingContext(bundle)
     sections: list[tuple[ReportSectionKind, SectionContent]] = []
     for kind in SECTION_ORDER:
         if kind in _MANUAL_ONLY:
@@ -201,7 +200,6 @@ def run_experiment(
     configs: Sequence[BackendConfig],
     store_path: Union[str, Path],
     prompts: Optional[Sequence[PromptSpec]] = None,
-    tolerances: Tolerances = Tolerances(),
 ) -> list[dict]:
     """Run every prompt against every backend, appending one record each.
 
@@ -211,7 +209,7 @@ def run_experiment(
     if prompts is None:
         prompts = build_matrix(bundle)
     run_id = next_run_id(read_store(store_path))
-    context = GroundingContext(bundle, tolerances)
+    context = GroundingContext(bundle)
 
     records: list[dict] = []
     for config in configs:

@@ -219,11 +219,6 @@ def render_method_steps(steps: Sequence[MethodStep]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coord(value: float, french: bool) -> str:
-    text = repr(float(value))
-    return text.replace(".", ",") if french else text
-
-
 def _src_label(french: bool) -> str:
     return "Fichier source" if french else "Source File"
 

@@ -260,55 +260,22 @@ def detect_colocations(
 # ---------------------------------------------------------------------------
 # reduced CSV
 
-def _render_timestamp(ts: datetime) -> str:
-    return f"{ts:%d.%m.%Y %H:%M:%S}({format_offset(ts)})"
-
-
-def _cell_for(message: MessageRecord, column: str) -> str:
-    key = column.casefold()
-    if key.startswith("from"):
-        return message.sender.as_text() if message.sender else ""
-    if key.startswith("body"):
-        return message.body
-    if key.startswith("timestamp"):
-        return _render_timestamp(message.timestamp)
-    raise ValueError(f"unknown column: {column!r}")
-
-
-_HEADER_TEXT = {"from": "From", "body": "Body", "timestamp": "Timestamp: Time"}
-
-
-def reduce_to_csv(
-    messages: Sequence[MessageRecord],
-    columns: Sequence[str] = ("From", "Body", "Timestamp"),
-) -> str:
-    """Render messages as the reduced ' ; '-delimited table.
+def reduce_to_csv(messages: Sequence[MessageRecord]) -> str:
+    """Render messages as the reduced ' ; '-delimited table: From, Body,
+    Timestamp.
 
     Multi-line bodies spill onto continuation rows whose other cells stay
     empty; parse_csv_messages folds them back, so senders, bodies and
     instants round-trip.  Cells must not themselves contain the ' ; '
     delimiter.
     """
-    headers = [_HEADER_TEXT.get(c.casefold().split(":")[0], c) for c in columns]
-    body_col = next(
-        (k for k, c in enumerate(columns) if c.casefold().startswith("body")), None
-    )
-
-    rows: list[list[str]] = [headers]
+    rows: list[list[str]] = [["From", "Body", "Timestamp: Time"]]
     for msg in messages:
-        cells = [_cell_for(msg, c) for c in columns]
-        if body_col is None:
-            rows.append(cells)
-            continue
-        body_lines = cells[body_col].split("\n") or [""]
-        first = list(cells)
-        first[body_col] = body_lines[0]
-        rows.append(first)
-        for extra in body_lines[1:]:
-            cont = ["" for _ in columns]
-            cont[body_col] = extra
-            rows.append(cont)
-
+        first, *more = msg.body.split("\n")
+        sender = msg.sender.as_text() if msg.sender else ""
+        ts = msg.timestamp
+        rows.append([sender, first, f"{ts:%d.%m.%Y %H:%M:%S}({format_offset(ts)})"])
+        rows.extend(["", extra, ""] for extra in more)
     return render_padded_table(rows, " ; ")
 
 

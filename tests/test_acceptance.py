@@ -26,7 +26,7 @@ from casedraft.gateway import (
     InjectName,
     generate,
 )
-from casedraft.grounding import ClaimStatus, score
+from casedraft.grounding import ClaimStatus, GroundingContext, score
 from casedraft.ingest import Severity, SourceFormat
 from casedraft.model import CaseBundle, LocationRecord, MessageRecord, ReportSectionKind
 from casedraft.pipeline import read_store, run_experiment
@@ -289,7 +289,7 @@ def test_criterion_5_grounding_soundness_and_sensitivity(golden_bundle):
         # soundness over rendered inputs
         for section, fmt, topic in RENDER_COMBOS:
             text = render_input(golden_bundle, section, fmt, topic=topic)
-            report = score(text, golden_bundle, section, topic=topic)
+            report = score(text, GroundingContext(golden_bundle), section, topic=topic)
             bad = [c.surface_text for c, s in report.claims if s is ClaimStatus.UNGROUNDED]
             assert report.hallucination_count == 0, (section, fmt, topic, bad)
 
@@ -302,7 +302,7 @@ def test_criterion_5_grounding_soundness_and_sensitivity(golden_bundle):
                 locations={"X": tuple(records)} if kind == "locations" else {},
                 messages={"X": tuple(records)} if kind == "messages" else {},
             )
-            report = score(text, bundle, ReportSectionKind.RESULTS)
+            report = score(text, GroundingContext(bundle), ReportSectionKind.RESULTS)
             bad = [c.surface_text for c, s in report.claims if s is ClaimStatus.UNGROUNDED]
             assert report.hallucination_count == 0, (fixture, bad)
 
@@ -314,7 +314,9 @@ def test_criterion_5_grounding_soundness_and_sensitivity(golden_bundle):
             config = BackendConfig(name="faulty", kind=BackendKind.MOCK, fault_profile=fault)
             for prompt in build_matrix(golden_bundle):
                 draft = generate(config, prompt)
-                report = score(draft, golden_bundle, prompt.section, topic=prompt.topic)
+                report = score(
+                    draft, GroundingContext(golden_bundle), prompt.section, topic=prompt.topic
+                )
                 assert report.hallucination_count >= 1, (fault, prompt.prompt_id)
 
         # dropped facts lower completeness by exactly k/n
@@ -331,7 +333,8 @@ def test_criterion_5_grounding_soundness_and_sensitivity(golden_bundle):
                 name="lossy", kind=BackendKind.MOCK, fault_profile=DropFacts(k)
             )
             report = score(
-                generate(config, prompt), golden_bundle, ReportSectionKind.INTRODUCTION
+                generate(config, prompt), GroundingContext(golden_bundle),
+                ReportSectionKind.INTRODUCTION,
             )
             assert report.completeness == pytest.approx((n - k) / n, abs=1e-12)
 

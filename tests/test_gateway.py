@@ -278,3 +278,10 @@ def test_backend_config_unknown_fault_names_profile_and_value(fault, shown):
 def test_backend_config_of_the_wrong_shape_raises_value_error(entry):
     with pytest.raises(ValueError, match=r"^profile 'm': "):
         backend_config_from_dict("m", entry)
+
+
+@pytest.mark.parametrize("key", ["endpoint_url", "model_name", "api_key_env"])
+@pytest.mark.parametrize("value", [5, None])
+def test_backend_config_string_fields_must_be_strings(key, value):
+    with pytest.raises(ValueError, match=rf"^profile 'm': {key}: expected a string, got "):
+        backend_config_from_dict("m", {"kind": "local_generate", key: value})

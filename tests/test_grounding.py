@@ -216,7 +216,7 @@ def tiny_bundle():
 
 
 def grounded_map(text, bundle, **kw):
-    checked = verify(extract_claims(text, build_roster(bundle)), bundle, **kw)
+    checked = verify(extract_claims(text, build_roster(bundle)), GroundingContext(bundle, **kw))
     return {c.surface_text: s is ClaimStatus.GROUNDED for c, s in checked}
 
 
@@ -280,7 +280,7 @@ def test_verify_filename_needs_a_whole_name_or_path_component(tiny_bundle, golde
 def test_tolerances_are_adjustable(tiny_bundle):
     strict = Tolerances(coordinate_decimal_places=6)
     checked = verify(
-        extract_claims("(38.907501, -77.072778)"), tiny_bundle, tolerances=strict
+        extract_claims("(38.907501, -77.072778)"), GroundingContext(tiny_bundle, strict)
     )
     assert checked[0][1] is ClaimStatus.UNGROUNDED
 
@@ -312,7 +312,7 @@ def test_items_received_facts(golden_bundle):
         "One Samsung Galaxy S6 Edge with MAC AC:5F:3E:73:E3:78 acquired by "
         "logical and physical extraction; one Apple iPhone 6 acquired by "
         "logical and file system extraction.",
-        golden_bundle,
+        GroundingContext(golden_bundle),
         ReportSectionKind.ITEMS_RECEIVED,
     )
     assert rep.completeness == 1.0
@@ -341,7 +341,9 @@ def test_item_without_make_or_model_requires_none(tmp_path):
     prompts = [p for p in build_matrix(bundle) if p.section is ReportSectionKind.ITEMS_RECEIVED]
     assert prompts
     for prompt in prompts:
-        report = score(generate(config, prompt), bundle, prompt.section, topic=prompt.topic)
+        report = score(
+            generate(config, prompt), GroundingContext(bundle), prompt.section, topic=prompt.topic
+        )
         assert report.completeness == 1.0, prompt.prompt_id
         assert [d for d, _ in report.required_facts] == descriptions
 
@@ -371,7 +373,10 @@ def test_location_cluster_fact_accepts_any_member(golden_bundle):
     # label, centroid, and every member coordinate are listed as alternatives
     assert len(fact.alternatives) >= 4
     member = "(38.906944, -77.072500) was visited"
-    rep = score(member, golden_bundle, ReportSectionKind.RESULTS, topic=PromptTopic.LOCATIONS)
+    rep = score(
+        member, GroundingContext(golden_bundle), ReportSectionKind.RESULTS,
+        topic=PromptTopic.LOCATIONS,
+    )
     assert rep.completeness == 1.0
 
 
@@ -410,7 +415,7 @@ def all_rendered_inputs(bundle):
 
 def test_every_rendered_input_scores_sound(golden_bundle):
     for section, fmt, topic, text in all_rendered_inputs(golden_bundle):
-        report = score(text, golden_bundle, section, topic=topic)
+        report = score(text, GroundingContext(golden_bundle), section, topic=topic)
         ungrounded = [
             c.surface_text for c, s in report.claims if s is ClaimStatus.UNGROUNDED
         ]
@@ -426,7 +431,7 @@ def test_score_accepts_draft_objects(golden_bundle):
         PromptVariant(placement=Placement.REQUEST_LAST),
     )
     draft = generate(BackendConfig(name="mock", kind=BackendKind.MOCK), prompt)
-    report = score(draft, golden_bundle, ReportSectionKind.INTRODUCTION)
+    report = score(draft, GroundingContext(golden_bundle), ReportSectionKind.INTRODUCTION)
     assert report.draft_ref == f"mock:{prompt.prompt_id}"
     assert report.hallucination_count == 0
     assert report.completeness == 1.0
@@ -447,29 +452,27 @@ def test_shared_context_scores_like_the_bare_bundle(golden_bundle):
         for prompt in build_matrix(golden_bundle):
             draft = generate(config, prompt)
             shared = score(draft, context, prompt.section, topic=prompt.topic)
-            assert shared == score(draft, golden_bundle, prompt.section, topic=prompt.topic)
-
-
-def test_context_rejects_other_tolerances(golden_bundle):
-    context = GroundingContext(golden_bundle, Tolerances(coordinate_decimal_places=6))
-    assert score("text", context, ReportSectionKind.INTRODUCTION, Tolerances(6)).draft_ref == "text"
-    with pytest.raises(ValueError):
-        score("text", context, ReportSectionKind.INTRODUCTION, Tolerances())
+            fresh = GroundingContext(golden_bundle)
+            assert shared == score(draft, fresh, prompt.section, topic=prompt.topic)
 
 
 def test_score_plain_text_ref(golden_bundle):
-    report = score("nothing to see", golden_bundle, ReportSectionKind.DISCUSSION)
+    report = score("nothing to see", GroundingContext(golden_bundle), ReportSectionKind.DISCUSSION)
     assert report.draft_ref == "text"
 
 
 def test_completeness_defaults_to_one_without_facts():
     bundle = CaseBundle(mandate=Mandate(description="d", questions=("Who?",)))
-    report = score("any text", bundle, ReportSectionKind.RESULTS, topic=PromptTopic.LOCATIONS)
+    report = score(
+        "any text", GroundingContext(bundle), ReportSectionKind.RESULTS, topic=PromptTopic.LOCATIONS
+    )
     assert report.completeness == 1.0
 
 
 def test_report_to_dict_shape(golden_bundle):
-    report = score("Mr Sforza was here", golden_bundle, ReportSectionKind.INTRODUCTION)
+    report = score(
+        "Mr Sforza was here", GroundingContext(golden_bundle), ReportSectionKind.INTRODUCTION
+    )
     data = report.to_dict()
     assert set(data) == {
         "draft_ref", "hallucination_count", "completeness", "claims", "required_facts",
@@ -482,7 +485,7 @@ def test_report_to_dict_shape(golden_bundle):
 @given(st.text(max_size=300))
 def test_scoring_arbitrary_text_is_total(text):
     bundle = CaseBundle(mandate=Mandate(description="d", questions=("Who?",)))
-    report = score(text, bundle, ReportSectionKind.INTRODUCTION)
+    report = score(text, GroundingContext(bundle), ReportSectionKind.INTRODUCTION)
     assert 0.0 <= report.completeness <= 1.0
     assert report.hallucination_count == sum(
         1 for _, s in report.claims if s is ClaimStatus.UNGROUNDED
@@ -505,7 +508,7 @@ NONEXISTENT_INSTANTS = [
 def test_nonexistent_instant_is_no_timestamp_claim(golden_bundle, instant):
     text = f"The phone was seized on {instant}."
     assert extract_claims(text) == []
-    report = score(text, golden_bundle, ReportSectionKind.RESULTS)
+    report = score(text, GroundingContext(golden_bundle), ReportSectionKind.RESULTS)
     assert report.claims == ()
 
 

@@ -558,3 +558,33 @@ def test_cli_store_with_a_corrupt_middle_line_is_rejected(bundle_file, config_fi
     assert main(["summarize", "--store", str(store), "-o", str(tmp_path / "summary.txt")]) == 2
     assert capsys.readouterr().err == f"error: {store}:19: invalid record\n"
     assert not (tmp_path / "summary.txt").exists()
+
+
+def _experiment_with_a_bad_profile(bundle_file, tmp_path, endpoint_url):
+    config = tmp_path / "bad_backends.json"
+    config.write_text(json.dumps({"profiles": {
+        "mock": {"kind": "mock"},
+        "bad": {"kind": "local_generate", "endpoint_url": endpoint_url},
+    }}), encoding="utf-8")
+    store = tmp_path / "store.jsonl"
+    rc = main(["experiment", "--bundle", str(bundle_file), "--config", str(config),
+               "--backends", "mock,bad", "--store", str(store)])
+    return rc, store
+
+
+def test_cli_experiment_records_an_unsendable_request_as_errors(bundle_file, tmp_path, capsys):
+    rc, store = _experiment_with_a_bad_profile(bundle_file, tmp_path, "localhost:1")
+    assert rc == 0
+    assert "appended 72 records" in capsys.readouterr().out
+    records = read_store(store)
+    assert len(records) == 72
+    errors = [r for r in records if r["record_kind"] == "error"]
+    assert len(errors) == 36 and all(r["backend"] == "bad" for r in errors)
+
+
+def test_cli_experiment_rejects_a_non_string_endpoint(bundle_file, tmp_path, capsys):
+    rc, store = _experiment_with_a_bad_profile(bundle_file, tmp_path, 5)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: profile 'bad': endpoint_url: expected a string, got 5\n"
+    assert not store.exists()

@@ -21,3 +21,36 @@ def test_no_imports_inside_functions():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     })
     assert found == []
+
+
+def _module_level_private_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_no_unreferenced_private_names():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unreferenced = sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _module_level_private_names(tree)
+        if name not in referenced
+    )
+    assert unreferenced == []
