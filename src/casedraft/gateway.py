@@ -30,6 +30,7 @@ __all__ = [
     "InjectCoordinate",
     "InjectName",
     "FaultProfile",
+    "InputFacts",
     "BackendConfig",
     "backend_config_from_dict",
     "GeneratedDraft",
@@ -107,11 +108,15 @@ _FAULT_KINDS = {
 
 def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
     """Build a profile from one config-file entry; API keys never appear here.
-    An entry that is not a JSON object, an unknown fault kind or a string or
-    number field of the wrong JSON type raises ValueError naming the
-    profile."""
+    An entry that is not a JSON object, a missing or unknown backend or fault
+    kind, a string or number field of the wrong JSON type or a negative
+    max_retries raises ValueError naming the profile."""
     if not isinstance(d, dict):
         raise ValueError(f"profile {name!r}: expected a JSON object, got {d!r:.40}")
+    backend_kinds = [k.value for k in BackendKind]
+    if d.get("kind") not in backend_kinds:
+        problem = f"unknown kind {d['kind']!r:.60}" if "kind" in d else "no kind"
+        raise ValueError(f"profile {name!r}: {problem}; kinds are {', '.join(backend_kinds)}")
     for key in ("endpoint_url", "model_name", "api_key_env"):
         if not isinstance(d.get(key, ""), str):
             raise ValueError(f"profile {name!r}: {key}: expected a string, got {d[key]!r:.40}")
@@ -123,7 +128,7 @@ def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
             f"profile {name!r}: unknown fault {fault!r:.60}; kinds are {', '.join(_FAULT_KINDS)}"
         )
     try:
-        return BackendConfig(
+        config = BackendConfig(
             name=name,
             kind=BackendKind(d["kind"]),
             endpoint_url=d.get("endpoint_url", ""),
@@ -136,8 +141,13 @@ def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
             api_key_env=d.get("api_key_env", DEFAULT_API_KEY_ENV),
             fault_profile=_FAULT_KINDS[kind](params),
         )
-    except TypeError as exc:  # int() or float() of null, an array or an object
+    except (TypeError, ValueError) as exc:  # int() or float() of null, an array, an object or "x"
         raise ValueError(f"profile {name!r}: {exc}") from None
+    if config.max_retries < 0:
+        raise ValueError(
+            f"profile {name!r}: max_retries: expected a non-negative integer, got {config.max_retries}"
+        )
+    return config
 
 
 @dataclass(frozen=True)
@@ -190,14 +200,40 @@ def _restate(fact: RequiredFact) -> str:
     return phrase_alts[0].text
 
 
-def mock_complete(prompt: PromptSpec, fault_profile: FaultProfile = Faithful()) -> str:
+class InputFacts:
+    """The mock's facts of each distinct prompt input, derived once.
+
+    The mock sees only a prompt's rendered input, and a matrix's prompts
+    share few distinct inputs, so pipeline.run_experiment holds one of
+    these per call and passes it to every generate call of the run, on
+    every backend.  Its life is the caller's: nothing is kept beyond it.
+    Facts are tuples, so no backend can change what another one reads.
+    """
+
+    def __init__(self) -> None:
+        self._facts: dict[tuple, tuple[RequiredFact, ...]] = {}
+
+    def facts(self, prompt: PromptSpec) -> tuple[RequiredFact, ...]:
+        key = (prompt.section, prompt.input_format, prompt.topic, prompt.input_block())
+        found = self._facts.get(key)
+        if found is None:
+            found = self._facts[key] = tuple(facts_from_input(*key))
+        return found
+
+
+def mock_complete(
+    prompt: PromptSpec,
+    fault_profile: FaultProfile = Faithful(),
+    inputs: Optional[InputFacts] = None,
+) -> str:
     """Deterministic draft text for a prompt, no model involved.
 
     Faithful restates every fact of the input block, one line each.
     DropFacts(k) omits the last k lines; the Inject profiles add one
-    fabricated statement at the end.
+    fabricated statement at the end.  The facts come from `inputs`, or
+    from a memo made for this call alone.
     """
-    facts = facts_from_input(prompt.section, prompt.input_format, prompt.topic, prompt.input_block())
+    facts = (inputs or InputFacts()).facts(prompt)
     lines = [f"Draft of the {prompt.section.value.replace('_', ' ')} section."]
     if prompt.section is ReportSectionKind.INTRODUCTION:
         qcount = sum(1 for f in facts if f.description.startswith("question"))
@@ -311,10 +347,13 @@ def _generate_hosted(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraf
     )
 
 
-def generate(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraft:
-    """One stateless completion: exactly this prompt goes over the wire."""
+def generate(
+    config: BackendConfig, prompt: PromptSpec, inputs: Optional[InputFacts] = None
+) -> GeneratedDraft:
+    """One stateless completion: exactly this prompt goes over the wire.
+    A mock backend takes its input facts from `inputs` when given."""
     if config.kind is BackendKind.MOCK:
-        text = mock_complete(prompt, config.fault_profile)
+        text = mock_complete(prompt, config.fault_profile, inputs)
         return GeneratedDraft(
             prompt_id=prompt.prompt_id,
             backend_label=config.name,

@@ -17,7 +17,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from .gateway import BackendConfig, GatewayError, GeneratedDraft, generate
+from .gateway import BackendConfig, GatewayError, GeneratedDraft, InputFacts, generate
 from .grounding import GroundingContext, score
 from .model import CaseBundle, ReportSectionKind, to_data
 from .prompting import PromptSpec, build_matrix
@@ -205,18 +205,20 @@ def run_experiment(
 
     A backend failure becomes an error record, never an abort.  Prompts run
     sequentially in matrix order so a store is reproducible byte for byte.
+    Every mock backend of the run shares one InputFacts memo.
     """
     if prompts is None:
         prompts = build_matrix(bundle)
     run_id = next_run_id(read_store(store_path))
     context = GroundingContext(bundle)
+    inputs = InputFacts()
 
     records: list[dict] = []
     for config in configs:
         for prompt in prompts:
             base = {"run_id": run_id, "backend": config.name, "prompt": prompt.to_dict()}
             try:
-                draft = generate(config, prompt)
+                draft = generate(config, prompt, inputs)
                 report = score(draft, context, prompt.section, topic=prompt.topic)
                 base["record_kind"] = "result"
                 base["draft"] = to_data(draft)

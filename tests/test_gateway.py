@@ -18,10 +18,12 @@ from casedraft.gateway import (
     GatewayError,
     InjectCoordinate,
     InjectName,
+    InputFacts,
     ProtocolError,
     TransportError,
     backend_config_from_dict,
     generate,
+    mock_complete,
 )
 from casedraft.ingest import SourceFormat
 from casedraft.model import CaseBundle, Mandate, ReportSectionKind, to_data
@@ -76,9 +78,33 @@ def test_backend_config_ignores_unknown_keys():
     assert cfg == BackendConfig("m", BackendKind.MOCK)
 
 
+_KINDS = "kinds are local_generate, hosted_chat, mock"
+
+
 def test_backend_config_rejects_unknown_kind():
-    with pytest.raises((GatewayError, ValueError, KeyError)):
+    with pytest.raises(ValueError) as raised:
         backend_config_from_dict("m", {"kind": "quantum"})
+    assert str(raised.value) == f"profile 'm': unknown kind 'quantum'; {_KINDS}"
+
+
+@pytest.mark.parametrize("entry, problem", [
+    ({}, "no kind"),
+    ({"kind": 5}, "unknown kind 5"),
+    ({"kind": None}, "unknown kind None"),
+    ({"kind": ["mock"]}, "unknown kind ['mock']"),
+    ({"kind": "MOCK"}, "unknown kind 'MOCK'"),
+])
+def test_backend_config_missing_or_unknown_kind_names_profile_and_kinds(entry, problem):
+    with pytest.raises(ValueError) as raised:
+        backend_config_from_dict("m", entry)
+    assert str(raised.value) == f"profile 'm': {problem}; {_KINDS}"
+
+
+def test_backend_config_rejects_a_negative_max_retries():
+    with pytest.raises(ValueError) as raised:
+        backend_config_from_dict("neg", {"kind": "local_generate", "max_retries": -1})
+    assert str(raised.value) == "profile 'neg': max_retries: expected a non-negative integer, got -1"
+    assert backend_config_from_dict("m", {"kind": "local_generate", "max_retries": 0}).max_retries == 0
 
 
 # --- mock backend --------------------------------------------------------------
@@ -91,6 +117,20 @@ def test_mock_is_deterministic(intro_prompt):
     assert a.created_at == MOCK_CREATED_AT == datetime(1970, 1, 1, tzinfo=timezone.utc)
     assert a.prompt_id == intro_prompt.prompt_id
     assert a.backend_label == "mock"
+
+
+def test_input_facts_are_shared_by_prompts_of_one_input(golden_bundle, intro_prompt):
+    text = render_input(golden_bundle, ReportSectionKind.INTRODUCTION, SourceFormat.MANDATE_TEXT)
+    request_first = build_prompt(
+        ReportSectionKind.INTRODUCTION, SourceFormat.MANDATE_TEXT, text,
+        PromptVariant(placement=Placement.REQUEST_FIRST),
+    )
+    inputs = InputFacts()
+    facts = inputs.facts(intro_prompt)
+    assert isinstance(facts, tuple) and facts
+    assert inputs.facts(request_first) is facts
+    for fault in (Faithful(), DropFacts(2), InjectName("Mr Moriarty")):
+        assert mock_complete(request_first, fault, inputs) == mock_complete(request_first, fault)
 
 
 def test_mock_embeds_question_count(intro_prompt):
@@ -274,7 +314,8 @@ def test_backend_config_unknown_fault_names_profile_and_value(fault, shown):
 
 
 @pytest.mark.parametrize("entry", [5, [], None, {"kind": "mock", "timeout": None},
-                                   {"kind": "mock", "fault": {"kind": "drop_facts", "count": []}}])
+                                   {"kind": "mock", "fault": {"kind": "drop_facts", "count": []}},
+                                   {"kind": "mock", "max_retries": "x"}])
 def test_backend_config_of_the_wrong_shape_raises_value_error(entry):
     with pytest.raises(ValueError, match=r"^profile 'm': "):
         backend_config_from_dict("m", entry)

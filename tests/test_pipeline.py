@@ -8,7 +8,8 @@ import random
 import pytest
 
 from casedraft.cli import main
-from casedraft.gateway import BackendConfig, BackendKind, generate
+from casedraft import gateway
+from casedraft.gateway import BackendConfig, BackendKind, DropFacts, InjectName, generate, mock_complete
 from casedraft.model import ReportSectionKind, bundle_to_json
 from casedraft.pipeline import (
     DISCLAIMER_BANNER,
@@ -148,6 +149,40 @@ def test_run_experiment_is_byte_deterministic(golden_bundle, tmp_path):
     run_experiment(golden_bundle, [MOCK], a)
     run_experiment(golden_bundle, [MOCK], b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_experiment_derives_each_input_once_for_all_mock_backends(
+    golden_bundle, tmp_path, monkeypatch
+):
+    derived = []
+    original = gateway.facts_from_input
+
+    def counting(*args):
+        derived.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gateway, "facts_from_input", counting)
+    configs = [
+        MOCK,
+        BackendConfig(name="drop", kind=BackendKind.MOCK, fault_profile=DropFacts(1)),
+        BackendConfig(name="name", kind=BackendKind.MOCK, fault_profile=InjectName("Mr Moriarty")),
+    ]
+    store = tmp_path / "store.jsonl"
+    records = run_experiment(golden_bundle, configs, store)
+    # the 36-prompt matrix holds 9 distinct inputs; all three backends share them
+    assert len(derived) == 9
+    assert len(set(derived)) == 9
+    # the memo lives one run: a second run derives every input again
+    records += run_experiment(golden_bundle, configs, store)
+    assert len(derived) == 18
+    monkeypatch.undo()
+
+    prompts = build_matrix(golden_bundle)
+    expected = [
+        mock_complete(prompt, config.fault_profile)
+        for _ in range(2) for config in configs for prompt in prompts
+    ]
+    assert [r["draft"]["text"] for r in records] == expected
 
 
 def test_run_experiment_turns_failures_into_error_records(golden_bundle, tmp_path, stub_server):
@@ -580,6 +615,26 @@ def test_cli_experiment_records_an_unsendable_request_as_errors(bundle_file, tmp
     assert len(records) == 72
     errors = [r for r in records if r["record_kind"] == "error"]
     assert len(errors) == 36 and all(r["backend"] == "bad" for r in errors)
+
+
+@pytest.mark.parametrize("entry, problem", [
+    ({}, "no kind"),
+    ({"kind": "quantum"}, "unknown kind 'quantum'"),
+])
+def test_cli_experiment_names_a_profile_without_a_known_kind(
+    entry, problem, bundle_file, tmp_path, capsys
+):
+    config = tmp_path / "bad_backends.json"
+    config.write_text(json.dumps({"profiles": {"mock": {"kind": "mock"}, "bad": entry}}),
+                      encoding="utf-8")
+    store = tmp_path / "store.jsonl"
+    rc = main(["experiment", "--bundle", str(bundle_file), "--config", str(config),
+               "--backends", "mock", "--store", str(store)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: profile 'bad': {problem}; kinds are local_generate, hosted_chat, mock\n"
+    )
+    assert not store.exists()
 
 
 def test_cli_experiment_rejects_a_non_string_endpoint(bundle_file, tmp_path, capsys):

@@ -54,3 +54,52 @@ def test_no_unreferenced_private_names():
         if name not in referenced
     )
     assert unreferenced == []
+
+
+# A module-level cache keyed by bundle or text would let a long-lived process
+# ground against stale evidence; these two are keyed by type and by nothing.
+ALLOWED_CACHES = {"model._converter", "prompting.phrasing_table"}
+
+
+def _cache_decorated_functions(module, tree):
+    functools_names = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if isinstance(target, ast.Attribute):
+                name = target.attr
+            elif isinstance(target, ast.Name):
+                name = functools_names.get(target.id, "")
+            else:
+                continue
+            if name in ("cache", "lru_cache"):
+                yield f"{module}.{node.name}"
+
+
+def test_no_new_function_caches():
+    found = {
+        name
+        for path in SOURCES
+        for name in _cache_decorated_functions(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found <= ALLOWED_CACHES, sorted(found - ALLOWED_CACHES)
+
+
+def test_cache_scan_sees_every_spelling():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache as memo, lru_cache, cached_property\n"
+        "@functools.cache\ndef a(x): pass\n"
+        "@functools.lru_cache(maxsize=8)\ndef b(x): pass\n"
+        "@lru_cache\ndef c(x): pass\n"
+        "class K:\n    @memo\n    def d(self): pass\n"
+        "    @cached_property\n    def e(self): pass\n"
+    )
+    assert list(_cache_decorated_functions("m", tree)) == ["m.a", "m.b", "m.c", "m.d"]
