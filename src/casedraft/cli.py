@@ -279,6 +279,7 @@ def _cmd_experiment(args) -> int:
         raise ValueError(f"no backend profile named {missing[0]!r}")
 
     prompts = prompting.build_matrix(bundle, french_labels=args.french_labels)
+    _warn_if_torn(args.store)
     records = pipeline.run_experiment(
         bundle, [profiles[n] for n in names], args.store, prompts
     )
@@ -288,7 +289,15 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _warn_if_torn(store: str) -> None:
+    lineno = pipeline.torn_line(store)
+    if lineno is not None:
+        message = "torn final line is not a record; skipped"
+        print(f"{store}:{lineno}: warning: {message}", file=sys.stderr)
+
+
 def _cmd_summarize(args) -> int:
+    _warn_if_torn(args.store)
     table = pipeline.summarize(pipeline.read_store(args.store))
     if args.json:
         _save_text(json.dumps(table.to_dicts(), indent=2) + "\n", args.output)

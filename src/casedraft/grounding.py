@@ -10,7 +10,7 @@ check is lexical and conservative, a reviewer's net rather than a lie
 detector.
 
 score and verify take their evidence as a GroundingContext: one bundle's
-roster with its compiled phrase alternations, its lookup index under the
+roster with its compiled start scan, its lookup index under the
 context's tolerances, and the required facts per (section, topic), each
 built on first use.  Build one per experiment or report and score every
 draft against it.  required_facts_for derives a section's facts from a
@@ -118,22 +118,34 @@ def _norm_phrase(text: str) -> str:
 class _PhraseMatcher:
     """Finds roster phrases as whole words, case-insensitively.
 
-    One alternation of all phrases finds every position where some phrase
-    starts; only those positions are tried per phrase.  Matches come out
-    phrase by phrase in roster order, each phrase's own matches left to
-    right and non-overlapping, as one re.finditer per phrase would give.
+    One scan finds every position where some phrase starts; only those
+    positions are tried per phrase.  The scan first tests the character at
+    a position against the phrases' first characters, so most positions
+    cost one class test rather than a try of every phrase.  Matches come
+    out phrase by phrase in the order given, each phrase's own matches left
+    to right and non-overlapping, as one re.finditer per phrase would give,
+    each with the claim kind its phrase was given with.
     """
 
-    def __init__(self, phrases: Sequence[str]):
-        alternatives = [rf"\b{re.escape(p)}\b" for p in phrases]
-        self.patterns = [re.compile(a, re.IGNORECASE) for a in alternatives]
-        self.starts = re.compile(f"(?=(?:{'|'.join(alternatives)}))", re.IGNORECASE) if phrases else None
+    def __init__(self, phrases: Sequence[tuple[ClaimKind, str]]):
+        self.patterns = [
+            (kind, re.compile(rf"\b{re.escape(p)}\b", re.IGNORECASE)) for kind, p in phrases
+        ]
+        texts = [p for _, p in phrases]
+        # under IGNORECASE the class takes the same case equivalences as the
+        # phrases themselves (ſ and s, the Kelvin sign and k)
+        firsts = "".join(sorted({re.escape(p[0]) for p in texts if p}))
+        lead = f"(?=[{firsts}])" if all(texts) else ""
+        alternatives = "|".join(rf"{re.escape(p)}\b" for p in texts)
+        self.starts = (
+            re.compile(rf"{lead}\b(?=(?:{alternatives}))", re.IGNORECASE) if texts else None
+        )
 
-    def finditer(self, text: str) -> Iterator[re.Match]:
+    def finditer(self, text: str) -> Iterator[tuple[ClaimKind, re.Match]]:
         if self.starts is None:
             return
         starts = [m.start() for m in self.starts.finditer(text)]
-        for pattern in self.patterns:
+        for kind, pattern in self.patterns:
             end = 0
             for pos in starts:
                 if pos < end:
@@ -141,7 +153,7 @@ class _PhraseMatcher:
                 m = pattern.match(text, pos)
                 if m:
                     end = m.end()
-                    yield m
+                    yield kind, m
 
 
 @dataclass(frozen=True)
@@ -150,12 +162,12 @@ class Roster:
     place_names: tuple[str, ...] = ()
 
     @cached_property
-    def _person_matcher(self) -> _PhraseMatcher:
-        return _PhraseMatcher(self.person_names)
-
-    @cached_property
-    def _place_matcher(self) -> _PhraseMatcher:
-        return _PhraseMatcher(self.place_names)
+    def _matcher(self) -> _PhraseMatcher:
+        """Persons before places, so a person takes precedence on overlap."""
+        return _PhraseMatcher(
+            [(ClaimKind.PERSON_NAME, p) for p in self.person_names]
+            + [(ClaimKind.PLACE_NAME, p) for p in self.place_names]
+        )
 
 
 def build_roster(bundle: CaseBundle) -> Roster:
@@ -200,11 +212,30 @@ _TIMESTAMP = re.compile(
 )
 _VERSION = re.compile(r"\b\d{1,3}(?:\.\d{1,3}){2,}\b")
 _BYTE_COUNT = re.compile(r"\b(\d{4,})\s*(?:bytes|octets)\b", re.IGNORECASE)
-_FILENAME = re.compile(
-    r"\b[\w][\w-]*(?:\.[\w-]+)*\.(?:jpe?g|png|gif|heic|mp4|mov|avi|amr|"
-    r"db-wal|db-shm|db|sqlite|plist|txt|csv|pdf|docx?|xlsx?|zip|bin|log)\b",
-    re.IGNORECASE,
+_FILENAME_EXTENSIONS = (
+    r"jpe?g|png|gif|heic|mp4|mov|avi|amr|"
+    r"db-wal|db-shm|db|sqlite|plist|txt|csv|pdf|docx?|xlsx?|zip|bin|log"
 )
+_FILENAME = re.compile(rf"\b[\w][\w-]*(?:\.[\w-]+)*\.(?:{_FILENAME_EXTENSIONS})\b", re.IGNORECASE)
+
+# A pattern led by a class or \b makes re try every position of a draft; a
+# search led by a literal skips ahead to it.  Each gate is such a search for
+# text that every match of its pattern contains, so a draft the gate finds
+# nothing in cannot match the pattern and is not scanned for it.
+_GATES = {
+    _TIMESTAMP: re.compile(r":\d{2}"),
+    _COORD_PAIR: re.compile(r",\s+-?\d{1,3}[.,]\d{3}"),
+    _VERSION: re.compile(r"\.\d{1,3}\.\d"),
+    _FILENAME: re.compile(rf"\.(?:{_FILENAME_EXTENSIONS})\b", re.IGNORECASE),
+}
+
+
+def _finditer(pattern: re.Pattern, text: str) -> Iterator[re.Match]:
+    """pattern.finditer(text), skipped when pattern's gate finds nothing."""
+    gate = _GATES.get(pattern)
+    if gate is not None and gate.search(text) is None:
+        return iter(())
+    return pattern.finditer(text)
 
 
 def _num(token: str) -> float:
@@ -229,7 +260,7 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
         ends.insert(i, end)
         claims.append(Claim(kind, surface, normalized, m_span))
 
-    for m in _TIMESTAMP.finditer(draft_text):
+    for m in _finditer(_TIMESTAMP, draft_text):
         a, b, sep, c = int(m.group(1)), int(m.group(3)), m.group(2), int(m.group(4))
         day, month = (a, b) if sep == "." else (b, a)
         hour, minute, second = int(m.group(5)), int(m.group(6)), int(m.group(7) or 0)
@@ -244,7 +275,7 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
             normalized += f" {offset}"
         add(ClaimKind.TIMESTAMP, m.span(), m.group(0), normalized)
 
-    for m in _COORD_PAIR.finditer(draft_text):
+    for m in _finditer(_COORD_PAIR, draft_text):
         try:
             lat, lon = _num(m.group(1)), _num(m.group(2))
         except ValueError:
@@ -253,23 +284,21 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
             continue
         add(ClaimKind.COORDINATE, m.span(), m.group(0), f"{lat:.6f},{lon:.6f}")
 
-    for m in _VERSION.finditer(draft_text):
+    for m in _finditer(_VERSION, draft_text):
         add(ClaimKind.TOOL_VERSION, m.span(), m.group(0), m.group(0))
 
     for m in _BYTE_COUNT.finditer(draft_text):
         add(ClaimKind.NUMERIC_VALUE, m.span(), m.group(0), m.group(1))
 
-    for m in _FILENAME.finditer(draft_text):
+    for m in _finditer(_FILENAME, draft_text):
         add(ClaimKind.FILENAME, m.span(), m.group(0), m.group(0).casefold())
 
     for m in HONORIFIC_NAME.finditer(draft_text):
         add(ClaimKind.PERSON_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
 
     if roster:
-        for m in roster._person_matcher.finditer(draft_text):
-            add(ClaimKind.PERSON_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
-        for m in roster._place_matcher.finditer(draft_text):
-            add(ClaimKind.PLACE_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
+        for kind, m in roster._matcher.finditer(draft_text):
+            add(kind, m.span(), m.group(0), _norm_phrase(m.group(0)))
 
     claims.sort(key=lambda c: c.span)
     return claims
@@ -427,12 +456,12 @@ class TokenPhrase:
     text: str
 
     @cached_property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(tokens_of(self.text))
+    def tokens(self) -> frozenset[str]:
+        return frozenset(tokens_of(self.text))
 
     def satisfied_by(self, draft_tokens: set[str], draft_coords, places: int) -> bool:
         wanted = self.tokens
-        return bool(wanted) and all(t in draft_tokens for t in wanted)
+        return bool(wanted) and wanted <= draft_tokens
 
 
 @dataclass(frozen=True)
@@ -441,11 +470,9 @@ class CoordinateAlternative:
     longitude: float
 
     def satisfied_by(self, draft_tokens: set[str], draft_coords, places: int) -> bool:
-        return any(
-            round(lat, places) == round(self.latitude, places)
-            and round(lon, places) == round(self.longitude, places)
-            for lat, lon in draft_coords
-        )
+        """draft_coords holds the draft's coordinates, already rounded to
+        places."""
+        return (round(self.latitude, places), round(self.longitude, places)) in draft_coords
 
 
 FactAlternative = Union[TokenPhrase, CoordinateAlternative]
@@ -621,7 +648,7 @@ def facts_from_input(
 class GroundingContext:
     """What one bundle offers as evidence for grounding drafts.
 
-    The roster (with its compiled phrase alternations), the lookup index
+    The roster (with its compiled start scan), the lookup index
     and the required facts per (section, topic) are each built on first
     use and then kept for the life of the context.  The caller owns that
     life: pipeline.run_experiment and pipeline.assemble build one context
@@ -707,14 +734,14 @@ def score(
     hallucinations = sum(1 for _, s in checked if s is ClaimStatus.UNGROUNDED)
 
     draft_tokens = set(tokens_of(text))
-    draft_coords = []
+    places = context.tolerances.coordinate_decimal_places
+    draft_coords = set()
     for claim, _status in checked:
         if claim.kind is ClaimKind.COORDINATE:
             lat_s, lon_s = claim.normalized_value.split(",")
-            draft_coords.append((float(lat_s), float(lon_s)))
+            draft_coords.add((round(float(lat_s), places), round(float(lon_s), places)))
 
     facts = context.required_facts(section, topic)
-    places = context.tolerances.coordinate_decimal_places
     results = tuple(
         (f.description, f.satisfied_by(draft_tokens, draft_coords, places)) for f in facts
     )

@@ -342,8 +342,10 @@ def parse_offset(text: str) -> timezone:
 # types.  Enums become their values, dates and datetimes ISO text, tuples
 # lists, mappings and dataclasses objects (fields in declaration order);
 # other values pass through unchanged.  Decoding a value of the wrong JSON
-# type raises ValueError naming the field.  Each type's converter is built
-# once, on first use.
+# type raises ValueError naming the field: a str, int, float or bool field
+# takes only its own JSON type, except that a float field also takes an
+# integer, which stays an int.  Each type's converter is built once, on
+# first use.
 
 def to_data(obj) -> dict:
     """The JSON-ready document of a dataclass instance."""
@@ -360,6 +362,25 @@ def from_data(cls: type[T], data: Mapping) -> T:
 
 class _ShapeError(ValueError):
     """A value of the wrong JSON type; the enclosing decoder names the field."""
+
+
+# the exact types each scalar field accepts: bool is an int to isinstance,
+# but true is no number in a document
+_SCALARS = {
+    str: ((str,), "a string"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "a boolean"),
+}
+
+
+def _scalar(types: tuple[type, ...], what: str) -> Callable:
+    def check(v):
+        if type(v) in types:
+            return v
+        raise _ShapeError(f"expected {what}, got {v!r:.40}")
+
+    return check
 
 
 def _checked(json_type: type, what: str, fn: Callable) -> Callable:
@@ -384,6 +405,8 @@ def _converter(tp, decode: bool) -> Optional[Callable]:
         return _dataclass_encoder(tp)
     if isinstance(tp, type) and issubclass(tp, Enum):
         return tp if decode else attrgetter("value")
+    if tp in _SCALARS:
+        return _scalar(*_SCALARS[tp]) if decode else None
     if tp in (date, datetime):
         return _checked(str, "a string", tp.fromisoformat) if decode else tp.isoformat
     if origin is Union:

@@ -34,6 +34,7 @@ __all__ = [
     "render_markdown",
     "append_records",
     "read_store",
+    "torn_line",
     "next_run_id",
     "run_experiment",
     "SummaryRow",
@@ -163,28 +164,79 @@ def render_markdown(document: ReportDocument) -> str:
 # ---------------------------------------------------------------------------
 # append-only results store
 
+def _is_record(line: bytes) -> bool:
+    try:
+        return isinstance(json.loads(line), dict)
+    except ValueError:
+        return False
+
+
+def _unterminated_tail(fh) -> Optional[tuple[int, int, bytes]]:
+    """The final line of a store opened in binary mode when it lacks its
+    newline, as (line number, offset, bytes); None when the store is empty
+    or ends in a newline."""
+    size = fh.seek(0, 2)
+    if size == 0:
+        return None
+    fh.seek(size - 1)
+    if fh.read(1) == b"\n":
+        return None
+    fh.seek(0)
+    data = fh.read()
+    start = data.rfind(b"\n") + 1
+    return data.count(b"\n", 0, start) + 1, start, data[start:]
+
+
 def append_records(path: Union[str, Path], records: Sequence[dict]) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
+    """Append one line per record.  A store whose final line lacks its
+    newline, as a crash mid-write leaves it, first gets that newline when
+    the line is a record, and loses the line when it is not."""
+    with open(path, "a+b") as fh:
+        tail = _unterminated_tail(fh)
+        if tail is not None:
+            _, start, line = tail
+            if _is_record(line):
+                fh.write(b"\n")
+            else:
+                fh.truncate(start)
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
+
+
+def torn_line(path: Union[str, Path]) -> Optional[int]:
+    """The number of the store's final line when a write was torn: the line
+    lacks its newline and is not one JSON object.  None otherwise, and for a
+    store not yet made."""
+    p = Path(path)
+    if not p.exists():
+        return None
+    with open(p, "rb") as fh:
+        tail = _unterminated_tail(fh)
+    if tail is None or not tail[2].strip() or _is_record(tail[2]):
+        return None
+    return tail[0]
 
 
 def read_store(path: Union[str, Path]) -> list[dict]:
     """Every record of the store, in order; [] for a store not yet made.
-    A line that is not one JSON object raises ValueError naming the store
-    and the line's number."""
+    A torn final line (see torn_line) is skipped.  Any other line that is
+    not one JSON object raises ValueError naming the store and the line's
+    number."""
     p = Path(path)
     if not p.exists():
         return []
     records = []
-    with open(p, encoding="utf-8") as fh:
+    # bytes, so that a write torn inside a character fails as its line does
+    with open(p, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    record = json.loads(line)
+                    record = json.loads(line.decode("utf-8"))
                 except ValueError:
                     record = None
                 if not isinstance(record, dict):
+                    if not line.endswith(b"\n"):  # only the final line can lack it
+                        break
                     raise ValueError(f"{path}:{lineno}: invalid record")
                 records.append(record)
     return records

@@ -1,12 +1,11 @@
-"""Deterministic record transforms: offset conversion, distance, clustering,
-day bucketing, cross-device co-location, CSV reduction and offline place
-resolution.  Everything here is pure computation over parsed records; no
-network access anywhere (place names come from a local gazetteer file).
+"""Deterministic record transforms: distance, clustering, day bucketing,
+cross-device co-location, CSV reduction and offline place resolution.
+Everything here is pure computation over parsed records; no network access
+anywhere (place names come from a local gazetteer file).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from collections import Counter
@@ -25,8 +24,6 @@ __all__ = [
     "MeetingCandidate",
     "GazetteerEntry",
     "GazetteerError",
-    "convert_offset",
-    "minute_equal",
     "haversine_m",
     "group_locations_spatial",
     "group_locations_chronological",
@@ -44,21 +41,6 @@ DEFAULT_COLOCATION_RADIUS_M = 200.0
 DEFAULT_COLOCATION_WINDOW = timedelta(minutes=60)
 
 R = TypeVar("R", LocationRecord, MessageRecord)
-
-
-def convert_offset(record: R, offset: timezone) -> R:
-    """Same instant, displayed at a different UTC offset."""
-    ts = record.timestamp
-    if ts.tzinfo is None or ts.utcoffset() is None:
-        raise ValueError("record timestamp carries no offset")
-    return dataclasses.replace(record, timestamp=ts.astimezone(offset))
-
-
-def minute_equal(a: datetime, b: datetime) -> bool:
-    """True when two instants agree at minute precision (offset-normalized)."""
-    ua = a.astimezone(timezone.utc).replace(second=0, microsecond=0)
-    ub = b.astimezone(timezone.utc).replace(second=0, microsecond=0)
-    return ua == ub
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

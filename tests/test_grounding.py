@@ -19,12 +19,19 @@ from casedraft.gateway import (
     generate,
 )
 from casedraft.grounding import (
+    _BYTE_COUNT,
+    _COORD_PAIR,
+    _FILENAME,
+    _GATES,
+    _TIMESTAMP,
+    _VERSION,
     Claim,
     ClaimKind,
     ClaimStatus,
     GroundingContext,
     GroundingReport,
     Roster,
+    TokenPhrase,
     Tolerances,
     build_roster,
     extract_claims,
@@ -34,7 +41,7 @@ from casedraft.grounding import (
     tokens_of,
     verify,
 )
-from casedraft.ingest import SourceFormat
+from casedraft.ingest import HONORIFIC_NAME, SourceFormat
 from casedraft.model import (
     CaseBundle,
     LocationRecord,
@@ -43,6 +50,7 @@ from casedraft.model import (
     ReportSectionKind,
     Sender,
     bundle_from_json,
+    parse_offset,
 )
 from casedraft.pipeline import run_experiment
 from casedraft.prompting import PromptTopic, build_matrix, render_input
@@ -142,21 +150,51 @@ def test_four_digit_year_is_not_a_version():
     assert extract_claims("dated 01.10.2023 in text") == []
 
 
-def _per_phrase_roster_claims(text, roster):
-    """The oracle: one regex pass per roster phrase, in roster order, each
-    match kept unless it overlaps a claim already taken."""
-    claims = extract_claims(text)
-    taken = [c.span for c in claims]
+def _unconditional_claims(text, roster=None):
+    """The oracle: every claim pattern scanned over the whole text, then one
+    regex pass per roster phrase, persons before places, each in roster
+    order; a match is kept unless it overlaps a claim already taken."""
+    found = []
+    for m in _TIMESTAMP.finditer(text):
+        a, b, sep, c = int(m.group(1)), int(m.group(3)), m.group(2), int(m.group(4))
+        day, month = (a, b) if sep == "." else (b, a)
+        hour, minute, second = int(m.group(5)), int(m.group(6)), int(m.group(7) or 0)
+        offset = m.group(8) or ""
+        try:
+            datetime(c, month, day, hour, minute, second, tzinfo=parse_offset(offset) if offset else None)
+        except ValueError:
+            continue
+        normalized = f"{c:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}"
+        found.append((ClaimKind.TIMESTAMP, m, normalized + (f" {offset}" if offset else "")))
+    for m in _COORD_PAIR.finditer(text):
+        try:
+            lat, lon = (float(g.replace(",", ".")) for g in m.groups())
+        except ValueError:
+            continue
+        if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+            found.append((ClaimKind.COORDINATE, m, f"{lat:.6f},{lon:.6f}"))
+    found += [(ClaimKind.TOOL_VERSION, m, m.group(0)) for m in _VERSION.finditer(text)]
+    found += [(ClaimKind.NUMERIC_VALUE, m, m.group(1)) for m in _BYTE_COUNT.finditer(text)]
+    found += [(ClaimKind.FILENAME, m, m.group(0).casefold()) for m in _FILENAME.finditer(text)]
+    found += [
+        (ClaimKind.PERSON_NAME, m, " ".join(tokens_of(m.group(0))))
+        for m in HONORIFIC_NAME.finditer(text)
+    ]
     for kind, phrases in (
-        (ClaimKind.PERSON_NAME, roster.person_names),
-        (ClaimKind.PLACE_NAME, roster.place_names),
+        (ClaimKind.PERSON_NAME, roster.person_names if roster else ()),
+        (ClaimKind.PLACE_NAME, roster.place_names if roster else ()),
     ):
         for phrase in phrases:
-            for m in re.finditer(rf"\b{re.escape(phrase)}\b", text, re.IGNORECASE):
-                if any(not (m.end() <= s or e <= m.start()) for s, e in taken):
-                    continue
-                taken.append(m.span())
-                claims.append(Claim(kind, m.group(0), " ".join(tokens_of(m.group(0))), m.span()))
+            found += [
+                (kind, m, " ".join(tokens_of(m.group(0))))
+                for m in re.finditer(rf"\b{re.escape(phrase)}\b", text, re.IGNORECASE)
+            ]
+    claims, taken = [], []
+    for kind, m, normalized in found:
+        if any(not (m.end() <= s or e <= m.start()) for s, e in taken):
+            continue
+        taken.append(m.span())
+        claims.append(Claim(kind, m.group(0), normalized, m.span()))
     claims.sort(key=lambda c: c.span)
     return claims
 
@@ -180,7 +218,71 @@ def _roster_and_text(draw):
 @given(_roster_and_text())
 def test_roster_alternation_matches_per_phrase_oracle(roster_and_text):
     roster, text = roster_and_text
-    assert extract_claims(text, roster) == _per_phrase_roster_claims(text, roster)
+    assert extract_claims(text, roster) == _unconditional_claims(text, roster)
+
+
+# fragments of every claim kind, with near misses and characters whose case
+# equivalents differ in length or script (ſ and s, Kelvin sign and k, İ, ß)
+_CLAIM_FRAGMENTS = [
+    "05.02.2019 12:16(UTC+0)", "02/14/2019 14:33:44", "05.02.2019 12:16 (UTC+5:30)",
+    "05.02.2019 12:6", "05.02.2019 1216", "99.99.2019 12:16", "12:16", ":00",
+    "(38.907500, -77.072778)", "(38,907500, -77,072778)", "38.9075 , -77.0728",
+    "38.907500,-77.072778", "100.123, 200.456", "38.90, -77.07", ", -77.072",
+    "7.3.0.75", "1.2.3", "1.2", "1234.5.6", "1.2.x", ".12.3",
+    "720896 bytes", "4144752 OCTETS", "123 bytes", "1234 BYTES",
+    "x.jpg", "IMG.JPG", "x.Db-Wal", "cache4.db-wal", "a.b.c.txt", "file.jpgx",
+    "photo.ſqlite", "notes.DOCX", ".png", "x.", "db",
+    "Mr Sforza", "Dr Who", "Mrs Doubtfire", "Mr. ſforza", "Ms K\u212aelvin",
+]
+_ROSTER_WORDS = [
+    "Sforza", "ſforza", "SFORZA", "Kelvin", "\u212aelvin", "kelvin", "İstanbul", "istanbul",
+    "Straße", "STRASSE", "ß", "Healy", "Hall", "St.", "37th", "O'Neil", "x.jpg", "7.3.0",
+]
+_SEPARATORS = [" ", ", ", "\n", ":", ".", "-", "(", ")", ""]
+
+
+@st.composite
+def _claim_text(draw, words):
+    pieces = draw(st.lists(st.sampled_from(_CLAIM_FRAGMENTS + words), max_size=25))
+    seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(pieces), max_size=len(pieces)))
+    return "".join(p + s for p, s in zip(pieces, seps))
+
+
+@st.composite
+def _roster_and_claim_text(draw):
+    phrase = st.lists(st.sampled_from(_ROSTER_WORDS), min_size=1, max_size=2).map(" ".join)
+    persons = tuple(draw(st.lists(phrase, max_size=5)))
+    places = tuple(draw(st.lists(phrase, max_size=5)))
+    text = draw(_claim_text(_ROSTER_WORDS + list(persons + places)))
+    return Roster(person_names=persons, place_names=places), text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_roster_and_claim_text())
+def test_extract_claims_matches_the_unconditional_scan_oracle(roster_and_text):
+    roster, text = roster_and_text
+    assert extract_claims(text) == _unconditional_claims(text)
+    assert extract_claims(text, roster) == _unconditional_claims(text, roster)
+
+
+def test_roster_phrases_match_across_case_equivalents():
+    roster = Roster(person_names=("ſforza", "\u212aelvin"), place_names=("İstanbul", "Straße"))
+    text = "SFORZA met kelvin in istanbul on STRAßE"
+    claims = extract_claims(text, roster)
+    assert claims == _unconditional_claims(text, roster)
+    assert kinds_of(claims) == [ClaimKind.PERSON_NAME] * 2 + [ClaimKind.PLACE_NAME] * 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _claim_text(_ROSTER_WORDS),
+    st.text(alphabet="0123456789.,:/ ()-+UTCbytesjpgdbwalſK\u212a\n", max_size=60),
+))
+def test_each_gate_is_implied_by_its_pattern(text):
+    assert set(_GATES) == {_TIMESTAMP, _COORD_PAIR, _VERSION, _FILENAME}
+    for pattern, gate in _GATES.items():
+        for m in pattern.finditer(text):
+            assert gate.search(m.group(0)) is not None, (pattern.pattern, m.group(0))
 
 
 # --- verification -----------------------------------------------------------------
@@ -397,6 +499,68 @@ def test_facts_from_input_mirror_bundle_facts(golden_bundle):
 
 
 # --- scoring -------------------------------------------------------------------------
+
+def _old_fact_results(report, text, facts, places):
+    """The oracle: each alternative checked against the draft's unrounded
+    coordinates and its token list, one by one."""
+    draft_tokens = set(tokens_of(text))
+    coords = [
+        tuple(float(v) for v in c.normalized_value.split(","))
+        for c, _ in report.claims if c.kind is ClaimKind.COORDINATE
+    ]
+
+    def holds(alt):
+        if isinstance(alt, TokenPhrase):
+            wanted = tuple(tokens_of(alt.text))
+            return bool(wanted) and all(t in draft_tokens for t in wanted)
+        return any(
+            round(lat, places) == round(alt.latitude, places)
+            and round(lon, places) == round(alt.longitude, places)
+            for lat, lon in coords
+        )
+
+    return tuple((f.description, any(holds(a) for a in f.alternatives)) for f in facts)
+
+
+# coordinates on and beside a four-place rounding boundary
+_BOUNDARY_POINTS = [(46.1235, 7.12345), (46.12345, 7.1235), (-33.86785, 151.20735), (0.00005, -0.00005)]
+_SCORE_FRAGMENTS = [
+    "(46.12345, 7.1235)", "(46.1235, 7.12345)", "(46.123449, 7.123451)", "(46.123450, 7.123500)",
+    "(-33.86785, 151.20735)", "(-33.8679, 151.2074)", "(-33.867849, 151.207349)",
+    "(0.00005, -0.00005)", "(0.0001, -0.0001)", "(0.000049, 0.000000)",
+    "Geneva", "Old Harbour", "meet at noon", "bring the keys", "Meet", "KEYS", "the",
+]
+
+
+def _boundary_bundle():
+    def loc(i, lat, lon, place):
+        return LocationRecord(
+            name=f"p{i}.jpg", timestamp=datetime(2019, 2, 14, 14, i, tzinfo=UTC), category="c",
+            latitude=lat, longitude=lon, related_location=place,
+        )
+
+    def msg(i, body):
+        return MessageRecord(body=body, timestamp=datetime(2019, 2, 5, 7, i, tzinfo=UTC))
+
+    return CaseBundle(
+        mandate=Mandate(description="d", questions=("Who?",)),
+        locations={"A": tuple(
+            loc(i, lat, lon, "Geneva" if i == 0 else None if i < 3 else "Old Harbour")
+            for i, (lat, lon) in enumerate(_BOUNDARY_POINTS)
+        )},
+        messages={"A": (msg(0, "Meet at noon"), msg(1, "bring the  keys"))},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_SCORE_FRAGMENTS), max_size=8).map(" and ".join))
+def test_score_required_facts_match_the_per_alternative_oracle(text):
+    context = GroundingContext(_boundary_bundle())
+    places = context.tolerances.coordinate_decimal_places
+    for topic in (None, PromptTopic.LOCATIONS, PromptTopic.CONVERSATIONS):
+        report = score(text, context, ReportSectionKind.RESULTS, topic=topic)
+        facts = context.required_facts(ReportSectionKind.RESULTS, topic)
+        assert report.required_facts == _old_fact_results(report, text, facts, places)
 
 def all_rendered_inputs(bundle):
     for section, fmt, topic in [

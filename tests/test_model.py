@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -396,6 +397,15 @@ def test_missing_required_key_raises_key_error():
         )
 
 
+def _location(fields: str) -> str:
+    """A bundle of one location record whose given fields override valid ones."""
+    record = json.loads(
+        '{"name": "a.jpg", "timestamp": "2019-02-14T14:33:44+01:00", "latitude": 38.9, "longitude": -77.0}'
+    )
+    record.update(json.loads("{" + fields + "}"))
+    return json.dumps({"locations": {"S1": [record]}})
+
+
 @pytest.mark.parametrize("doc, message", [
     ("5", "expected a JSON object, got 5"),
     ('"x"', "expected a JSON object, got 'x'"),
@@ -408,6 +418,12 @@ def test_missing_required_key_raises_key_error():
     ('{"locations": {"S1": {}}}', "CaseBundle.locations: expected a JSON array, got {}"),
     ('{"messages": {"S1": [{"body": "b", "timestamp": null}]}}',
      "MessageRecord.timestamp: expected a string, got None"),
+    (_location('"latitude": "x"'), "LocationRecord.latitude: expected a number, got 'x'"),
+    (_location('"name": 7'), "LocationRecord.name: expected a string, got 7"),
+    (_location('"size_bytes": 1.5'), "LocationRecord.size_bytes: expected an integer, got 1.5"),
+    ('{"mandate": {"questions": ["why", 5]}}', "Mandate.questions: expected a string, got 5"),
+    ('{"messages": {"S1": [{"body": "b", "timestamp": "2019-02-14T14:33:44+01:00", "deleted": "no"}]}}',
+     "MessageRecord.deleted: expected a boolean, got 'no'"),
 ])
 def test_wrong_json_type_raises_value_error_naming_the_field(doc, message):
     with pytest.raises(ValueError) as raised:
@@ -415,13 +431,22 @@ def test_wrong_json_type_raises_value_error_naming_the_field(doc, message):
     assert str(raised.value) == message
 
 
-def test_scalar_fields_stay_lenient():
-    (record,) = bundle_from_json(
-        '{"locations": {"S1": [{"name": 7, "timestamp": "2019-02-14T14:33:44+01:00",'
-        ' "latitude": 38, "longitude": -77}]}}'
-    ).locations["S1"]
-    assert (record.name, record.latitude, record.category) == (7, 38, "")
+def test_float_field_takes_an_integer_and_keeps_it():
+    doc = _location('"latitude": 38, "longitude": -77')
+    (record,) = bundle_from_json(doc).locations["S1"]
+    assert (record.latitude, record.longitude, record.category) == (38, -77, "")
     assert type(record.latitude) is int
+    # so a bundle written with integer coordinates keeps its bytes
+    assert '"latitude": 38,' in bundle_to_json(bundle_from_json(doc))
+
+
+@pytest.mark.parametrize("field, what", [
+    ("latitude", "a number"), ("longitude", "a number"), ("size_bytes", "an integer"),
+])
+def test_a_boolean_is_no_number(field, what):
+    with pytest.raises(ValueError) as raised:
+        bundle_from_json(_location(f'"{field}": true'))
+    assert str(raised.value) == f"LocationRecord.{field}: expected {what}, got True"
 
 
 def test_hand_written_bundle_may_omit_what_the_old_converters_filled_in():

@@ -23,6 +23,7 @@ from casedraft.pipeline import (
     render_markdown,
     run_experiment,
     summarize,
+    torn_line,
 )
 from casedraft.prompting import (
     Placement,
@@ -574,6 +575,70 @@ def test_store_line_that_is_no_record_names_its_line(corrupt, golden_bundle, tmp
     store.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=r"store\.jsonl:2: invalid record$"):
         read_store(store)
+
+
+# what a crash mid-append leaves behind: a final line cut short, also inside
+# a character, or cut after a complete value that is no record
+TORN_TAILS = pytest.mark.parametrize("tail", [
+    pytest.param('{"run_id": "run-00', id="cut-short"),
+    pytest.param('{"backend": "caf\u00e9"}'.encode()[:-3].decode("latin-1"), id="cut-in-a-character"),
+    pytest.param("[1, 2]", id="no-record"),
+])
+
+
+def _write_torn(path, tail: str) -> bytes:
+    good = b'{"a": 1}\n{"b": 2}\n'
+    path.write_bytes(good + tail.encode("latin-1"))
+    return good
+
+
+@TORN_TAILS
+def test_read_store_skips_a_torn_final_line(tail, tmp_path):
+    store = tmp_path / "store.jsonl"
+    _write_torn(store, tail)
+    assert read_store(store) == [{"a": 1}, {"b": 2}]
+    assert torn_line(store) == 3
+
+
+@TORN_TAILS
+def test_append_cuts_a_torn_final_line_off(tail, tmp_path):
+    store = tmp_path / "store.jsonl"
+    good = _write_torn(store, tail)
+    append_records(store, [{"c": 3}])
+    assert store.read_bytes() == good + b'{"c": 3}\n'
+    assert torn_line(store) is None
+
+
+def test_append_ends_a_final_record_without_its_newline_first(tmp_path):
+    store = tmp_path / "store.jsonl"
+    store.write_bytes(b'{"a": 1}\n{"b": 2}')
+    assert torn_line(store) is None
+    assert read_store(store) == [{"a": 1}, {"b": 2}]
+    append_records(store, [{"c": 3}])
+    assert store.read_bytes() == b'{"a": 1}\n{"b": 2}\n{"c": 3}\n'
+
+
+def test_cli_experiment_and_summarize_warn_of_a_torn_final_line(bundle_file, config_file, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    argv = ["experiment", "--bundle", str(bundle_file), "--config", str(config_file),
+            "--backends", "mock", "--store", str(store)]
+    assert main(argv) == 0
+    whole = store.read_bytes()
+    store.write_bytes(whole + b'{"run_id": "run-00')
+    capsys.readouterr()
+    warning = f"{store}:37: warning: torn final line is not a record; skipped\n"
+
+    assert main(["summarize", "--store", str(store), "-o", str(tmp_path / "summary.txt")]) == 0
+    assert capsys.readouterr().err == warning
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    assert "appended 36 records" in captured.out and "run-0002" in captured.out
+    records = read_store(store)
+    assert [r["run_id"] for r in records] == ["run-0001"] * 36 + ["run-0002"] * 36
+    assert store.read_bytes().startswith(whole) and store.read_bytes().endswith(b"}\n")
+    assert main(["summarize", "--store", str(store), "-o", str(tmp_path / "summary.txt")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_store_with_a_corrupt_middle_line_is_rejected(bundle_file, config_file, tmp_path, capsys):

@@ -23,13 +23,11 @@ from casedraft.transform import (
     EARTH_RADIUS_M,
     GazetteerError,
     bucket_by_day,
-    convert_offset,
     detect_colocations,
     group_locations_chronological,
     group_locations_spatial,
     haversine_m,
     load_gazetteer,
-    minute_equal,
     reduce_to_csv,
     render_padded_table,
     resolve_place,
@@ -97,31 +95,6 @@ def test_haversine_matches_law_of_cosines_oracle():
         assert haversine_m(lat1, lon1, lat2, lon2) == pytest.approx(
             _law_of_cosines_m(lat1, lon1, lat2, lon2), abs=0.5
         )
-
-
-# --- offsets and instants ----------------------------------------------------
-
-def test_convert_offset_changes_wall_clock_not_instant():
-    rec = _loc(38.9075, -77.0727)
-    moved = convert_offset(rec, MINUS5)
-    assert moved.timestamp == rec.timestamp
-    assert moved.timestamp.utcoffset() == timedelta(hours=-5)
-
-
-def test_convert_offset_rejects_naive():
-    rec = LocationRecord(
-        name="n", timestamp=datetime(2019, 2, 14, 14, 0), category="c",
-        latitude=0.0, longitude=0.0,
-    )
-    with pytest.raises(ValueError):
-        convert_offset(rec, UTC)
-
-
-def test_minute_equal_across_offsets():
-    a = datetime(2019, 2, 5, 12, 16, tzinfo=UTC)
-    b = datetime(2019, 2, 5, 7, 16, 54, tzinfo=MINUS5)
-    assert minute_equal(a, b)
-    assert not minute_equal(a, b + timedelta(minutes=1))
 
 
 # --- spatial clustering ------------------------------------------------------
