@@ -253,7 +253,7 @@ def _cmd_score(args) -> int:
     draft = _load_draft(args.draft) if args.draft else _read(args.text)
     topic = prompting.PromptTopic(args.topic) if args.topic else None
     report = grounding.score(draft, grounding.GroundingContext(bundle), section, topic)
-    _save_text(json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", args.output)
+    _save_text(json.dumps(to_data(report), indent=2, ensure_ascii=False) + "\n", args.output)
     return 0
 
 
@@ -300,7 +300,7 @@ def _cmd_summarize(args) -> int:
     _warn_if_torn(args.store)
     table = pipeline.summarize(pipeline.read_store(args.store))
     if args.json:
-        _save_text(json.dumps(table.to_dicts(), indent=2) + "\n", args.output)
+        _save_text(json.dumps(to_data(table)["rows"], indent=2) + "\n", args.output)
     else:
         _save_text(table.render_text(), args.output)
     return 0

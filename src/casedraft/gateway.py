@@ -20,7 +20,7 @@ from typing import Optional, Union
 import requests
 
 from .grounding import CoordinateAlternative, RequiredFact, TokenPhrase, facts_from_input
-from .model import ReportSectionKind
+from .model import ReportSectionKind, from_data
 from .prompting import PromptSpec
 
 __all__ = [
@@ -62,13 +62,21 @@ class DropFacts:
 
     count: int
 
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError(f"DropFacts.count: expected a non-negative integer, got {self.count}")
+
 
 @dataclass(frozen=True)
 class InjectCoordinate:
-    """Faithful, plus one coordinate pair the input never mentioned."""
+    """Faithful, plus one coordinate pair, on the globe, the input never mentioned."""
 
     latitude: float
     longitude: float
+
+    def __post_init__(self):
+        if not (-90 <= self.latitude <= 90 and -180 <= self.longitude <= 180):
+            raise ValueError(f"InjectCoordinate: ({self.latitude}, {self.longitude}) is off the globe")
 
 
 @dataclass(frozen=True)
@@ -97,20 +105,24 @@ class BackendConfig:
     api_key_env: str = DEFAULT_API_KEY_ENV
     fault_profile: FaultProfile = field(default_factory=Faithful)
 
+    def __post_init__(self):
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries: expected a non-negative integer, got {self.max_retries}")
+
 
 _FAULT_KINDS = {
-    "faithful": lambda d: Faithful(),
-    "drop_facts": lambda d: DropFacts(int(d["count"])),
-    "inject_coordinate": lambda d: InjectCoordinate(float(d["latitude"]), float(d["longitude"])),
-    "inject_name": lambda d: InjectName(str(d["name"])),
+    "faithful": Faithful,
+    "drop_facts": DropFacts,
+    "inject_coordinate": InjectCoordinate,
+    "inject_name": InjectName,
 }
 
 
 def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
     """Build a profile from one config-file entry; API keys never appear here.
     An entry that is not a JSON object, a missing or unknown backend or fault
-    kind, a string or number field of the wrong JSON type or a negative
-    max_retries raises ValueError naming the profile."""
+    kind, a field or fault parameter of the wrong JSON type or out of range,
+    or a fault parameter left out raises ValueError naming the profile."""
     if not isinstance(d, dict):
         raise ValueError(f"profile {name!r}: expected a JSON object, got {d!r:.40}")
     backend_kinds = [k.value for k in BackendKind]
@@ -128,7 +140,7 @@ def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
             f"profile {name!r}: unknown fault {fault!r:.60}; kinds are {', '.join(_FAULT_KINDS)}"
         )
     try:
-        config = BackendConfig(
+        return BackendConfig(
             name=name,
             kind=BackendKind(d["kind"]),
             endpoint_url=d.get("endpoint_url", ""),
@@ -139,15 +151,12 @@ def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
             max_retries=int(d.get("max_retries", 2)),
             retry_backoff=float(d.get("retry_backoff", 0.5)),
             api_key_env=d.get("api_key_env", DEFAULT_API_KEY_ENV),
-            fault_profile=_FAULT_KINDS[kind](params),
+            fault_profile=from_data(_FAULT_KINDS[kind], params),
         )
-    except (TypeError, ValueError) as exc:  # int() or float() of null, an array, an object or "x"
+    except KeyError as exc:  # a fault parameter left out
+        raise ValueError(f"profile {name!r}: fault {kind}: no {exc.args[0]}") from None
+    except (TypeError, ValueError) as exc:  # int() or float() of null or "x", a bad fault parameter
         raise ValueError(f"profile {name!r}: {exc}") from None
-    if config.max_retries < 0:
-        raise ValueError(
-            f"profile {name!r}: max_retries: expected a non-negative integer, got {config.max_retries}"
-        )
-    return config
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ __all__ = [
     "ClaimKind",
     "ClaimStatus",
     "Claim",
+    "CheckedClaim",
     "Roster",
     "build_roster",
     "GroundingContext",
@@ -58,6 +59,7 @@ __all__ = [
     "TokenPhrase",
     "CoordinateAlternative",
     "RequiredFact",
+    "FactCheck",
     "required_facts_for",
     "facts_from_input",
     "GroundingReport",
@@ -93,6 +95,11 @@ class Claim:
     surface_text: str
     normalized_value: str
     span: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class CheckedClaim(Claim):
+    status: ClaimStatus
 
 
 _TOKEN_RE = re.compile(r"[0-9a-z][0-9a-z_.:/'’-]*")
@@ -438,13 +445,16 @@ def _claim_grounded(claim: Claim, index: _BundleIndex) -> bool:
     return False
 
 
-def verify(claims: Sequence[Claim], context: GroundingContext) -> list[tuple[Claim, ClaimStatus]]:
-    """Each claim is grounded iff the context's bundle supports it within
-    the context's tolerances."""
+def verify(claims: Sequence[Claim], context: GroundingContext) -> list[CheckedClaim]:
+    """Each claim with its status: grounded iff the context's bundle
+    supports it within the context's tolerances."""
     index = context.index
     return [
-        (claim, ClaimStatus.GROUNDED if _claim_grounded(claim, index) else ClaimStatus.UNGROUNDED)
-        for claim in claims
+        CheckedClaim(
+            c.kind, c.surface_text, c.normalized_value, c.span,
+            ClaimStatus.GROUNDED if _claim_grounded(c, index) else ClaimStatus.UNGROUNDED,
+        )
+        for c in claims
     ]
 
 
@@ -485,6 +495,17 @@ class RequiredFact:
 
     def satisfied_by(self, draft_tokens: set[str], draft_coords, places: int) -> bool:
         return any(a.satisfied_by(draft_tokens, draft_coords, places) for a in self.alternatives)
+
+    @cached_property
+    def _checks(self) -> tuple[FactCheck, FactCheck]:
+        """Both results a draft can earn, built once per fact, not per draft."""
+        return FactCheck(self.description, False), FactCheck(self.description, True)
+
+
+@dataclass(frozen=True)
+class FactCheck:
+    description: str
+    satisfied: bool
 
 
 def _phrase_fact(description: str, text: str) -> RequiredFact:
@@ -689,31 +710,13 @@ class GroundingContext:
 
 @dataclass(frozen=True)
 class GroundingReport:
-    draft_ref: str
-    claims: tuple[tuple[Claim, ClaimStatus], ...]
-    hallucination_count: int
-    required_facts: tuple[tuple[str, bool], ...]
-    completeness: float
+    """One draft's grounding; its fields, in order, are its document."""
 
-    def to_dict(self) -> dict:
-        return {
-            "draft_ref": self.draft_ref,
-            "hallucination_count": self.hallucination_count,
-            "completeness": self.completeness,
-            "claims": [
-                {
-                    "kind": c.kind.value,
-                    "surface_text": c.surface_text,
-                    "normalized_value": c.normalized_value,
-                    "span": list(c.span),
-                    "status": s.value,
-                }
-                for c, s in self.claims
-            ],
-            "required_facts": [
-                {"description": d, "satisfied": ok} for d, ok in self.required_facts
-            ],
-        }
+    draft_ref: str
+    hallucination_count: int
+    completeness: float
+    claims: tuple[CheckedClaim, ...]
+    required_facts: tuple[FactCheck, ...]
 
 
 def score(
@@ -731,27 +734,24 @@ def score(
         ref = f"{draft.backend_label}:{draft.prompt_id}"
 
     checked = verify(extract_claims(text, context.roster), context)
-    hallucinations = sum(1 for _, s in checked if s is ClaimStatus.UNGROUNDED)
+    hallucinations = sum(1 for c in checked if c.status is ClaimStatus.UNGROUNDED)
 
     draft_tokens = set(tokens_of(text))
     places = context.tolerances.coordinate_decimal_places
     draft_coords = set()
-    for claim, _status in checked:
+    for claim in checked:
         if claim.kind is ClaimKind.COORDINATE:
             lat_s, lon_s = claim.normalized_value.split(",")
             draft_coords.add((round(float(lat_s), places), round(float(lon_s), places)))
 
     facts = context.required_facts(section, topic)
-    results = tuple(
-        (f.description, f.satisfied_by(draft_tokens, draft_coords, places)) for f in facts
-    )
-    satisfied = sum(1 for _, ok in results if ok)
-    completeness = satisfied / len(results) if results else 1.0
+    results = tuple(f._checks[f.satisfied_by(draft_tokens, draft_coords, places)] for f in facts)
+    completeness = sum(r.satisfied for r in results) / len(results) if results else 1.0
 
     return GroundingReport(
         draft_ref=ref,
-        claims=tuple(checked),
         hallucination_count=hallucinations,
-        required_facts=results,
         completeness=completeness,
+        claims=tuple(checked),
+        required_facts=results,
     )

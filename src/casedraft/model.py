@@ -418,9 +418,10 @@ def _converter(tp, decode: bool) -> Optional[Callable]:
         if args[-1] is Ellipsis:
             fn = _converter(args[0], decode)
             convert = seq if fn is None else lambda v: seq(map(fn, v))
+        elif not any(fns := [_converter(a, decode) for a in args]):
+            convert = seq
         else:
-            fns = [_converter(a, decode) or (lambda v: v) for a in args]
-            convert = lambda v: seq(fn(x) for fn, x in zip(fns, v))
+            convert = lambda v: seq(x if fn is None else fn(x) for fn, x in zip(fns, v))
         return _checked(list, "a JSON array", convert) if decode else convert
     if origin is abc.Mapping:
         fn = _converter(args[1], decode)
@@ -430,17 +431,20 @@ def _converter(tp, decode: bool) -> Optional[Callable]:
 
 
 def _dataclass_encoder(cls) -> Callable:
+    """One dict display of the fields, compiled once per type as dataclasses
+    compiles __init__: a loop over the fields costs more than the encoding."""
     hints = get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
-    convert = [(n, fn) for n in names if (fn := _converter(hints[n], False)) is not None]
-
-    def encode(obj) -> dict:
-        data = {n: getattr(obj, n) for n in names}
-        for n, fn in convert:
-            data[n] = fn(data[n])
-        return data
-
-    return encode
+    env: dict[str, Callable] = {}
+    entries = []
+    for f in dataclasses.fields(cls):
+        value = f"obj.{f.name}"
+        fn = _converter(hints[f.name], False)
+        if fn is not None:
+            env[f"_{f.name}"] = fn
+            value = f"_{f.name}({value})"
+        entries.append(f"{f.name!r}: {value}")
+    exec(f"def encode(obj):\n    return {{{', '.join(entries)}}}\n", env)
+    return env["encode"]
 
 
 _REQUIRED, _DEFAULT = object(), object()

@@ -164,11 +164,13 @@ def render_markdown(document: ReportDocument) -> str:
 # ---------------------------------------------------------------------------
 # append-only results store
 
-def _is_record(line: bytes) -> bool:
+def _record(line: bytes) -> Optional[dict]:
+    """The JSON object a store line holds as UTF-8 text, else None; every store reader uses it."""
     try:
-        return isinstance(json.loads(line), dict)
-    except ValueError:
-        return False
+        record = json.loads(line.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError too
+        return None
+    return record if isinstance(record, dict) else None
 
 
 def _unterminated_tail(fh) -> Optional[tuple[int, int, bytes]]:
@@ -195,7 +197,7 @@ def append_records(path: Union[str, Path], records: Sequence[dict]) -> None:
         tail = _unterminated_tail(fh)
         if tail is not None:
             _, start, line = tail
-            if _is_record(line):
+            if _record(line) is not None:
                 fh.write(b"\n")
             else:
                 fh.truncate(start)
@@ -212,7 +214,7 @@ def torn_line(path: Union[str, Path]) -> Optional[int]:
         return None
     with open(p, "rb") as fh:
         tail = _unterminated_tail(fh)
-    if tail is None or not tail[2].strip() or _is_record(tail[2]):
+    if tail is None or not tail[2].strip() or _record(tail[2]) is not None:
         return None
     return tail[0]
 
@@ -230,11 +232,8 @@ def read_store(path: Union[str, Path]) -> list[dict]:
     with open(p, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                except ValueError:
-                    record = None
-                if not isinstance(record, dict):
+                record = _record(line)
+                if record is None:
                     if not line.endswith(b"\n"):  # only the final line can lack it
                         break
                     raise ValueError(f"{path}:{lineno}: invalid record")
@@ -268,13 +267,13 @@ def run_experiment(
     records: list[dict] = []
     for config in configs:
         for prompt in prompts:
-            base = {"run_id": run_id, "backend": config.name, "prompt": prompt.to_dict()}
+            base = {"run_id": run_id, "backend": config.name, "prompt": to_data(prompt)}
             try:
                 draft = generate(config, prompt, inputs)
                 report = score(draft, context, prompt.section, topic=prompt.topic)
                 base["record_kind"] = "result"
                 base["draft"] = to_data(draft)
-                base["grounding"] = report.to_dict()
+                base["grounding"] = to_data(report)
             except GatewayError as exc:
                 base["record_kind"] = "error"
                 base["error"] = str(exc)
@@ -302,9 +301,6 @@ class SummaryRow:
 @dataclass(frozen=True)
 class SummaryTable:
     rows: tuple[SummaryRow, ...]
-
-    def to_dicts(self) -> list[dict]:
-        return to_data(self)["rows"]
 
     def render_text(self) -> str:
         headers = [

@@ -29,6 +29,7 @@ from .model import (
     MethodStep,
     ReportSectionKind,
     format_offset,
+    to_data,
 )
 from .transform import reduce_to_csv, render_padded_table
 
@@ -79,33 +80,22 @@ class PromptVariant:
 
 @dataclass(frozen=True)
 class PromptSpec:
+    """One prompt of the matrix; its fields, in order, are its document."""
+
     prompt_id: str
     section: ReportSectionKind
     input_format: SourceFormat
     topic: PromptTopic
-    variant: PromptVariant
-    rendered_text: str
+    placement: Placement
+    phrasing_id: int
+    summary_mode: Optional[SummaryMode]
     input_char_count: int
+    rendered_text: str
 
     def input_block(self) -> str:
-        if self.variant.placement is Placement.REQUEST_FIRST:
+        if self.placement is Placement.REQUEST_FIRST:
             return self.rendered_text[-self.input_char_count:]
         return self.rendered_text[: self.input_char_count]
-
-    def to_dict(self) -> dict:
-        return {
-            "prompt_id": self.prompt_id,
-            "section": self.section.value,
-            "input_format": self.input_format.value,
-            "topic": self.topic.value,
-            "placement": self.variant.placement.value,
-            "phrasing_id": self.variant.phrasing_id,
-            "summary_mode": self.variant.summary_mode.value
-            if self.variant.summary_mode
-            else None,
-            "input_char_count": self.input_char_count,
-            "rendered_text": self.rendered_text,
-        }
 
 
 @lru_cache(maxsize=1)
@@ -418,9 +408,9 @@ def build_prompt(
         section=section,
         input_format=input_format,
         topic=topic,
-        variant=variant,
-        rendered_text=rendered,
+        **vars(variant),  # placement, phrasing_id, summary_mode
         input_char_count=len(input_text),
+        rendered_text=rendered,
     )
 
 
@@ -470,4 +460,4 @@ def build_matrix(bundle: CaseBundle, french_labels: bool = False) -> list[Prompt
 
 
 def matrix_to_json(prompts: Sequence[PromptSpec]) -> str:
-    return json.dumps([p.to_dict() for p in prompts], indent=2, ensure_ascii=False) + "\n"
+    return json.dumps([to_data(p) for p in prompts], indent=2, ensure_ascii=False) + "\n"

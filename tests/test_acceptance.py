@@ -6,6 +6,7 @@ and independent oracles; nothing here reaches into private helpers.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -162,7 +163,7 @@ def test_criterion_3_matrix_replication(golden_bundle):
         intro_zero = [
             p
             for p in prompts
-            if p.section is ReportSectionKind.INTRODUCTION and p.variant.phrasing_id == 0
+            if p.section is ReportSectionKind.INTRODUCTION and p.phrasing_id == 0
         ]
         assert intro_zero and all(INTRO_PHRASING_0 in p.rendered_text for p in intro_zero)
 
@@ -290,7 +291,7 @@ def test_criterion_5_grounding_soundness_and_sensitivity(golden_bundle):
         for section, fmt, topic in RENDER_COMBOS:
             text = render_input(golden_bundle, section, fmt, topic=topic)
             report = score(text, GroundingContext(golden_bundle), section, topic=topic)
-            bad = [c.surface_text for c, s in report.claims if s is ClaimStatus.UNGROUNDED]
+            bad = [c.surface_text for c in report.claims if c.status is ClaimStatus.UNGROUNDED]
             assert report.hallucination_count == 0, (section, fmt, topic, bad)
 
         # soundness over the raw golden excerpts, each against its own records
@@ -303,7 +304,7 @@ def test_criterion_5_grounding_soundness_and_sensitivity(golden_bundle):
                 messages={"X": tuple(records)} if kind == "messages" else {},
             )
             report = score(text, GroundingContext(bundle), ReportSectionKind.RESULTS)
-            bad = [c.surface_text for c, s in report.claims if s is ClaimStatus.UNGROUNDED]
+            bad = [c.surface_text for c in report.claims if c.status is ClaimStatus.UNGROUNDED]
             assert report.hallucination_count == 0, (fixture, bad)
 
         # sensitivity: every injecting profile trips on every one of the 36 prompts
@@ -401,6 +402,26 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
         ]
         assert "*Interpretation is reserved for the examiner.*" in text
         assert "*Conclusions are reserved for the examiner.*" in text
+
+
+# SHA-256 of criterion 6's files as the program wrote them before prompts and
+# grounding reports were encoded by model.to_data.  Criterion 6 compares two
+# fresh runs with each other, so only these pins catch a change of bytes that
+# both runs share, such as a new key order.
+PIPELINE_DIGESTS = {
+    "bundle.json": "fd5e26405d66acb6253ccbed83920f3cbb91318573427f30a01975db77f7842c",
+    "matrix.json": "127c01ea8430bb16d4c3cc3d533a1f61c75c848bdba603f6d2fa011f0be437bd",
+    "store.jsonl": "e3b499bf62f1c825155d9e8ad678004c991277921076a6d31107850d6757a52e",
+    "summary.txt": "f648339ac85c6ebdb395d126aeb220df540a548f8fd5dcadad8851843016678d",
+    "draft.json": "3de286a7ed2b145708ab26bd2b41d607d86891ce2e7843359480b8cf3a5f6984",
+    "report.md": "2f832b73b540427ea710ddcfa6a23e91875e6710acbcca5a276e76df7c183dcc",
+}
+
+
+def test_end_to_end_bytes_match_the_recorded_digests(tmp_path):
+    files = run_full_pipeline(tmp_path / "run")
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    assert digests == PIPELINE_DIGESTS
 
 
 # --- 7: statelessness ------------------------------------------------------------------------

@@ -315,10 +315,39 @@ def test_backend_config_unknown_fault_names_profile_and_value(fault, shown):
 
 @pytest.mark.parametrize("entry", [5, [], None, {"kind": "mock", "timeout": None},
                                    {"kind": "mock", "fault": {"kind": "drop_facts", "count": []}},
-                                   {"kind": "mock", "max_retries": "x"}])
+                                   {"kind": "mock", "max_retries": "x"},
+                                   {"kind": "mock", "fault": {"kind": "drop_facts"}},
+                                   {"kind": "mock", "fault": {"kind": "drop_facts", "count": -1}},
+                                   {"kind": "mock", "fault": {"kind": "drop_facts", "count": True}},
+                                   {"kind": "mock", "fault": {"kind": "inject_name", "name": None}},
+                                   {"kind": "mock", "fault": {"kind": "inject_coordinate",
+                                                              "latitude": 500, "longitude": 0}}])
 def test_backend_config_of_the_wrong_shape_raises_value_error(entry):
     with pytest.raises(ValueError, match=r"^profile 'm': "):
         backend_config_from_dict("m", entry)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ({"kind": "drop_facts"}, "fault drop_facts: no count"),
+    ({"kind": "drop_facts", "count": -1}, "DropFacts.count: expected a non-negative integer, got -1"),
+    ({"kind": "drop_facts", "count": True}, "DropFacts.count: expected an integer, got True"),
+    ({"kind": "inject_name", "name": None}, "InjectName.name: expected a string, got None"),
+    ({"kind": "inject_coordinate", "latitude": 500, "longitude": 0},
+     "InjectCoordinate: (500, 0) is off the globe"),
+])
+def test_fault_parameter_errors_name_the_profile_and_parameter(fault, message):
+    with pytest.raises(ValueError) as raised:
+        backend_config_from_dict("m", {"kind": "mock", "fault": fault})
+    assert str(raised.value) == f"profile 'm': {message}"
+
+
+def test_fault_parameters_decode_to_their_json_types():
+    cfg = backend_config_from_dict(
+        "m", {"kind": "mock", "fault": {"kind": "inject_coordinate", "latitude": 40, "longitude": -74.5}}
+    )
+    assert cfg.fault_profile == InjectCoordinate(40, -74.5)
+    with pytest.raises(ValueError):
+        DropFacts(-1)
 
 
 @pytest.mark.parametrize("key", ["endpoint_url", "model_name", "api_key_env"])

@@ -28,6 +28,7 @@ from casedraft.grounding import (
     Claim,
     ClaimKind,
     ClaimStatus,
+    FactCheck,
     GroundingContext,
     GroundingReport,
     Roster,
@@ -51,6 +52,7 @@ from casedraft.model import (
     Sender,
     bundle_from_json,
     parse_offset,
+    to_data,
 )
 from casedraft.pipeline import run_experiment
 from casedraft.prompting import PromptTopic, build_matrix, render_input
@@ -319,7 +321,7 @@ def tiny_bundle():
 
 def grounded_map(text, bundle, **kw):
     checked = verify(extract_claims(text, build_roster(bundle)), GroundingContext(bundle, **kw))
-    return {c.surface_text: s is ClaimStatus.GROUNDED for c, s in checked}
+    return {c.surface_text: c.status is ClaimStatus.GROUNDED for c in checked}
 
 
 def test_verify_coordinate_rounding(tiny_bundle):
@@ -384,7 +386,7 @@ def test_tolerances_are_adjustable(tiny_bundle):
     checked = verify(
         extract_claims("(38.907501, -77.072778)"), GroundingContext(tiny_bundle, strict)
     )
-    assert checked[0][1] is ClaimStatus.UNGROUNDED
+    assert checked[0].status is ClaimStatus.UNGROUNDED
 
 
 # --- required facts ------------------------------------------------------------------
@@ -447,7 +449,7 @@ def test_item_without_make_or_model_requires_none(tmp_path):
             generate(config, prompt), GroundingContext(bundle), prompt.section, topic=prompt.topic
         )
         assert report.completeness == 1.0, prompt.prompt_id
-        assert [d for d, _ in report.required_facts] == descriptions
+        assert [r.description for r in report.required_facts] == descriptions
 
 
 def test_methodology_facts(golden_bundle):
@@ -506,7 +508,7 @@ def _old_fact_results(report, text, facts, places):
     draft_tokens = set(tokens_of(text))
     coords = [
         tuple(float(v) for v in c.normalized_value.split(","))
-        for c, _ in report.claims if c.kind is ClaimKind.COORDINATE
+        for c in report.claims if c.kind is ClaimKind.COORDINATE
     ]
 
     def holds(alt):
@@ -519,7 +521,7 @@ def _old_fact_results(report, text, facts, places):
             for lat, lon in coords
         )
 
-    return tuple((f.description, any(holds(a) for a in f.alternatives)) for f in facts)
+    return tuple(FactCheck(f.description, any(holds(a) for a in f.alternatives)) for f in facts)
 
 
 # coordinates on and beside a four-place rounding boundary
@@ -581,7 +583,7 @@ def test_every_rendered_input_scores_sound(golden_bundle):
     for section, fmt, topic, text in all_rendered_inputs(golden_bundle):
         report = score(text, GroundingContext(golden_bundle), section, topic=topic)
         ungrounded = [
-            c.surface_text for c, s in report.claims if s is ClaimStatus.UNGROUNDED
+            c.surface_text for c in report.claims if c.status is ClaimStatus.UNGROUNDED
         ]
         assert report.hallucination_count == 0, (section, fmt, topic, ungrounded)
 
@@ -633,11 +635,11 @@ def test_completeness_defaults_to_one_without_facts():
     assert report.completeness == 1.0
 
 
-def test_report_to_dict_shape(golden_bundle):
+def test_report_document_shape(golden_bundle):
     report = score(
         "Mr Sforza was here", GroundingContext(golden_bundle), ReportSectionKind.INTRODUCTION
     )
-    data = report.to_dict()
+    data = to_data(report)
     assert set(data) == {
         "draft_ref", "hallucination_count", "completeness", "claims", "required_facts",
     }
@@ -652,7 +654,7 @@ def test_scoring_arbitrary_text_is_total(text):
     report = score(text, GroundingContext(bundle), ReportSectionKind.INTRODUCTION)
     assert 0.0 <= report.completeness <= 1.0
     assert report.hallucination_count == sum(
-        1 for _, s in report.claims if s is ClaimStatus.UNGROUNDED
+        1 for c in report.claims if c.status is ClaimStatus.UNGROUNDED
     )
     assert report.hallucination_count <= len(report.claims)
 

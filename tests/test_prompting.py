@@ -216,13 +216,13 @@ def test_matrix_breakdown(golden_bundle):
     assert by_topic[PromptTopic.LOCATIONS] == 12
     by_format = Counter(p.input_format for p in results)
     assert set(by_format.values()) == {8}
-    assert all(p.variant.summary_mode is not None for p in results)
+    assert all(p.summary_mode is not None for p in results)
 
 
 def test_matrix_early_sections_vary_phrasing_and_placement(golden_bundle):
     matrix = build_matrix(golden_bundle)
     intro = [p for p in matrix if p.section is ReportSectionKind.INTRODUCTION]
-    combos = {(p.variant.phrasing_id, p.variant.placement) for p in intro}
+    combos = {(p.phrasing_id, p.placement) for p in intro}
     assert combos == {
         (0, Placement.REQUEST_FIRST),
         (0, Placement.REQUEST_LAST),

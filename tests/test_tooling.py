@@ -103,3 +103,15 @@ def test_cache_scan_sees_every_spelling():
         "    @cached_property\n    def e(self): pass\n"
     )
     assert list(_cache_decorated_functions("m", tree)) == ["m.a", "m.b", "m.c", "m.d"]
+
+
+# model.to_data writes every document from its dataclass's fields; a hand-kept
+# key list beside it would be a second serializer to keep in step.
+def test_no_hand_written_to_dict():
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_dict"
+    )
+    assert found == []
