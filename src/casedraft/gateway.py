@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
 import requests
 
@@ -118,20 +118,32 @@ _FAULT_KINDS = {
 }
 
 
+# the scalar fields a profile may set, each decoded by model.from_data's rule
+_PROFILE_FIELDS = {
+    key: tp for key, tp in get_type_hints(BackendConfig).items()
+    if key not in ("name", "kind", "fault_profile")
+}
+
+
 def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
     """Build a profile from one config-file entry; API keys never appear here.
     An entry that is not a JSON object, a missing or unknown backend or fault
     kind, a field or fault parameter of the wrong JSON type or out of range,
-    or a fault parameter left out raises ValueError naming the profile."""
+    or a fault parameter left out raises ValueError naming the profile.
+    Fields decode as documents do: `true` is no number and `1.9` no integer."""
     if not isinstance(d, dict):
         raise ValueError(f"profile {name!r}: expected a JSON object, got {d!r:.40}")
     backend_kinds = [k.value for k in BackendKind]
     if d.get("kind") not in backend_kinds:
         problem = f"unknown kind {d['kind']!r:.60}" if "kind" in d else "no kind"
         raise ValueError(f"profile {name!r}: {problem}; kinds are {', '.join(backend_kinds)}")
-    for key in ("endpoint_url", "model_name", "api_key_env"):
-        if not isinstance(d.get(key, ""), str):
-            raise ValueError(f"profile {name!r}: {key}: expected a string, got {d[key]!r:.40}")
+    fields = {}
+    for key, tp in _PROFILE_FIELDS.items():
+        if key in d:
+            try:
+                fields[key] = from_data(tp, d[key])
+            except ValueError as exc:
+                raise ValueError(f"profile {name!r}: {key}: {exc}") from None
     fault = d.get("fault", "faithful")
     params = {"kind": fault} if isinstance(fault, str) else fault
     kind = params.get("kind") if isinstance(params, dict) else None
@@ -143,19 +155,12 @@ def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
         return BackendConfig(
             name=name,
             kind=BackendKind(d["kind"]),
-            endpoint_url=d.get("endpoint_url", ""),
-            model_name=d.get("model_name", ""),
-            max_new_tokens=int(d.get("max_new_tokens", 512)),
-            temperature=float(d.get("temperature", 0.7)),
-            timeout=float(d.get("timeout", 120.0)),
-            max_retries=int(d.get("max_retries", 2)),
-            retry_backoff=float(d.get("retry_backoff", 0.5)),
-            api_key_env=d.get("api_key_env", DEFAULT_API_KEY_ENV),
             fault_profile=from_data(_FAULT_KINDS[kind], params),
+            **fields,
         )
     except KeyError as exc:  # a fault parameter left out
         raise ValueError(f"profile {name!r}: fault {kind}: no {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:  # int() or float() of null or "x", a bad fault parameter
+    except ValueError as exc:  # a bad fault parameter, a negative max_retries
         raise ValueError(f"profile {name!r}: {exc}") from None
 
 

@@ -353,10 +353,11 @@ def to_data(obj) -> dict:
 
 
 def from_data(cls: type[T], data: Mapping) -> T:
-    """Rebuild a dataclass instance (or a tuple of them) from its document.
-    A missing key takes the field's default, or the value the field's
-    metadata names under "if_absent"; a missing field with neither raises
-    KeyError.  A value of the wrong JSON type raises ValueError."""
+    """Rebuild a dataclass instance (or a tuple of them) from its document,
+    or check one value of a scalar field type such as int.  A missing key
+    takes the field's default, or the value the field's metadata names
+    under "if_absent"; a missing field with neither raises KeyError.  A
+    value of the wrong JSON type raises ValueError."""
     return _converter(cls, True)(data)
 
 

@@ -2,6 +2,10 @@
 matrix against configured backends, persist results append-only, and fold
 the store into summary statistics.
 
+An experiment drafts on every HTTP backend at once, one request in flight
+per backend, and drafts on mock backends inline; records are scored and
+committed in matrix order all the same.
+
 The store is a line-delimited JSON file.  Records are never rewritten;
 re-running an experiment appends under a fresh run identifier derived from
 the store's current content, so identical configurations reproduce
@@ -12,12 +16,14 @@ from __future__ import annotations
 
 import json
 import statistics
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from .gateway import BackendConfig, GatewayError, GeneratedDraft, InputFacts, generate
+from .gateway import BackendConfig, BackendKind, GatewayError, GeneratedDraft, InputFacts, generate
 from .grounding import GroundingContext, score
 from .model import CaseBundle, ReportSectionKind, to_data
 from .prompting import PromptSpec, build_matrix
@@ -254,9 +260,13 @@ def run_experiment(
 ) -> list[dict]:
     """Run every prompt against every backend, appending one record each.
 
-    A backend failure becomes an error record, never an abort.  Prompts run
-    sequentially in matrix order so a store is reproducible byte for byte.
-    Every mock backend of the run shares one InputFacts memo.
+    A backend failure becomes an error record, never an abort.  Each HTTP
+    backend drafts its prompts in matrix order on a worker of its own, one
+    request in flight, so backends wait in parallel and each draft's
+    latency_s is its own request's; mock backends draft inline and share
+    one InputFacts memo.  Drafts are scored and records committed in matrix
+    order, backend by backend, so a store is reproducible byte for byte.
+    An exception that aborts the run cancels every prompt not yet sent.
     """
     if prompts is None:
         prompts = build_matrix(bundle)
@@ -265,20 +275,30 @@ def run_experiment(
     inputs = InputFacts()
 
     records: list[dict] = []
-    for config in configs:
-        for prompt in prompts:
-            base = {"run_id": run_id, "backend": config.name, "prompt": to_data(prompt)}
-            try:
-                draft = generate(config, prompt, inputs)
-                report = score(draft, context, prompt.section, topic=prompt.topic)
-                base["record_kind"] = "result"
-                base["draft"] = to_data(draft)
-                base["grounding"] = to_data(report)
-            except GatewayError as exc:
-                base["record_kind"] = "error"
-                base["error"] = str(exc)
-            records.append(base)
-            append_records(store_path, [base])
+    with ExitStack() as stack:
+        drafting = []  # per backend, its drafts to come, or None to draft inline
+        for config in configs:
+            futures = None
+            if config.kind is not BackendKind.MOCK:
+                pool = ThreadPoolExecutor(max_workers=1)
+                # on any exit, drop the prompts not yet sent and wait for the one in flight
+                stack.callback(pool.shutdown, cancel_futures=True)
+                futures = [pool.submit(generate, config, prompt) for prompt in prompts]
+            drafting.append(futures)
+        for config, futures in zip(configs, drafting):
+            for i, prompt in enumerate(prompts):
+                base = {"run_id": run_id, "backend": config.name, "prompt": to_data(prompt)}
+                try:
+                    draft = generate(config, prompt, inputs) if futures is None else futures[i].result()
+                    report = score(draft, context, prompt.section, topic=prompt.topic)
+                    base["record_kind"] = "result"
+                    base["draft"] = to_data(draft)
+                    base["grounding"] = to_data(report)
+                except GatewayError as exc:
+                    base["record_kind"] = "error"
+                    base["error"] = str(exc)
+                records.append(base)
+                append_records(store_path, [base])
     return records
 
 

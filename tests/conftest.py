@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Iterator
@@ -66,24 +67,43 @@ def golden_bundle() -> CaseBundle:
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Records every request; serves canned generate/chat responses."""
+    """Records every request; serves canned generate/chat responses.
+
+    Each request is held for the state's `delay` seconds before it is
+    answered, and counts as in flight from its arrival until its answer is
+    ready.  `fail_on` holds overall request numbers, counting from 1, or
+    (path, number) pairs counting that path's requests, to answer with 503.
+    """
 
     server_version = "stub/0"
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         state = self.server.state  # type: ignore[attr-defined]
-        state["counter"] += 1
-        n = state["counter"]
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length)
-        state["requests"].append(
-            {
-                "path": self.path,
-                "headers": {k.lower(): v for k, v in self.headers.items()},
-                "body": json.loads(raw) if raw else None,
-            }
-        )
-        if n in state["fail_on"]:
+        with state["lock"]:
+            state["counter"] += 1
+            n = state["counter"]
+            path_n = state["path_counter"][self.path] = state["path_counter"].get(self.path, 0) + 1
+            state["requests"].append(
+                {
+                    "n": n,
+                    "path": self.path,
+                    "headers": {k.lower(): v for k, v in self.headers.items()},
+                    "body": json.loads(raw) if raw else None,
+                }
+            )
+            flight = state["in_flight"]  # path -> requests in flight
+            flight[self.path] = flight.get(self.path, 0) + 1
+            state["peak_in_flight"] = max(state["peak_in_flight"], sum(flight.values()))
+            peaks = state["peak_in_flight_by_path"]
+            peaks[self.path] = max(peaks.get(self.path, 0), flight[self.path])
+        time.sleep(state["delay"])
+        # no longer in flight once the answer is ready, so that a client's
+        # next request never overlaps this one
+        with state["lock"]:
+            flight[self.path] -= 1
+        if n in state["fail_on"] or (self.path, path_n) in state["fail_on"]:
             self.send_response(503)
             self.end_headers()
             self.wfile.write(b"backend overloaded")
@@ -115,10 +135,16 @@ class StubServer:
     def __init__(self) -> None:
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
         self._httpd.state = {  # type: ignore[attr-defined]
+            "lock": threading.Lock(),
             "counter": 0,
+            "path_counter": {},
             "requests": [],
             "fail_on": set(),
             "raw_response": None,
+            "delay": 0.0,
+            "in_flight": {},
+            "peak_in_flight": 0,
+            "peak_in_flight_by_path": {},
         }
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         self._thread.start()

@@ -107,6 +107,24 @@ def test_backend_config_rejects_a_negative_max_retries():
     assert backend_config_from_dict("m", {"kind": "local_generate", "max_retries": 0}).max_retries == 0
 
 
+@pytest.mark.parametrize("key, expected, value", [
+    *[(key, "an integer", value) for key in ("max_retries", "max_new_tokens")
+      for value in (True, "5", 1.9, None)],
+    *[(key, "a number", value) for key in ("timeout", "temperature", "retry_backoff")
+      for value in (True, "5", None)],
+])
+def test_backend_config_number_fields_take_only_their_json_type(key, expected, value):
+    with pytest.raises(ValueError) as raised:
+        backend_config_from_dict("m", {"kind": "local_generate", key: value})
+    assert str(raised.value) == f"profile 'm': {key}: expected {expected}, got {value!r}"
+
+
+@pytest.mark.parametrize("key", ["timeout", "temperature", "retry_backoff"])
+def test_backend_config_number_fields_keep_an_integer(key):
+    value = getattr(backend_config_from_dict("m", {"kind": "local_generate", key: 3}), key)
+    assert value == 3 and type(value) is int
+
+
 # --- mock backend --------------------------------------------------------------
 
 def test_mock_is_deterministic(intro_prompt):

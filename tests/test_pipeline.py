@@ -4,12 +4,22 @@ from __future__ import annotations
 
 import json
 import random
+import time
+from collections import Counter
 
 import pytest
 
 from casedraft.cli import main
-from casedraft import gateway
-from casedraft.gateway import BackendConfig, BackendKind, DropFacts, InjectName, generate, mock_complete
+from casedraft import gateway, pipeline
+from casedraft.gateway import (
+    DEFAULT_API_KEY_ENV,
+    BackendConfig,
+    BackendKind,
+    DropFacts,
+    InjectName,
+    generate,
+    mock_complete,
+)
 from casedraft.model import ReportSectionKind, bundle_to_json
 from casedraft.pipeline import (
     DISCLAIMER_BANNER,
@@ -201,6 +211,89 @@ def test_run_experiment_turns_failures_into_error_records(golden_bundle, tmp_pat
     assert kinds.count("result") == 35
     assert kinds[2] == "error"  # third request hit the injected 503
     assert "error" in records[2]
+
+
+LOCAL_PATH, HOSTED_PATH = "/api/v1/generate", "/v1/chat/completions"
+
+
+@pytest.fixture()
+def http_backends(stub_server, monkeypatch):
+    """A local and a hosted backend on the stub, which holds each request 50 ms."""
+    monkeypatch.setenv(DEFAULT_API_KEY_ENV, "sk-test")
+    stub_server.state["delay"] = 0.05
+    return [
+        BackendConfig(name="local", kind=BackendKind.LOCAL_GENERATE,
+                      endpoint_url=stub_server.url, max_retries=0),
+        BackendConfig(name="hosted", kind=BackendKind.HOSTED_CHAT,
+                      endpoint_url=stub_server.url, model_name="stub-chat", max_retries=0),
+    ]
+
+
+def _wire_prompt(request: dict) -> str:
+    body = request["body"]
+    return body["prompt"] if request["path"] == LOCAL_PATH else body["messages"][0]["content"]
+
+
+def test_run_experiment_drafts_http_backends_in_parallel_and_records_in_matrix_order(
+    golden_bundle, tmp_path, stub_server, http_backends
+):
+    prompts = build_matrix(golden_bundle)[::9]
+    store = tmp_path / "store.jsonl"
+    records = run_experiment(golden_bundle, http_backends, store, prompts)
+
+    expected = [(config.name, prompt) for config in http_backends for prompt in prompts]
+    assert [(r["backend"], r["prompt"]["prompt_id"]) for r in records] == [
+        (name, prompt.prompt_id) for name, prompt in expected
+    ]
+    assert {r["record_kind"] for r in records} == {"result"}
+    assert read_store(store) == records
+    # each backend's requests arrive in its prompts' order
+    for path in (LOCAL_PATH, HOSTED_PATH):
+        wire = [_wire_prompt(r) for r in stub_server.requests if r["path"] == path]
+        assert wire == [prompt.rendered_text for prompt in prompts]
+    # each record holds the answer to its own prompt's request
+    sent = {r["n"]: r for r in stub_server.requests}
+    for record, (_, prompt) in zip(records, expected):
+        n = int(record["draft"]["text"].rsplit(" ", 1)[1])
+        assert _wire_prompt(sent[n]) == prompt.rendered_text
+        assert record["draft"]["latency_s"] >= 0.05
+    # the two backends waited at once, each with one request in flight
+    assert stub_server.state["peak_in_flight"] == 2
+    assert stub_server.state["peak_in_flight_by_path"] == {LOCAL_PATH: 1, HOSTED_PATH: 1}
+
+
+def test_a_failure_of_the_second_backend_lands_at_its_position(
+    golden_bundle, tmp_path, stub_server, http_backends
+):
+    stub_server.state["fail_on"] = {(HOSTED_PATH, 2)}
+    prompts = build_matrix(golden_bundle)[::9]
+    records = run_experiment(golden_bundle, http_backends, tmp_path / "store.jsonl", prompts)
+    kinds = [r["record_kind"] for r in records]
+    at = len(prompts) + 1  # the hosted backend's second prompt
+    assert kinds == ["result"] * at + ["error"] + ["result"] * (len(records) - at - 1)
+    assert records[at]["backend"] == "hosted"
+    assert records[at]["prompt"]["prompt_id"] == prompts[1].prompt_id
+    assert records[at]["error"] == "hosted: status 503: backend overloaded"
+
+
+def test_an_aborted_run_sends_no_further_prompts(
+    golden_bundle, tmp_path, stub_server, http_backends, monkeypatch
+):
+    def failing_score(*args, **kwargs):
+        raise RuntimeError("scoring broke")
+
+    monkeypatch.setattr(pipeline, "score", failing_score)
+    store = tmp_path / "store.jsonl"
+    with pytest.raises(RuntimeError, match="scoring broke"):
+        run_experiment(golden_bundle, http_backends, store, build_matrix(golden_bundle))
+    sent = len(stub_server.requests)
+    time.sleep(0.2)
+    assert len(stub_server.requests) == sent  # nothing arrives after the run returned
+    # the first draft's scoring aborts the run while each backend has sent
+    # a request or two of its 36
+    per_path = Counter(r["path"] for r in stub_server.requests)
+    assert all(count <= 3 for count in per_path.values()), per_path
+    assert not store.exists()
 
 
 # --- summary statistics -----------------------------------------------------------
