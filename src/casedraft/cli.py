@@ -170,15 +170,7 @@ def _cmd_transform(args) -> int:
         candidates = transform.detect_colocations(
             a, b, args.radius, timedelta(minutes=args.window_minutes)
         )
-        out = [
-            {
-                "index_a": c.index_a,
-                "index_b": c.index_b,
-                "distance_m": c.distance_m,
-                "time_gap_s": c.time_gap.total_seconds(),
-            }
-            for c in candidates
-        ]
+        out = [to_data(c) for c in candidates]
     elif op == "csv":
         records = _records_for(bundle, args.item, "messages")
         _save_text(transform.reduce_to_csv(records), args.output)

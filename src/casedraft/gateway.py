@@ -349,15 +349,17 @@ def _generate_hosted(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraf
         raise ProtocolError(f"{config.name}: no choices[0].message.content in response") from exc
     if not isinstance(text, str) or not text.strip():
         raise ProtocolError(f"{config.name}: backend returned empty text")
-    usage = body.get("usage") or {}
-    estimate = usage.get("completion_tokens")
+    # usage is optional: a count that is no JSON integer (by model.from_data's
+    # scalar rule, true is none) or a usage that is no object is left out
+    usage = body.get("usage")
+    estimate = usage.get("completion_tokens") if isinstance(usage, dict) else None
     return GeneratedDraft(
         prompt_id=prompt.prompt_id,
         backend_label=config.name,
         text=text,
         latency_s=latency,
         created_at=datetime.now(timezone.utc),
-        token_estimate=estimate if isinstance(estimate, int) else None,
+        token_estimate=estimate if type(estimate) is int else None,
     )
 
 

@@ -2,19 +2,20 @@
 
 Claims (coordinates, timestamps, person names, filenames, byte counts,
 place names, tool versions) are extracted from a draft by pattern and
-roster lookup, then verified against the case bundle under explicit
-tolerances.  A claim with no support is a hallucination.  Completeness is
-the fraction of the section's required facts whose key content appears in
-the draft.  Unknown capitalized phrases are deliberately not claims; the
-check is lexical and conservative, a reviewer's net rather than a lie
-detector.
+roster lookup, then verified against the case bundle within two fixed
+tolerances: COORDINATE_PLACES decimal places for a coordinate and
+TIMESTAMP_SLACK for a timestamp.  A claim with no support is a
+hallucination.  Completeness is the fraction of the section's required
+facts whose key content appears in the draft.  Unknown capitalized
+phrases are deliberately not claims; the check is lexical and
+conservative, a reviewer's net rather than a lie detector.
 
 score and verify take their evidence as a GroundingContext: one bundle's
-roster with its compiled start scan, its lookup index under the
-context's tolerances, and the required facts per (section, topic), each
-built on first use.  Build one per experiment or report and score every
-draft against it.  required_facts_for derives a section's facts from a
-plain bundle; the context caches its results.  Nothing is cached beyond a
+roster and lookup sets, built with the context, and the required facts
+per (section, topic), each derived on first use.  Build one per
+experiment or report and score every draft against it.
+required_facts_for derives a section's facts from a plain bundle; the
+context caches its results.  Nothing is cached beyond a
 context: no module-level cache is keyed by bundle or text, so evidence
 lives exactly as long as the caller keeps its context.
 """
@@ -46,7 +47,8 @@ from .prompting import PromptTopic
 from .transform import DEFAULT_CLUSTER_RADIUS_M, group_locations_spatial
 
 __all__ = [
-    "Tolerances",
+    "COORDINATE_PLACES",
+    "TIMESTAMP_SLACK",
     "ClaimKind",
     "ClaimStatus",
     "Claim",
@@ -68,10 +70,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    coordinate_decimal_places: int = 4  # ~11 m at the equator
-    timestamp_slack: timedelta = timedelta(minutes=1)
+COORDINATE_PLACES = 4  # a coordinate claim matches to ~11 m at the equator
+TIMESTAMP_SLACK = timedelta(minutes=1)  # a timestamp claim matches within this
 
 
 class ClaimKind(Enum):
@@ -122,59 +122,52 @@ def _norm_phrase(text: str) -> str:
 # ---------------------------------------------------------------------------
 # rosters: names the bundle itself vouches for
 
-class _PhraseMatcher:
-    """Finds roster phrases as whole words, case-insensitively.
-
-    One scan finds every position where some phrase starts; only those
-    positions are tried per phrase.  The scan first tests the character at
-    a position against the phrases' first characters, so most positions
-    cost one class test rather than a try of every phrase.  Matches come
-    out phrase by phrase in the order given, each phrase's own matches left
-    to right and non-overlapping, as one re.finditer per phrase would give,
-    each with the claim kind its phrase was given with.
-    """
-
-    def __init__(self, phrases: Sequence[tuple[ClaimKind, str]]):
-        self.patterns = [
-            (kind, re.compile(rf"\b{re.escape(p)}\b", re.IGNORECASE)) for kind, p in phrases
-        ]
-        texts = [p for _, p in phrases]
-        # under IGNORECASE the class takes the same case equivalences as the
-        # phrases themselves (ſ and s, the Kelvin sign and k)
-        firsts = "".join(sorted({re.escape(p[0]) for p in texts if p}))
-        lead = f"(?=[{firsts}])" if all(texts) else ""
-        alternatives = "|".join(rf"{re.escape(p)}\b" for p in texts)
-        self.starts = (
-            re.compile(rf"{lead}\b(?=(?:{alternatives}))", re.IGNORECASE) if texts else None
-        )
-
-    def finditer(self, text: str) -> Iterator[tuple[ClaimKind, re.Match]]:
-        if self.starts is None:
-            return
-        starts = [m.start() for m in self.starts.finditer(text)]
-        for kind, pattern in self.patterns:
-            end = 0
-            for pos in starts:
-                if pos < end:
-                    continue
-                m = pattern.match(text, pos)
-                if m:
-                    end = m.end()
-                    yield kind, m
-
-
 @dataclass(frozen=True)
 class Roster:
     person_names: tuple[str, ...] = ()
     place_names: tuple[str, ...] = ()
 
     @cached_property
-    def _matcher(self) -> _PhraseMatcher:
-        """Persons before places, so a person takes precedence on overlap."""
-        return _PhraseMatcher(
-            [(ClaimKind.PERSON_NAME, p) for p in self.person_names]
-            + [(ClaimKind.PLACE_NAME, p) for p in self.place_names]
-        )
+    def _scan(self) -> tuple[list[tuple[ClaimKind, re.Pattern]], Optional[re.Pattern]]:
+        """Each name's pattern with its claim kind, persons before places so
+        that a person takes precedence on overlap, and the start scan."""
+        named = [(ClaimKind.PERSON_NAME, p) for p in self.person_names]
+        named += [(ClaimKind.PLACE_NAME, p) for p in self.place_names]
+        patterns = [(kind, re.compile(rf"\b{re.escape(p)}\b", re.IGNORECASE)) for kind, p in named]
+        names = [p for _, p in named]
+        if not names:
+            return patterns, None
+        # under IGNORECASE the class takes the same case equivalences as the
+        # names themselves (ſ and s, the Kelvin sign and k)
+        firsts = "".join(sorted({re.escape(p[0]) for p in names if p}))
+        lead = f"(?=[{firsts}])" if all(names) else ""
+        alternatives = "|".join(rf"{re.escape(p)}\b" for p in names)
+        return patterns, re.compile(rf"{lead}\b(?=(?:{alternatives}))", re.IGNORECASE)
+
+    def finditer(self, text: str) -> Iterator[tuple[ClaimKind, re.Match]]:
+        """The roster's names in text as whole words, case-insensitively,
+        each with its claim kind.
+
+        One scan finds every position where some name starts; only those
+        positions are tried per name.  The scan first tests the character at
+        a position against the names' first characters, so most positions
+        cost one class test rather than a try of every name.  Matches come
+        out name by name, persons before places, each name's own matches left
+        to right and non-overlapping, as one re.finditer per name would give.
+        """
+        patterns, starts = self._scan
+        if starts is None:
+            return
+        positions = [m.start() for m in starts.finditer(text)]
+        for kind, pattern in patterns:
+            end = 0
+            for pos in positions:
+                if pos < end:
+                    continue
+                m = pattern.match(text, pos)
+                if m:
+                    end = m.end()
+                    yield kind, m
 
 
 def build_roster(bundle: CaseBundle) -> Roster:
@@ -304,7 +297,7 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
         add(ClaimKind.PERSON_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
 
     if roster:
-        for kind, m in roster._matcher.finditer(draft_text):
+        for kind, m in roster.finditer(draft_text):
             add(kind, m.span(), m.group(0), _norm_phrase(m.group(0)))
 
     claims.sort(key=lambda c: c.span)
@@ -314,33 +307,52 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
 # ---------------------------------------------------------------------------
 # verification against the bundle
 
-class _BundleIndex:
-    """The bundle's values in the shape each claim kind looks them up by."""
+class GroundingContext:
+    """What one bundle offers as evidence for grounding drafts.
 
-    def __init__(self, bundle: CaseBundle, tolerances: Tolerances):
-        self.places = places = tolerances.coordinate_decimal_places
-        self.slack = tolerances.timestamp_slack
+    Built once: the roster, and the bundle's values in the shape each claim
+    kind is looked up by, within the tolerances COORDINATE_PLACES and
+    TIMESTAMP_SLACK.  The required facts per (section, topic) are derived
+    on first use.  All of it is kept for the life of the context, and the
+    caller owns that life: pipeline.run_experiment and pipeline.assemble
+    build one context per call and score every draft against it.  The
+    bundle must not change while a context built from it is in use.
+    """
+
+    def __init__(self, bundle: CaseBundle):
+        self.bundle = bundle
+        self.roster = build_roster(bundle)
+        self._facts: dict[tuple, tuple[RequiredFact, ...]] = {}  # by (section, topic)
         self.coords: set[tuple[float, float]] = set()
-        aware: list[datetime] = []
-        walls: list[datetime] = []
         self.filenames: set[str] = set()
-        place_names: list[str] = []
         self.sizes: set[int] = set()
         self.versions: set[str] = set()
-        persons: list[str] = []
+        aware: list[datetime] = []
+        walls: list[datetime] = []
+        place_names: list[str] = []
+        # the roster's persons, and the senders by identifier as well
+        persons = list(self.roster.person_names)
 
         def add_instant(ts: datetime) -> None:
             if ts.utcoffset() is not None:
                 aware.append(ts)
             walls.append(ts.replace(tzinfo=None))
 
+        def add_source(text: str) -> None:
+            self.filenames.update(_path_components(text))
+            # stored source strings often carry "(Size : N bytes)" annotations
+            for m in _BYTE_COUNT.finditer(text):
+                try:
+                    self.sizes.add(int(m.group(1)))
+                except ValueError:  # more digits than int() converts
+                    continue
+
         for rec in bundle.all_locations():
-            self.coords.add((round(rec.latitude, places), round(rec.longitude, places)))
+            self.coords.add(_rounded(rec.latitude, rec.longitude))
             add_instant(rec.timestamp)
             self.filenames.add(rec.name.casefold())
             if rec.source_file:
-                self.filenames.update(_path_components(rec.source_file))
-                self._mine_sizes(rec.source_file)
+                add_source(rec.source_file)
             if rec.related_location:
                 place_names.append(_norm_phrase(rec.related_location))
             if rec.size_bytes is not None:
@@ -349,11 +361,8 @@ class _BundleIndex:
         for msg in bundle.all_messages():
             add_instant(msg.timestamp)
             for src in msg.source_files:
-                self.filenames.update(_path_components(src))
-                self._mine_sizes(src)
+                add_source(src)
             if msg.sender:
-                if msg.sender.display_name:
-                    persons.append(msg.sender.display_name)
                 persons.append(msg.sender.identifier)
 
         for item in bundle.items:
@@ -366,10 +375,6 @@ class _BundleIndex:
         for profile in bundle.device_profiles.values():
             if profile.os_version:
                 self.versions.add(profile.os_version)
-
-        persons += bundle.mandate.suspects
-        if bundle.mandate.investigator_name:
-            persons.append(bundle.mandate.investigator_name)
 
         self.aware_instants = sorted(aware)
         self.wall_instants = sorted(walls)
@@ -385,10 +390,16 @@ class _BundleIndex:
             self.persons.add(tokens)
             self.person_parts.update(_token_runs(tokens))
 
-    def _mine_sizes(self, text: str) -> None:
-        # stored source strings often carry "(Size : N bytes)" annotations
-        for m in _BYTE_COUNT.finditer(text):
-            self.sizes.add(int(m.group(1)))
+    def required_facts(
+        self, section: ReportSectionKind, topic: Optional[PromptTopic] = None
+    ) -> tuple[RequiredFact, ...]:
+        """required_facts_for this context's bundle, derived once per
+        (section, topic)."""
+        key = (section, topic)
+        facts = self._facts.get(key)
+        if facts is None:
+            facts = self._facts[key] = tuple(required_facts_for(section, self.bundle, topic))
+        return facts
 
 
 _PATH_SEPARATORS = re.compile(r"[/\\\s]+")
@@ -405,54 +416,63 @@ def _token_runs(tokens: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
             yield tokens[i:j]
 
 
-def _near(instants: list[datetime], claimed: datetime, slack: timedelta) -> bool:
-    """Whether some instant of the sorted list lies within slack of claimed;
-    only the two instants around claimed's place in the list can."""
+def _near(instants: list[datetime], claimed: datetime) -> bool:
+    """Whether some instant of the sorted list lies within TIMESTAMP_SLACK
+    of claimed; only the two instants around claimed's place in the list
+    can."""
     i = bisect_left(instants, claimed)
-    return any(abs(claimed - instants[j]) <= slack for j in (i - 1, i) if 0 <= j < len(instants))
+    return any(abs(claimed - t) <= TIMESTAMP_SLACK for t in instants[max(i - 1, 0):i + 1])
 
 
-def _timestamp_grounded(normalized: str, index: _BundleIndex) -> bool:
+def _timestamp_grounded(normalized: str, context: GroundingContext) -> bool:
     parts = normalized.split(" ")
     naive = datetime.fromisoformat(parts[0])
     if len(parts) > 1:
-        claimed = naive.replace(tzinfo=parse_offset(parts[1]))
-        return _near(index.aware_instants, claimed, index.slack)
+        return _near(context.aware_instants, naive.replace(tzinfo=parse_offset(parts[1])))
     # no offset stated: match wall-clock time as each record displays it
-    return _near(index.wall_instants, naive, index.slack)
+    return _near(context.wall_instants, naive)
 
 
-def _claim_grounded(claim: Claim, index: _BundleIndex) -> bool:
+def _rounded(latitude: float, longitude: float) -> tuple[float, float]:
+    return round(latitude, COORDINATE_PLACES), round(longitude, COORDINATE_PLACES)
+
+
+def _claimed_coordinate(claim: Claim) -> tuple[float, float]:
+    """A coordinate claim's normalized "lat,lon", rounded."""
+    return _rounded(*map(float, claim.normalized_value.split(",")))
+
+
+def _claim_grounded(claim: Claim, context: GroundingContext) -> bool:
     value = claim.normalized_value
     if claim.kind is ClaimKind.COORDINATE:
-        lat_s, lon_s = value.split(",")
-        places = index.places
-        return (round(float(lat_s), places), round(float(lon_s), places)) in index.coords
+        return _claimed_coordinate(claim) in context.coords
     if claim.kind is ClaimKind.TIMESTAMP:
-        return _timestamp_grounded(value, index)
+        return _timestamp_grounded(value, context)
     if claim.kind is ClaimKind.PERSON_NAME:
         # whole tokens only: "Mr Sforz" is no part of "Mr Sforza"
         tokens = tuple(value.split())
-        return tokens in index.person_parts or any(run in index.persons for run in _token_runs(tokens))
+        return tokens in context.person_parts or any(run in context.persons for run in _token_runs(tokens))
     if claim.kind is ClaimKind.FILENAME:
-        return value in index.filenames
+        return value in context.filenames
     if claim.kind is ClaimKind.PLACE_NAME:
-        return value in index.place_names
+        return value in context.place_names
     if claim.kind is ClaimKind.TOOL_VERSION:
-        return value in index.versions
+        return value in context.versions
     if claim.kind is ClaimKind.NUMERIC_VALUE:
-        return int(value) in index.sizes
+        try:
+            return int(value) in context.sizes
+        except ValueError:  # more digits than int() converts: no size of the bundle
+            return False
     return False
 
 
 def verify(claims: Sequence[Claim], context: GroundingContext) -> list[CheckedClaim]:
     """Each claim with its status: grounded iff the context's bundle
-    supports it within the context's tolerances."""
-    index = context.index
+    supports it within COORDINATE_PLACES and TIMESTAMP_SLACK."""
     return [
         CheckedClaim(
             c.kind, c.surface_text, c.normalized_value, c.span,
-            ClaimStatus.GROUNDED if _claim_grounded(c, index) else ClaimStatus.UNGROUNDED,
+            ClaimStatus.GROUNDED if _claim_grounded(c, context) else ClaimStatus.UNGROUNDED,
         )
         for c in claims
     ]
@@ -469,7 +489,7 @@ class TokenPhrase:
     def tokens(self) -> frozenset[str]:
         return frozenset(tokens_of(self.text))
 
-    def satisfied_by(self, draft_tokens: set[str], draft_coords, places: int) -> bool:
+    def satisfied_by(self, draft_tokens: set[str], draft_coords) -> bool:
         wanted = self.tokens
         return bool(wanted) and wanted <= draft_tokens
 
@@ -479,10 +499,10 @@ class CoordinateAlternative:
     latitude: float
     longitude: float
 
-    def satisfied_by(self, draft_tokens: set[str], draft_coords, places: int) -> bool:
+    def satisfied_by(self, draft_tokens: set[str], draft_coords) -> bool:
         """draft_coords holds the draft's coordinates, already rounded to
-        places."""
-        return (round(self.latitude, places), round(self.longitude, places)) in draft_coords
+        COORDINATE_PLACES."""
+        return _rounded(self.latitude, self.longitude) in draft_coords
 
 
 FactAlternative = Union[TokenPhrase, CoordinateAlternative]
@@ -493,8 +513,8 @@ class RequiredFact:
     description: str
     alternatives: tuple[FactAlternative, ...]
 
-    def satisfied_by(self, draft_tokens: set[str], draft_coords, places: int) -> bool:
-        return any(a.satisfied_by(draft_tokens, draft_coords, places) for a in self.alternatives)
+    def satisfied_by(self, draft_tokens: set[str], draft_coords) -> bool:
+        return any(a.satisfied_by(draft_tokens, draft_coords) for a in self.alternatives)
 
     @cached_property
     def _checks(self) -> tuple[FactCheck, FactCheck]:
@@ -664,48 +684,6 @@ def facts_from_input(
 
 
 # ---------------------------------------------------------------------------
-# the evidence of one bundle, built once per experiment or report
-
-class GroundingContext:
-    """What one bundle offers as evidence for grounding drafts.
-
-    The roster (with its compiled start scan), the lookup index
-    and the required facts per (section, topic) are each built on first
-    use and then kept for the life of the context.  The caller owns that
-    life: pipeline.run_experiment and pipeline.assemble build one context
-    per call and score every draft against it.  The tolerances are set
-    here and nowhere else.  The bundle must not change while a context
-    built from it is in use.
-    """
-
-    def __init__(self, bundle: CaseBundle, tolerances: Tolerances = Tolerances()):
-        self.bundle = bundle
-        self.tolerances = tolerances
-        self._facts: dict[
-            tuple[ReportSectionKind, Optional[PromptTopic]], tuple[RequiredFact, ...]
-        ] = {}
-
-    @cached_property
-    def roster(self) -> Roster:
-        return build_roster(self.bundle)
-
-    @cached_property
-    def index(self) -> _BundleIndex:
-        return _BundleIndex(self.bundle, self.tolerances)
-
-    def required_facts(
-        self, section: ReportSectionKind, topic: Optional[PromptTopic] = None
-    ) -> tuple[RequiredFact, ...]:
-        """required_facts_for this context's bundle, derived once per
-        (section, topic)."""
-        key = (section, topic)
-        facts = self._facts.get(key)
-        if facts is None:
-            facts = self._facts[key] = tuple(required_facts_for(section, self.bundle, topic))
-        return facts
-
-
-# ---------------------------------------------------------------------------
 # scoring
 
 @dataclass(frozen=True)
@@ -737,15 +715,9 @@ def score(
     hallucinations = sum(1 for c in checked if c.status is ClaimStatus.UNGROUNDED)
 
     draft_tokens = set(tokens_of(text))
-    places = context.tolerances.coordinate_decimal_places
-    draft_coords = set()
-    for claim in checked:
-        if claim.kind is ClaimKind.COORDINATE:
-            lat_s, lon_s = claim.normalized_value.split(",")
-            draft_coords.add((round(float(lat_s), places), round(float(lon_s), places)))
-
+    draft_coords = {_claimed_coordinate(c) for c in checked if c.kind is ClaimKind.COORDINATE}
     facts = context.required_facts(section, topic)
-    results = tuple(f._checks[f.satisfied_by(draft_tokens, draft_coords, places)] for f in facts)
+    results = tuple(f._checks[f.satisfied_by(draft_tokens, draft_coords)] for f in facts)
     completeness = sum(r.satisfied for r in results) / len(results) if results else 1.0
 
     return GroundingReport(

@@ -254,7 +254,10 @@ def parse_tool_report_locations(
         source_text = " ".join(p for p in source_parts if p)
         szm = _SIZE_IN_TEXT.search(source_text)
         if szm:
-            size = int(szm.group(1))
+            try:
+                size = int(szm.group(1))
+            except ValueError:  # more digits than int() converts
+                _warn(diags, start_line, f"entry {head.group(1)}: size has too many digits; dropped")
             source_text = _SIZE_IN_TEXT.sub("", source_text)
         source_text = re.sub(r"\s+", " ", source_text).strip()
         source_text = re.sub(r"\s*:\s*$", "", source_text)
@@ -841,9 +844,14 @@ def parse_method_steps(text: str) -> tuple[list[MethodStep], list[ParseDiagnosti
         purpose = cells[1] if len(cells) > 1 and cells[1] != "-" else ""
         tool = cells[2] if len(cells) > 2 and cells[2] != "-" else None
         version = cells[3] if len(cells) > 3 and cells[3] != "-" else None
+        try:
+            ordinal = int(m.group(1))
+        except ValueError:  # more digits than int() converts
+            _err(diags, n, "step number is too long; row dropped")
+            continue
         steps.append(
             MethodStep(
-                ordinal=int(m.group(1)),
+                ordinal=ordinal,
                 action=action,
                 purpose=purpose,
                 tool_name=tool,

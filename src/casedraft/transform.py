@@ -210,7 +210,7 @@ class MeetingCandidate:
     index_a: int
     index_b: int
     distance_m: float
-    time_gap: timedelta  # absolute difference between the two instants
+    time_gap_s: float  # absolute difference between the two instants, in seconds
 
 
 def detect_colocations(
@@ -232,9 +232,8 @@ def detect_colocations(
                 continue
             d = haversine_m(ra.latitude, ra.longitude, rb.latitude, rb.longitude)
             if d <= radius_m:
-                pairs.append(
-                    (ra.timestamp, i, rb.timestamp, j, MeetingCandidate(i, j, d, gap))
-                )
+                candidate = MeetingCandidate(i, j, d, gap.total_seconds())
+                pairs.append((ra.timestamp, i, rb.timestamp, j, candidate))
     pairs.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
     return [p[4] for p in pairs]
 

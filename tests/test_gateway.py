@@ -16,6 +16,7 @@ from casedraft.gateway import (
     DropFacts,
     Faithful,
     GatewayError,
+    GeneratedDraft,
     InjectCoordinate,
     InjectName,
     InputFacts,
@@ -26,7 +27,7 @@ from casedraft.gateway import (
     mock_complete,
 )
 from casedraft.ingest import SourceFormat
-from casedraft.model import CaseBundle, Mandate, ReportSectionKind, to_data
+from casedraft.model import CaseBundle, Mandate, ReportSectionKind, from_data, to_data
 from casedraft.prompting import (
     Placement,
     PromptVariant,
@@ -294,6 +295,33 @@ def test_hosted_chat_wire_format(stub_server, intro_prompt, monkeypatch):
     assert messages[0]["role"] == "user"
     assert messages[0]["content"] == intro_prompt.rendered_text
     assert request["headers"]["authorization"] == "Bearer sk-unit-test"
+
+
+@pytest.mark.parametrize("usage, estimate", [
+    ({"completion_tokens": 7}, 7),
+    ("n/a", None),
+    ([1], None),
+    (None, None),
+    ({}, None),
+    ({"completion_tokens": True}, None),
+    ({"completion_tokens": 7.0}, None),
+    ({"completion_tokens": "7"}, None),
+])
+def test_hosted_chat_keeps_only_an_integer_token_count(
+    stub_server, intro_prompt, monkeypatch, usage, estimate
+):
+    monkeypatch.setenv(DEFAULT_API_KEY_ENV, "sk-unit-test")
+    stub_server.state["raw_response"] = json.dumps(
+        {"choices": [{"message": {"content": "hosted draft"}}], "usage": usage}
+    ).encode()
+    cfg = BackendConfig(
+        name="hosted", kind=BackendKind.HOSTED_CHAT,
+        endpoint_url=stub_server.url, model_name="test-model", max_retries=0,
+    )
+    draft = generate(cfg, intro_prompt)
+    assert draft.token_estimate == estimate and type(draft.token_estimate) is type(estimate)
+    # the draft `casedraft generate` writes reads back as `casedraft score` reads it
+    assert from_data(GeneratedDraft, to_data(draft)) == draft
 
 
 def test_hosted_chat_requires_env_key(stub_server, intro_prompt, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -25,6 +26,7 @@ from casedraft.grounding import (
     _GATES,
     _TIMESTAMP,
     _VERSION,
+    COORDINATE_PLACES,
     Claim,
     ClaimKind,
     ClaimStatus,
@@ -33,7 +35,6 @@ from casedraft.grounding import (
     GroundingReport,
     Roster,
     TokenPhrase,
-    Tolerances,
     build_roster,
     extract_claims,
     facts_from_input,
@@ -319,8 +320,8 @@ def tiny_bundle():
     )
 
 
-def grounded_map(text, bundle, **kw):
-    checked = verify(extract_claims(text, build_roster(bundle)), GroundingContext(bundle, **kw))
+def grounded_map(text, bundle):
+    checked = verify(extract_claims(text, build_roster(bundle)), GroundingContext(bundle))
     return {c.surface_text: c.status is ClaimStatus.GROUNDED for c in checked}
 
 
@@ -379,14 +380,6 @@ def test_verify_filename_needs_a_whole_name_or_path_component(tiny_bundle, golde
     assert grounded_map("photo 1.jpg", golden_bundle) == {"1.jpg": False}
     got = grounded_map("143344.jpg and 4.db and USERDATA and cache4.db", tiny_bundle)
     assert got == {"143344.jpg": False, "4.db": False, "cache4.db": True}
-
-
-def test_tolerances_are_adjustable(tiny_bundle):
-    strict = Tolerances(coordinate_decimal_places=6)
-    checked = verify(
-        extract_claims("(38.907501, -77.072778)"), GroundingContext(tiny_bundle, strict)
-    )
-    assert checked[0].status is ClaimStatus.UNGROUNDED
 
 
 # --- required facts ------------------------------------------------------------------
@@ -558,11 +551,10 @@ def _boundary_bundle():
 @given(st.lists(st.sampled_from(_SCORE_FRAGMENTS), max_size=8).map(" and ".join))
 def test_score_required_facts_match_the_per_alternative_oracle(text):
     context = GroundingContext(_boundary_bundle())
-    places = context.tolerances.coordinate_decimal_places
     for topic in (None, PromptTopic.LOCATIONS, PromptTopic.CONVERSATIONS):
         report = score(text, context, ReportSectionKind.RESULTS, topic=topic)
         facts = context.required_facts(ReportSectionKind.RESULTS, topic)
-        assert report.required_facts == _old_fact_results(report, text, facts, places)
+        assert report.required_facts == _old_fact_results(report, text, facts, COORDINATE_PLACES)
 
 def all_rendered_inputs(bundle):
     for section, fmt, topic in [
@@ -682,3 +674,18 @@ def test_experiment_survives_a_draft_naming_a_nonexistent_instant(golden_bundle,
     odd = BackendConfig("odd", BackendKind.MOCK, fault_profile=InjectName(NONEXISTENT_INSTANTS[0]))
     records = run_experiment(golden_bundle, [odd], tmp_path / "store.jsonl")
     assert [r["record_kind"] for r in records] == ["result"] * 36
+
+
+def test_experiment_survives_a_byte_count_too_long_for_int(golden_bundle, tmp_path):
+    count = "9" * 5000  # past int()'s default limit of 4,300 digits
+    first, *rest = golden_bundle.messages["IP6"]
+    noted = replace(first, source_files=(f"cache4.db (Size: {count} bytes)",))
+    bundle = replace(golden_bundle, messages={"IP6": (noted, *rest)})
+    odd = BackendConfig("odd", BackendKind.MOCK, fault_profile=InjectName(f"{count} bytes"))
+    records = run_experiment(bundle, [odd], tmp_path / "store.jsonl")
+    assert [r["record_kind"] for r in records] == ["result"] * 36
+    # that long a claimed count is ungrounded, though a source string names
+    # it; drafts restating that source string claim it twice
+    for r in records:
+        ungrounded = [c for c in r["grounding"]["claims"] if c["status"] == "ungrounded"]
+        assert {(c["kind"], c["normalized_value"]) for c in ungrounded} == {("numeric_value", count)}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -386,6 +387,30 @@ def test_out_of_range_offset_drops_the_record_with_a_diagnostic(render, parser, 
         broken, diags = parser(text.replace("(UTC+1)", offset, 1))
         assert [r.timestamp for r in broken] == [records[1].timestamp]
         assert {d.severity for d in diags if d not in clean_diags} == {Severity.ERROR}
+
+
+_TOO_MANY_DIGITS = "9" * 5000  # past int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "name,parser,number,severity,expected",
+    [
+        # the size is dropped, its entry kept
+        ("tool_report_locations.txt", parse_tool_report_locations, "4894559", Severity.WARNING,
+         lambda clean: [replace(clean[0], size_bytes=None), *clean[1:]]),
+        # the step's row is dropped
+        ("method_steps.txt", parse_method_steps, "\n1\t", Severity.ERROR, lambda clean: clean[1:]),
+    ],
+)
+def test_a_number_too_long_for_int_is_dropped_with_a_diagnostic(
+    name, parser, number, severity, expected
+):
+    text = read_fixture(name)
+    clean, clean_diags = parser(text)
+    too_long = number.replace(number.strip(), _TOO_MANY_DIGITS)
+    broken, diags = parser(text.replace(number, too_long, 1))
+    assert broken == expected(clean)
+    assert [d.severity for d in diags if d not in clean_diags] == [severity]
 
 
 def test_diagnostic_render_format():

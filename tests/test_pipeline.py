@@ -6,6 +6,7 @@ import json
 import random
 import time
 from collections import Counter
+from datetime import datetime, timezone
 
 import pytest
 
@@ -20,7 +21,7 @@ from casedraft.gateway import (
     generate,
     mock_complete,
 )
-from casedraft.model import ReportSectionKind, bundle_to_json
+from casedraft.model import CaseBundle, LocationRecord, Mandate, ReportSectionKind, bundle_to_json
 from casedraft.pipeline import (
     DISCLAIMER_BANNER,
     SECTION_TITLES,
@@ -459,6 +460,47 @@ def test_cli_transform_colocate_requires_items(bundle_file, capsys):
     rc = main(["transform", "colocate", "--bundle", str(bundle_file)])
     assert rc == 2
     assert "--item" in capsys.readouterr().err
+
+
+def test_cli_transform_colocate_document_bytes(tmp_path):
+    def loc(name, lat, minute):
+        return LocationRecord(
+            name=name, timestamp=datetime(2019, 2, 14, 14, minute, tzinfo=timezone.utc),
+            category="c", latitude=lat, longitude=-77.0727,
+        )
+
+    # identical fixes lie exactly 0.0 m apart on every platform's libm
+    bundle = CaseBundle(
+        mandate=Mandate(description="d"),
+        locations={
+            "A": (loc("a0.jpg", 38.9075, 0), loc("a1.jpg", 39.5, 5)),
+            "B": (loc("b0.jpg", 38.9075, 30), loc("b1.jpg", 38.9075, 0)),
+        },
+    )
+    path = tmp_path / "bundle.json"
+    path.write_text(bundle_to_json(bundle), encoding="utf-8")
+    out = tmp_path / "colocate.json"
+    rc = main([
+        "transform", "colocate", "--bundle", str(path), "--item", "A", "--item-b", "B",
+        "-o", str(out),
+    ])
+    assert rc == 0
+    assert out.read_text(encoding="utf-8") == (
+        "[\n"
+        "  {\n"
+        '    "index_a": 0,\n'
+        '    "index_b": 1,\n'
+        '    "distance_m": 0.0,\n'
+        '    "time_gap_s": 0.0\n'
+        "  },\n"
+        "  {\n"
+        '    "index_a": 0,\n'
+        '    "index_b": 0,\n'
+        '    "distance_m": 0.0,\n'
+        '    "time_gap_s": 1800.0\n'
+        "  }\n"
+        "]\n"
+    )
 
 
 def test_cli_matrix(bundle_file, tmp_path):

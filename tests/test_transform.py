@@ -324,7 +324,7 @@ def test_colocation_simple_hit_and_miss():
     assert len(hits) == 1
     assert hits[0].index_a == 0 and hits[0].index_b == 0
     assert hits[0].distance_m < 200.0
-    assert hits[0].time_gap == timedelta(minutes=30)
+    assert hits[0].time_gap_s == 1800.0
     assert detect_colocations(a, b_far) == []
     # 59 minutes is inside the default 60-minute window
     assert len(detect_colocations(a, b_late)) == 1
