@@ -13,7 +13,8 @@ The package is organized as a small pipeline:
     cli        -> one subcommand per stage
 
 Drafting never touches the Discussion or Conclusion sections; those stay
-with the examiner.
+with the examiner.  prompting.DRAFTED is the one place that says which
+sections are drafted, and from which inputs.
 """
 
 from .model import (
@@ -22,20 +23,16 @@ from .model import (
     Direction,
     EvidenceItem,
     ImageHash,
-    InputSource,
     ItemKind,
-    LlmPotential,
     LocationRecord,
     Mandate,
     MessageRecord,
     MethodStep,
     ReportSectionKind,
-    SectionMetadata,
     Sender,
     ValidationIssue,
     bundle_from_json,
     bundle_to_json,
-    section_metadata,
     validate_bundle,
 )
 
@@ -47,20 +44,16 @@ __all__ = [
     "Direction",
     "EvidenceItem",
     "ImageHash",
-    "InputSource",
     "ItemKind",
-    "LlmPotential",
     "LocationRecord",
     "Mandate",
     "MessageRecord",
     "MethodStep",
     "ReportSectionKind",
-    "SectionMetadata",
     "Sender",
     "ValidationIssue",
     "bundle_from_json",
     "bundle_to_json",
-    "section_metadata",
     "validate_bundle",
     "__version__",
 ]

@@ -52,7 +52,6 @@ __all__ = [
     "ClaimKind",
     "ClaimStatus",
     "Claim",
-    "CheckedClaim",
     "Roster",
     "build_roster",
     "GroundingContext",
@@ -91,15 +90,14 @@ class ClaimStatus(Enum):
 
 @dataclass(frozen=True)
 class Claim:
+    """A fact a draft states; verify sets its status, extract_claims leaves
+    it None."""
+
     kind: ClaimKind
     surface_text: str
     normalized_value: str
     span: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class CheckedClaim(Claim):
-    status: ClaimStatus
+    status: Optional[ClaimStatus] = None
 
 
 _TOKEN_RE = re.compile(r"[0-9a-z][0-9a-z_.:/'’-]*")
@@ -347,7 +345,11 @@ class GroundingContext:
                 except ValueError:  # more digits than int() converts
                     continue
 
-        for rec in bundle.all_locations():
+        locations = bundle.all_locations()
+        # a cluster's centroid satisfies its required fact, so it grounds too
+        for cluster in group_locations_spatial(locations, DEFAULT_CLUSTER_RADIUS_M):
+            self.coords.add(_rounded(*cluster.centroid))
+        for rec in locations:
             self.coords.add(_rounded(rec.latitude, rec.longitude))
             add_instant(rec.timestamp)
             self.filenames.add(rec.name.casefold())
@@ -466,11 +468,11 @@ def _claim_grounded(claim: Claim, context: GroundingContext) -> bool:
     return False
 
 
-def verify(claims: Sequence[Claim], context: GroundingContext) -> list[CheckedClaim]:
-    """Each claim with its status: grounded iff the context's bundle
+def verify(claims: Sequence[Claim], context: GroundingContext) -> list[Claim]:
+    """Each claim with its status set: grounded iff the context's bundle
     supports it within COORDINATE_PLACES and TIMESTAMP_SLACK."""
     return [
-        CheckedClaim(
+        Claim(
             c.kind, c.surface_text, c.normalized_value, c.span,
             ClaimStatus.GROUNDED if _claim_grounded(c, context) else ClaimStatus.UNGROUNDED,
         )
@@ -693,7 +695,7 @@ class GroundingReport:
     draft_ref: str
     hallucination_count: int
     completeness: float
-    claims: tuple[CheckedClaim, ...]
+    claims: tuple[Claim, ...]
     required_facts: tuple[FactCheck, ...]
 
 

@@ -22,11 +22,7 @@ from typing import (
 )
 
 __all__ = [
-    "LlmPotential",
-    "InputSource",
     "ReportSectionKind",
-    "SectionMetadata",
-    "section_metadata",
     "ItemKind",
     "ImageHash",
     "EvidenceItem",
@@ -51,66 +47,16 @@ __all__ = [
 T = TypeVar("T")
 
 
-class LlmPotential(Enum):
-    """How much of a section an assistant can usefully draft."""
-
-    HIGH = "high"
-    MEDIUM_STAR = "medium_star"  # workable, but only through a longer conversation
-    MEDIUM_LOW = "medium_low"
-    LOW = "low"
-
-
-class InputSource(Enum):
-    MANDATE = "mandate"
-    LAB_LOG = "lab_log"
-    TOOL_REPORT = "tool_report"
-    PRIOR_SECTIONS = "prior_sections"
-    EXAMINER_KNOWLEDGE = "examiner_knowledge"
-
-
 class ReportSectionKind(Enum):
+    """A report's six sections, in report order; prompting.DRAFTED names
+    the ones a model drafts."""
+
     INTRODUCTION = "introduction"
     ITEMS_RECEIVED = "items_received"
     METHODOLOGY = "methodology"
     RESULTS = "results"
     DISCUSSION = "discussion"
     CONCLUSION = "conclusion"
-
-
-@dataclass(frozen=True)
-class SectionMetadata:
-    llm_potential: LlmPotential
-    input_sources: frozenset[InputSource]
-
-
-_SECTION_TABLE: dict[ReportSectionKind, SectionMetadata] = {
-    ReportSectionKind.INTRODUCTION: SectionMetadata(
-        LlmPotential.HIGH, frozenset({InputSource.MANDATE, InputSource.LAB_LOG})
-    ),
-    ReportSectionKind.ITEMS_RECEIVED: SectionMetadata(
-        LlmPotential.HIGH,
-        frozenset({InputSource.MANDATE, InputSource.LAB_LOG, InputSource.TOOL_REPORT}),
-    ),
-    ReportSectionKind.METHODOLOGY: SectionMetadata(
-        LlmPotential.HIGH, frozenset({InputSource.LAB_LOG})
-    ),
-    ReportSectionKind.RESULTS: SectionMetadata(
-        LlmPotential.MEDIUM_STAR,
-        frozenset({InputSource.LAB_LOG, InputSource.TOOL_REPORT}),
-    ),
-    ReportSectionKind.DISCUSSION: SectionMetadata(
-        LlmPotential.LOW,
-        frozenset({InputSource.EXAMINER_KNOWLEDGE, InputSource.LAB_LOG}),
-    ),
-    ReportSectionKind.CONCLUSION: SectionMetadata(
-        LlmPotential.MEDIUM_LOW, frozenset({InputSource.PRIOR_SECTIONS})
-    ),
-}
-
-
-def section_metadata(kind: ReportSectionKind) -> SectionMetadata:
-    """Drafting potential and legal input sources for a report section."""
-    return _SECTION_TABLE[kind]
 
 
 class ItemKind(Enum):

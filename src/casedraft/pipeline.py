@@ -2,6 +2,9 @@
 matrix against configured backends, persist results append-only, and fold
 the store into summary statistics.
 
+Which sections take drafts is prompting.DRAFTED's decision; a report
+section it does not list is reserved for the examiner.
+
 An experiment drafts on every HTTP backend at once, one request in flight
 per backend, and drafts on mock backends inline; records are scored and
 committed in matrix order all the same.
@@ -26,7 +29,7 @@ from typing import Mapping, Optional, Sequence, Union
 from .gateway import BackendConfig, BackendKind, GatewayError, GeneratedDraft, InputFacts, generate
 from .grounding import GroundingContext, score
 from .model import CaseBundle, ReportSectionKind, to_data
-from .prompting import PromptSpec, build_matrix
+from .prompting import DRAFTED, PromptSpec, build_matrix
 from .transform import render_padded_table
 
 __all__ = [
@@ -53,14 +56,7 @@ DISCLAIMER_BANNER = (
     "verified against the case file by the responsible examiner before release."
 )
 
-SECTION_ORDER: tuple[ReportSectionKind, ...] = (
-    ReportSectionKind.INTRODUCTION,
-    ReportSectionKind.ITEMS_RECEIVED,
-    ReportSectionKind.METHODOLOGY,
-    ReportSectionKind.RESULTS,
-    ReportSectionKind.DISCUSSION,
-    ReportSectionKind.CONCLUSION,
-)
+SECTION_ORDER: tuple[ReportSectionKind, ...] = tuple(ReportSectionKind)
 
 SECTION_TITLES = {
     ReportSectionKind.INTRODUCTION: "Introduction",
@@ -70,8 +66,6 @@ SECTION_TITLES = {
     ReportSectionKind.DISCUSSION: "Discussion",
     ReportSectionKind.CONCLUSION: "Conclusion",
 }
-
-_MANUAL_ONLY = {ReportSectionKind.DISCUSSION, ReportSectionKind.CONCLUSION}
 
 
 @dataclass(frozen=True)
@@ -108,18 +102,19 @@ def assemble(
 ) -> ReportDocument:
     """Compose the six-section document from chosen drafts.
 
-    Discussion and Conclusion never take drafts; offering one is an error.
-    Undrafted sections get a placeholder.  Each drafted section is scored
-    against the bundle so its provenance line carries a hallucination count.
+    A section DRAFTED does not list (Discussion, Conclusion) never takes a
+    draft; offering one is an error.  Undrafted sections get a placeholder.
+    Each drafted section is scored against the bundle so its provenance
+    line carries a hallucination count.
     """
     for kind in drafts:
-        if kind in _MANUAL_ONLY:
+        if kind not in DRAFTED:
             raise ValueError(f"{kind.value} is reserved for the examiner; no draft accepted")
 
     context = GroundingContext(bundle)
     sections: list[tuple[ReportSectionKind, SectionContent]] = []
     for kind in SECTION_ORDER:
-        if kind in _MANUAL_ONLY:
+        if kind not in DRAFTED:
             note = (
                 "Interpretation is reserved for the examiner."
                 if kind is ReportSectionKind.DISCUSSION

@@ -1,6 +1,10 @@
 """Prompt construction: render bundle data into the source layouts, pair it
 with a request sentence, and enumerate the full experiment matrix.
 
+DRAFTED is the drafting plan, and the one place that decides it: which
+report sections a model drafts, from which input formats, in matrix
+order.  A section it does not list is reserved for the examiner.
+
 Request phrasings live in a versioned table shipped with the package
 (data/phrasings.json).  A prompt is always one request sentence plus one
 input block; the request goes before or after the input depending on the
@@ -34,6 +38,7 @@ from .model import (
 from .transform import reduce_to_csv, render_padded_table
 
 __all__ = [
+    "DRAFTED",
     "Placement",
     "SummaryMode",
     "PromptTopic",
@@ -320,12 +325,14 @@ def render_csv_locations(records: Sequence[LocationRecord]) -> str:
 # ---------------------------------------------------------------------------
 # input rendering and the matrix
 
-_LEGAL_INPUTS = {
-    ReportSectionKind.INTRODUCTION: frozenset({SourceFormat.MANDATE_TEXT}),
-    ReportSectionKind.ITEMS_RECEIVED: frozenset({SourceFormat.MANDATE_TEXT}),
-    ReportSectionKind.METHODOLOGY: frozenset({SourceFormat.LAB_LOG_TABLE}),
-    ReportSectionKind.RESULTS: frozenset(
-        {SourceFormat.TOOL_REPORT_EXCERPT, SourceFormat.LAB_LOG_TABLE, SourceFormat.REDUCED_CSV}
+# the drafting plan: each drafted section with its input formats, both in
+# matrix order; Discussion and Conclusion stay with the examiner
+DRAFTED: dict[ReportSectionKind, tuple[SourceFormat, ...]] = {
+    ReportSectionKind.INTRODUCTION: (SourceFormat.MANDATE_TEXT,),
+    ReportSectionKind.ITEMS_RECEIVED: (SourceFormat.MANDATE_TEXT,),
+    ReportSectionKind.METHODOLOGY: (SourceFormat.LAB_LOG_TABLE,),
+    ReportSectionKind.RESULTS: (
+        SourceFormat.TOOL_REPORT_EXCERPT, SourceFormat.LAB_LOG_TABLE, SourceFormat.REDUCED_CSV,
     ),
 }
 
@@ -342,10 +349,10 @@ def render_input(
     Rendered text defaults to English labels; french_labels restores the
     tool's French ones.  Illegal section/format pairings raise ValueError.
     """
-    legal = _LEGAL_INPUTS.get(section)
-    if legal is None:
+    formats = DRAFTED.get(section)
+    if formats is None:
         raise ValueError(f"section {section.value!r} is not drafted from inputs")
-    if input_format not in legal:
+    if input_format not in formats:
         raise ValueError(
             f"section {section.value!r} does not accept {input_format.value!r} input"
         )
@@ -415,47 +422,35 @@ def build_prompt(
 
 
 _PLACEMENTS = (Placement.REQUEST_FIRST, Placement.REQUEST_LAST)
-_RESULT_FORMATS = (
-    SourceFormat.TOOL_REPORT_EXCERPT,
-    SourceFormat.LAB_LOG_TABLE,
-    SourceFormat.REDUCED_CSV,
-)
 
 
 def build_matrix(bundle: CaseBundle, french_labels: bool = False) -> list[PromptSpec]:
-    """The full 36-prompt experiment matrix, in stable order.
+    """The full 36-prompt experiment matrix, in DRAFTED's order.
 
     4 prompts each (2 phrasings x 2 placements) for Introduction, Items
     Received and Methodology; 12 each (3 formats x 2 summary modes x 2
     placements) for Results over conversations and over locations.
     """
     prompts: list[PromptSpec] = []
-
-    early = [
-        (ReportSectionKind.INTRODUCTION, SourceFormat.MANDATE_TEXT),
-        (ReportSectionKind.ITEMS_RECEIVED, SourceFormat.MANDATE_TEXT),
-        (ReportSectionKind.METHODOLOGY, SourceFormat.LAB_LOG_TABLE),
-    ]
-    for section, fmt in early:
-        text = render_input(bundle, section, fmt, french_labels=french_labels)
-        for phrasing_id in (0, 1):
-            for placement in _PLACEMENTS:
-                prompts.append(
-                    build_prompt(section, fmt, text, PromptVariant(placement, phrasing_id))
-                )
-
-    for topic in (PromptTopic.CONVERSATIONS, PromptTopic.LOCATIONS):
-        for fmt in _RESULT_FORMATS:
-            text = render_input(
-                bundle, ReportSectionKind.RESULTS, fmt, topic, french_labels=french_labels
-            )
-            for mode in (SummaryMode.OVERALL, SummaryMode.DAY_BY_DAY):
-                for placement in _PLACEMENTS:
-                    variant = PromptVariant(placement, 0, mode)
-                    prompts.append(
-                        build_prompt(ReportSectionKind.RESULTS, fmt, text, variant, topic)
-                    )
-
+    for section, formats in DRAFTED.items():
+        if section is ReportSectionKind.RESULTS:
+            topics = (PromptTopic.CONVERSATIONS, PromptTopic.LOCATIONS)
+            variants = [
+                PromptVariant(placement, 0, mode)
+                for mode in (SummaryMode.OVERALL, SummaryMode.DAY_BY_DAY)
+                for placement in _PLACEMENTS
+            ]
+        else:
+            topics = (PromptTopic.GENERAL,)
+            variants = [
+                PromptVariant(placement, phrasing_id)
+                for phrasing_id in (0, 1)
+                for placement in _PLACEMENTS
+            ]
+        for topic in topics:
+            for fmt in formats:
+                text = render_input(bundle, section, fmt, topic, french_labels)
+                prompts += [build_prompt(section, fmt, text, v, topic) for v in variants]
     return prompts
 
 

@@ -27,6 +27,7 @@ from casedraft.grounding import (
     _TIMESTAMP,
     _VERSION,
     COORDINATE_PLACES,
+    TIMESTAMP_SLACK,
     Claim,
     ClaimKind,
     ClaimStatus,
@@ -57,6 +58,7 @@ from casedraft.model import (
 )
 from casedraft.pipeline import run_experiment
 from casedraft.prompting import PromptTopic, build_matrix, render_input
+from casedraft.transform import DEFAULT_CLUSTER_RADIUS_M, group_locations_spatial
 
 from conftest import DATA_DIR
 
@@ -463,18 +465,22 @@ def test_results_facts_by_topic(golden_bundle):
     assert len(both) == len(conversations) + len(locations)
 
 
-def test_location_cluster_fact_accepts_any_member(golden_bundle):
+@pytest.mark.parametrize("draft", [
+    "(38.906944, -77.072500) was visited",  # a member's fix
+    "(38.9073, -77.0727) was visited",  # the cluster's centroid
+], ids=["member", "centroid"])
+def test_location_cluster_fact_accepts_any_member(golden_bundle, draft):
     fact = required_facts_for(
         ReportSectionKind.RESULTS, golden_bundle, topic=PromptTopic.LOCATIONS
     )[0]
     # label, centroid, and every member coordinate are listed as alternatives
     assert len(fact.alternatives) >= 4
-    member = "(38.906944, -77.072500) was visited"
     rep = score(
-        member, GroundingContext(golden_bundle), ReportSectionKind.RESULTS,
+        draft, GroundingContext(golden_bundle), ReportSectionKind.RESULTS,
         topic=PromptTopic.LOCATIONS,
     )
-    assert rep.completeness == 1.0
+    # what satisfies the fact is evidence, so it is no hallucination either
+    assert (rep.completeness, rep.hallucination_count) == (1.0, 0)
 
 
 def test_facts_from_input_mirror_bundle_facts(golden_bundle):
@@ -689,3 +695,92 @@ def test_experiment_survives_a_byte_count_too_long_for_int(golden_bundle, tmp_pa
     for r in records:
         ungrounded = [c for c in r["grounding"]["claims"] if c["status"] == "ungrounded"]
         assert {(c["kind"], c["normalized_value"]) for c in ungrounded} == {("numeric_value", count)}
+
+
+# --- one-character mutation oracle ----------------------------------------------
+
+def _reference_grounded(claim, bundle):
+    """The oracle: whether a brute-force scan of the bundle finds a value
+    within tolerance of the claim, one plain loop per claim kind."""
+    value = claim.normalized_value
+    locations, messages = bundle.all_locations(), bundle.all_messages()
+    sources = [r.source_file for r in locations if r.source_file]
+    sources += [s for m in messages for s in m.source_files]
+    if claim.kind is ClaimKind.COORDINATE:
+        lat, lon = (float(v) for v in value.split(","))
+        fixes = [(r.latitude, r.longitude) for r in locations]
+        fixes += [c.centroid for c in group_locations_spatial(locations, DEFAULT_CLUSTER_RADIUS_M)]
+        return any(
+            round(lat, COORDINATE_PLACES) == round(a, COORDINATE_PLACES)
+            and round(lon, COORDINATE_PLACES) == round(b, COORDINATE_PLACES)
+            for a, b in fixes
+        )
+    if claim.kind is ClaimKind.TIMESTAMP:
+        stamp, _, offset = value.partition(" ")
+        claimed = datetime.fromisoformat(stamp)
+        instants = [r.timestamp for r in locations] + [m.timestamp for m in messages]
+        if offset:
+            claimed = claimed.replace(tzinfo=parse_offset(offset))
+        else:  # the wall clock each record shows
+            instants = [t.replace(tzinfo=None) for t in instants]
+        return any(abs(claimed - t) <= TIMESTAMP_SLACK for t in instants)
+    if claim.kind is ClaimKind.PERSON_NAME:
+        people = [*bundle.mandate.suspects, bundle.mandate.investigator_name or ""]
+        for m in messages:
+            if m.sender:
+                people += [m.sender.identifier, m.sender.display_name or ""]
+        claimed = value.split()
+
+        def inside(short, long):
+            return any(long[i:i + len(short)] == short for i in range(len(long) - len(short) + 1))
+
+        return any(inside(claimed, p) or inside(p, claimed) for p in map(tokens_of, people) if p)
+    if claim.kind is ClaimKind.FILENAME:
+        names = [r.name for r in locations]
+        names += [part for s in sources for part in re.split(r"[/\\\s]+", s)]
+        return any(value == n.casefold() for n in names)
+    if claim.kind is ClaimKind.NUMERIC_VALUE:
+        sizes = [r.size_bytes for r in locations] + [i.storage_size for i in bundle.items]
+        sizes += [int(n) for s in sources for n in re.findall(r"(\d+)\s*(?:bytes|octets)", s, re.I)]
+        return int(value) in sizes
+    if claim.kind is ClaimKind.PLACE_NAME:
+        return any(value in " ".join(tokens_of(r.related_location or "")) for r in locations)
+    if claim.kind is ClaimKind.TOOL_VERSION:
+        versions = [s.tool_version for s in bundle.method_steps]
+        versions += [p.os_version for p in bundle.device_profiles.values()]
+        return value in versions
+    raise AssertionError(claim.kind)
+
+
+# each substitute for a claim's character, besides the character in the other case
+MUTANT_CHARACTERS = "0123456789aX.,:/()- "
+
+
+def test_one_character_mutants_ground_as_a_brute_force_scan_finds(golden_bundle):
+    roster, context = build_roster(golden_bundle), GroundingContext(golden_bundle)
+    mock = BackendConfig(name="mock", kind=BackendKind.MOCK)
+    # faithful texts: each prompt's mock draft and its input block, which
+    # restates the bundle, and the location cluster's centroid
+    texts = ["(38.9073, -77.0727) was visited"]
+    for prompt in build_matrix(golden_bundle):
+        texts += [generate(mock, prompt).text, prompt.input_block()]
+    originals = {}  # the first place each claim's surface text is stated
+    for text in texts:
+        for claim in extract_claims(text, roster):
+            originals.setdefault((claim.kind, claim.surface_text), (text, claim.span))
+    assert {kind for kind, _ in originals} == set(ClaimKind)
+
+    tried, wrong = set(), []
+    for (kind, _), (text, (start, end)) in originals.items():
+        for i in range(start, end):
+            for ch in sorted({*MUTANT_CHARACTERS, text[i].swapcase()} - {text[i]}):
+                mutant = text[:i] + ch + text[i + 1:]
+                same = [c for c in extract_claims(mutant, roster) if (c.kind, c.span) == (kind, (start, end))]
+                if not same:
+                    continue
+                tried.add(kind)
+                (checked,) = verify(same, context)
+                if (checked.status is ClaimStatus.GROUNDED) != _reference_grounded(checked, golden_bundle):
+                    wrong.append((checked.surface_text, checked.status.value))
+    assert tried == set(ClaimKind)
+    assert wrong == []

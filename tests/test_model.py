@@ -1,4 +1,4 @@
-"""Case model: section metadata, validation rules, JSON round trip."""
+"""Case model: section kinds, validation rules, JSON round trip."""
 
 from __future__ import annotations
 
@@ -14,9 +14,7 @@ from casedraft.model import (
     Direction,
     EvidenceItem,
     ImageHash,
-    InputSource,
     ItemKind,
-    LlmPotential,
     LocationRecord,
     Mandate,
     MessageRecord,
@@ -28,7 +26,6 @@ from casedraft.model import (
     format_offset,
     from_data,
     parse_offset,
-    section_metadata,
     to_data,
     validate_bundle,
 )
@@ -37,43 +34,10 @@ from casedraft.transform import LocationCluster
 UTC = timezone.utc
 
 
-# --- section metadata -------------------------------------------------------
-
-EXPECTED_TABLE = {
-    ReportSectionKind.INTRODUCTION: (
-        LlmPotential.HIGH,
-        {InputSource.MANDATE, InputSource.LAB_LOG},
-    ),
-    ReportSectionKind.ITEMS_RECEIVED: (
-        LlmPotential.HIGH,
-        {InputSource.MANDATE, InputSource.LAB_LOG, InputSource.TOOL_REPORT},
-    ),
-    ReportSectionKind.METHODOLOGY: (LlmPotential.HIGH, {InputSource.LAB_LOG}),
-    ReportSectionKind.RESULTS: (
-        LlmPotential.MEDIUM_STAR,
-        {InputSource.LAB_LOG, InputSource.TOOL_REPORT},
-    ),
-    ReportSectionKind.DISCUSSION: (
-        LlmPotential.LOW,
-        {InputSource.EXAMINER_KNOWLEDGE, InputSource.LAB_LOG},
-    ),
-    ReportSectionKind.CONCLUSION: (
-        LlmPotential.MEDIUM_LOW,
-        {InputSource.PRIOR_SECTIONS},
-    ),
-}
-
+# --- report sections --------------------------------------------------------
 
 def test_exactly_six_sections():
     assert len(list(ReportSectionKind)) == 6
-
-
-@pytest.mark.parametrize("kind", list(ReportSectionKind))
-def test_section_metadata_matches_schema(kind):
-    meta = section_metadata(kind)
-    potential, sources = EXPECTED_TABLE[kind]
-    assert meta.llm_potential is potential
-    assert set(meta.input_sources) == sources
 
 
 # --- validation -------------------------------------------------------------

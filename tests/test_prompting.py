@@ -18,6 +18,7 @@ from casedraft.ingest import (
 )
 from casedraft.model import ReportSectionKind
 from casedraft.prompting import (
+    DRAFTED,
     Placement,
     PromptTopic,
     PromptVariant,
@@ -193,6 +194,37 @@ def test_render_input_rejects_illegal_pairs(golden_bundle):
         render_input(golden_bundle, ReportSectionKind.INTRODUCTION, SourceFormat.REDUCED_CSV)
     with pytest.raises(ValueError):
         render_input(golden_bundle, ReportSectionKind.RESULTS, SourceFormat.LAB_LOG_TABLE)
+
+
+# --- the drafting plan ------------------------------------------------------------
+
+# the paper's schema: each section's input formats in matrix order; None
+# marks a section left to the examiner
+EXPECTED_PLAN = {
+    ReportSectionKind.INTRODUCTION: (SourceFormat.MANDATE_TEXT,),
+    ReportSectionKind.ITEMS_RECEIVED: (SourceFormat.MANDATE_TEXT,),
+    ReportSectionKind.METHODOLOGY: (SourceFormat.LAB_LOG_TABLE,),
+    ReportSectionKind.RESULTS: (
+        SourceFormat.TOOL_REPORT_EXCERPT, SourceFormat.LAB_LOG_TABLE, SourceFormat.REDUCED_CSV,
+    ),
+    ReportSectionKind.DISCUSSION: None,
+    ReportSectionKind.CONCLUSION: None,
+}
+
+
+@pytest.mark.parametrize("kind", list(ReportSectionKind))
+def test_drafting_plan_matches_schema(golden_bundle, kind):
+    formats = EXPECTED_PLAN[kind]
+    assert DRAFTED.get(kind) == formats
+    for fmt in SourceFormat:
+        if formats is not None and fmt in formats:
+            assert render_input(golden_bundle, kind, fmt, PromptTopic.LOCATIONS)
+        else:
+            with pytest.raises(ValueError):
+                render_input(golden_bundle, kind, fmt, PromptTopic.LOCATIONS)
+    # the matrix drafts the section from exactly those formats, in that order
+    drafted = [p.input_format for p in build_matrix(golden_bundle) if p.section is kind]
+    assert tuple(dict.fromkeys(drafted)) == (formats or ())
 
 
 # --- the matrix -------------------------------------------------------------------

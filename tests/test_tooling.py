@@ -3,11 +3,26 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import casedraft
 
 SOURCES = sorted(Path(casedraft.__file__).parent.glob("*.py"))
+
+
+# an export left behind by a deletion would break `from casedraft.x import *`
+def test_every_exported_name_resolves():
+    modules = [casedraft] + [
+        importlib.import_module(f"casedraft.{path.stem}") for path in SOURCES if path.stem != "__init__"
+    ]
+    missing = sorted(
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    )
+    assert missing == []
 
 
 def test_no_imports_inside_functions():
