@@ -290,7 +290,7 @@ def _warn_if_torn(store: str) -> None:
 
 def _cmd_summarize(args) -> int:
     _warn_if_torn(args.store)
-    table = pipeline.summarize(pipeline.read_store(args.store))
+    table = pipeline.summarize(pipeline.iter_store(args.store))
     if args.json:
         _save_text(json.dumps(to_data(table)["rows"], indent=2) + "\n", args.output)
     else:

@@ -44,7 +44,7 @@ from .ingest import (
 )
 from .model import CaseBundle, Mandate, ReportSectionKind, parse_offset
 from .prompting import PromptTopic
-from .transform import DEFAULT_CLUSTER_RADIUS_M, group_locations_spatial
+from .transform import DEFAULT_CLUSTER_RADIUS_M, LocationCluster, group_locations_spatial
 
 __all__ = [
     "COORDINATE_PLACES",
@@ -308,10 +308,11 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
 class GroundingContext:
     """What one bundle offers as evidence for grounding drafts.
 
-    Built once: the roster, and the bundle's values in the shape each claim
-    kind is looked up by, within the tolerances COORDINATE_PLACES and
-    TIMESTAMP_SLACK.  The required facts per (section, topic) are derived
-    on first use.  All of it is kept for the life of the context, and the
+    Built once: the roster, the bundle's location clusters, and the
+    bundle's values in the shape each claim kind is looked up by, within
+    the tolerances COORDINATE_PLACES and TIMESTAMP_SLACK.  The required
+    facts per (section, topic) are derived on first use, from those
+    clusters.  All of it is kept for the life of the context, and the
     caller owns that life: pipeline.run_experiment and pipeline.assemble
     build one context per call and score every draft against it.  The
     bundle must not change while a context built from it is in use.
@@ -346,8 +347,10 @@ class GroundingContext:
                     continue
 
         locations = bundle.all_locations()
+        # clustered once: Results' location facts are built from these too
+        self.clusters = group_locations_spatial(locations, DEFAULT_CLUSTER_RADIUS_M)
         # a cluster's centroid satisfies its required fact, so it grounds too
-        for cluster in group_locations_spatial(locations, DEFAULT_CLUSTER_RADIUS_M):
+        for cluster in self.clusters:
             self.coords.add(_rounded(*cluster.centroid))
         for rec in locations:
             self.coords.add(_rounded(rec.latitude, rec.longitude))
@@ -396,11 +399,13 @@ class GroundingContext:
         self, section: ReportSectionKind, topic: Optional[PromptTopic] = None
     ) -> tuple[RequiredFact, ...]:
         """required_facts_for this context's bundle, derived once per
-        (section, topic)."""
+        (section, topic) from the context's clusters."""
         key = (section, topic)
         facts = self._facts.get(key)
         if facts is None:
-            facts = self._facts[key] = tuple(required_facts_for(section, self.bundle, topic))
+            facts = self._facts[key] = tuple(
+                required_facts_for(section, self.bundle, topic, clusters=self.clusters)
+            )
         return facts
 
 
@@ -606,9 +611,12 @@ def _message_facts(messages) -> list[RequiredFact]:
     ]
 
 
-def _location_cluster_facts(records) -> list[RequiredFact]:
+def _location_cluster_facts(
+    records, clusters: Optional[Sequence[LocationCluster]] = None
+) -> list[RequiredFact]:
+    if clusters is None:
+        clusters = group_locations_spatial(records, DEFAULT_CLUSTER_RADIUS_M)
     facts: list[RequiredFact] = []
-    clusters = group_locations_spatial(records, DEFAULT_CLUSTER_RADIUS_M)
     for cluster in clusters:
         alts: list[FactAlternative] = [TokenPhrase(cluster.label)]
         alts.append(CoordinateAlternative(*cluster.centroid))
@@ -619,14 +627,20 @@ def _location_cluster_facts(records) -> list[RequiredFact]:
 
 
 def required_facts_for(
-    section: ReportSectionKind, bundle: CaseBundle, topic: Optional[PromptTopic] = None
+    section: ReportSectionKind,
+    bundle: CaseBundle,
+    topic: Optional[PromptTopic] = None,
+    *,
+    clusters: Optional[Sequence[LocationCluster]] = None,
 ) -> list[RequiredFact]:
     """The facts a draft of this section must carry, derived from the bundle.
 
     For Results, topic narrows the facts to conversations or locations;
     left unset or general, both apply.  Items land at the end of the
     Introduction list; Discussion and Conclusion require nothing (never
-    drafted).
+    drafted).  clusters, when given, must be group_locations_spatial of
+    bundle.all_locations() at DEFAULT_CLUSTER_RADIUS_M; the locations are
+    clustered here otherwise.
     """
     if section is ReportSectionKind.INTRODUCTION:
         return _mandate_intro_facts(bundle.mandate)
@@ -639,7 +653,7 @@ def required_facts_for(
         if topic is not PromptTopic.LOCATIONS:
             facts += _message_facts(bundle.all_messages())
         if topic is not PromptTopic.CONVERSATIONS:
-            facts += _location_cluster_facts(bundle.all_locations())
+            facts += _location_cluster_facts(bundle.all_locations(), clusters)
         return facts
     return []
 

@@ -12,19 +12,23 @@ committed in matrix order all the same.
 The store is a line-delimited JSON file.  Records are never rewritten;
 re-running an experiment appends under a fresh run identifier derived from
 the store's current content, so identical configurations reproduce
-identical bytes.
+identical bytes.  A run opens the store once, at its first record, and
+writes and flushes each record as one line.  iter_store reads the store
+one record at a time, and next_run_id and summarize fold any iterable of
+records, so neither experiment nor summarize holds the store's history.
 """
 
 from __future__ import annotations
 
 import json
 import statistics
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .gateway import BackendConfig, BackendKind, GatewayError, GeneratedDraft, InputFacts, generate
 from .grounding import GroundingContext, score
@@ -42,6 +46,7 @@ __all__ = [
     "assemble",
     "render_markdown",
     "append_records",
+    "iter_store",
     "read_store",
     "torn_line",
     "next_run_id",
@@ -174,61 +179,84 @@ def _record(line: bytes) -> Optional[dict]:
     return record if isinstance(record, dict) else None
 
 
-def _unterminated_tail(fh) -> Optional[tuple[int, int, bytes]]:
+_BLOCK = 1 << 16  # bytes read at a time to find the final line or count lines
+
+
+def _unterminated_tail(fh) -> Optional[tuple[int, bytes]]:
     """The final line of a store opened in binary mode when it lacks its
-    newline, as (line number, offset, bytes); None when the store is empty
-    or ends in a newline."""
+    newline, as (offset, bytes); None when the store is empty or ends in a
+    newline.  Only the final line is read whole: the last newline is
+    sought a block at a time from the end."""
     size = fh.seek(0, 2)
     if size == 0:
         return None
     fh.seek(size - 1)
     if fh.read(1) == b"\n":
         return None
-    fh.seek(0)
-    data = fh.read()
-    start = data.rfind(b"\n") + 1
-    return data.count(b"\n", 0, start) + 1, start, data[start:]
+    start = size
+    while start > 0:
+        begin = max(0, start - _BLOCK)
+        fh.seek(begin)
+        cut = fh.read(start - begin).rfind(b"\n")
+        if cut >= 0:
+            start = begin + cut + 1
+            break
+        start = begin
+    fh.seek(start)
+    return start, fh.read(size - start)
 
 
-def append_records(path: Union[str, Path], records: Sequence[dict]) -> None:
-    """Append one line per record.  A store whose final line lacks its
-    newline, as a crash mid-write leaves it, first gets that newline when
-    the line is a record, and loses the line when it is not."""
+@contextmanager
+def _appending(path: Union[str, Path]) -> Iterator[BinaryIO]:
+    """The store opened to append in binary mode.  A store whose final line
+    lacks its newline, as a crash mid-write leaves it, first gets that
+    newline when the line is a record, and loses the line when it is not."""
     with open(path, "a+b") as fh:
         tail = _unterminated_tail(fh)
         if tail is not None:
-            _, start, line = tail
+            start, line = tail
             if _record(line) is not None:
                 fh.write(b"\n")
             else:
                 fh.truncate(start)
+        yield fh
+
+
+def _line(record: dict) -> bytes:
+    return (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def append_records(path: Union[str, Path], records: Iterable[dict]) -> None:
+    """Append one line per record, after repairing a torn final line as
+    _appending does."""
+    with _appending(path) as fh:
         for record in records:
-            fh.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
+            fh.write(_line(record))
 
 
 def torn_line(path: Union[str, Path]) -> Optional[int]:
     """The number of the store's final line when a write was torn: the line
     lacks its newline and is not one JSON object.  None otherwise, and for a
-    store not yet made."""
+    store not yet made.  Lines are counted a block at a time."""
     p = Path(path)
     if not p.exists():
         return None
     with open(p, "rb") as fh:
         tail = _unterminated_tail(fh)
-    if tail is None or not tail[2].strip() or _record(tail[2]) is not None:
-        return None
-    return tail[0]
+        if tail is None or not tail[1].strip() or _record(tail[1]) is not None:
+            return None
+        fh.seek(0)
+        return sum(block.count(b"\n") for block in iter(lambda: fh.read(_BLOCK), b"")) + 1
 
 
-def read_store(path: Union[str, Path]) -> list[dict]:
-    """Every record of the store, in order; [] for a store not yet made.
-    A torn final line (see torn_line) is skipped.  Any other line that is
-    not one JSON object raises ValueError naming the store and the line's
-    number."""
+def iter_store(path: Union[str, Path]) -> Iterator[dict]:
+    """Every record of the store, in order, decoded one line at a time;
+    nothing for a store not yet made.  A torn final line (see torn_line) is
+    skipped.  Any other line that is not one JSON object raises ValueError
+    naming the store and the line's number when the reader reaches it."""
     p = Path(path)
     if not p.exists():
-        return []
-    records = []
+        return
     # bytes, so that a write torn inside a character fails as its line does
     with open(p, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -236,13 +264,19 @@ def read_store(path: Union[str, Path]) -> list[dict]:
                 record = _record(line)
                 if record is None:
                     if not line.endswith(b"\n"):  # only the final line can lack it
-                        break
+                        return
                     raise ValueError(f"{path}:{lineno}: invalid record")
-                records.append(record)
-    return records
+                yield record
 
 
-def next_run_id(existing: Sequence[dict]) -> str:
+def read_store(path: Union[str, Path]) -> list[dict]:
+    """iter_store's records as one list, for callers that want them all."""
+    return list(iter_store(path))
+
+
+def next_run_id(existing: Iterable[dict]) -> str:
+    """The run identifier after those in any iterable of records, which is
+    consumed one record at a time."""
     runs = {r.get("run_id") for r in existing if r.get("run_id")}
     return f"run-{len(runs) + 1:04d}"
 
@@ -265,11 +299,12 @@ def run_experiment(
     """
     if prompts is None:
         prompts = build_matrix(bundle)
-    run_id = next_run_id(read_store(store_path))
+    run_id = next_run_id(iter_store(store_path))
     context = GroundingContext(bundle)
     inputs = InputFacts()
 
     records: list[dict] = []
+    store = None  # opened at the first record, so a run aborted before it makes no store
     with ExitStack() as stack:
         drafting = []  # per backend, its drafts to come, or None to draft inline
         for config in configs:
@@ -293,7 +328,10 @@ def run_experiment(
                     base["record_kind"] = "error"
                     base["error"] = str(exc)
                 records.append(base)
-                append_records(store_path, [base])
+                if store is None:
+                    store = stack.enter_context(_appending(store_path))
+                store.write(_line(base))
+                store.flush()  # each record whole on disk before the next is scored
     return records
 
 
@@ -336,14 +374,17 @@ class SummaryTable:
         return render_padded_table([headers] + body, "  ")
 
 
-def summarize(records: Sequence[dict]) -> SummaryTable:
-    """Pure fold of store records into per-(backend, section, format) stats.
+def summarize(records: Iterable[dict]) -> SummaryTable:
+    """Fold any iterable of store records into per-(backend, section,
+    format) stats, one record at a time.
 
     Order-independent: the same set of records always yields the same table.
     Latency, hallucination and completeness means cover result records;
-    error records only count toward count and error_count.
+    error records only count toward count and error_count.  Each group
+    keeps its count and its result records' values, not the records.
     """
-    groups: dict[tuple[str, str, str], list[dict]] = {}
+    counts: Counter[tuple[str, str, str]] = Counter()
+    values: dict[tuple[str, str, str], tuple[list, list, list]] = {}
     for record in records:
         prompt = record.get("prompt", {})
         key = (
@@ -351,22 +392,23 @@ def summarize(records: Sequence[dict]) -> SummaryTable:
             prompt.get("section", "?"),
             prompt.get("input_format", "?"),
         )
-        groups.setdefault(key, []).append(record)
+        counts[key] += 1
+        latencies, hallucinations, completeness = values.setdefault(key, ([], [], []))
+        if record.get("record_kind") == "result":
+            latencies.append(record["draft"]["latency_s"])
+            hallucinations.append(record["grounding"]["hallucination_count"])
+            completeness.append(record["grounding"]["completeness"])
 
     rows: list[SummaryRow] = []
-    for key in sorted(groups):
-        group = groups[key]
-        results = [r for r in group if r.get("record_kind") == "result"]
-        latencies = [r["draft"]["latency_s"] for r in results]
-        hallucinations = [r["grounding"]["hallucination_count"] for r in results]
-        completeness = [r["grounding"]["completeness"] for r in results]
+    for key in sorted(counts):
+        latencies, hallucinations, completeness = values[key]
         rows.append(
             SummaryRow(
                 backend=key[0],
                 section=key[1],
                 input_format=key[2],
-                count=len(group),
-                error_count=len(group) - len(results),
+                count=counts[key],
+                error_count=counts[key] - len(latencies),
                 mean_latency_s=statistics.mean(latencies) if latencies else None,
                 median_latency_s=statistics.median(latencies) if latencies else None,
                 mean_hallucinations=statistics.mean(hallucinations) if hallucinations else None,

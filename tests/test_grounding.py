@@ -9,6 +9,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casedraft import grounding
 from casedraft.cli import main
 from casedraft.gateway import (
     BackendConfig,
@@ -497,6 +498,23 @@ def test_facts_from_input_mirror_bundle_facts(golden_bundle):
         derived = facts_from_input(section, fmt, topic, text)
         reference = required_facts_for(section, golden_bundle, topic=topic)
         assert len(derived) == len(reference), (section, fmt, topic)
+
+
+def test_a_context_clusters_its_locations_once(golden_bundle, monkeypatch):
+    keys = [(ReportSectionKind.RESULTS, PromptTopic.LOCATIONS), (ReportSectionKind.RESULTS, None)]
+    reference = [required_facts_for(section, golden_bundle, topic) for section, topic in keys]
+    calls = []
+
+    def counted(records, radius_m=DEFAULT_CLUSTER_RADIUS_M):
+        calls.append(len(records))
+        return group_locations_spatial(records, radius_m)
+
+    monkeypatch.setattr(grounding, "group_locations_spatial", counted)
+    context = GroundingContext(golden_bundle)
+    facts = [list(context.required_facts(section, topic)) for section, topic in keys]
+    assert calls == [len(golden_bundle.all_locations())]
+    assert facts == reference
+    assert any(f.description.startswith("location cluster") for f in facts[0])
 
 
 # --- scoring -------------------------------------------------------------------------

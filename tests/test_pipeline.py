@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+import statistics
 import time
+import tracemalloc
 from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casedraft.cli import main
 from casedraft import gateway, pipeline
@@ -27,6 +30,8 @@ from casedraft.pipeline import (
     SECTION_TITLES,
     DraftContent,
     ManualPlaceholder,
+    SummaryRow,
+    SummaryTable,
     append_records,
     assemble,
     next_run_id,
@@ -139,6 +144,62 @@ def test_next_run_id_counts_distinct_runs():
     assert next_run_id([]) == "run-0001"
     assert next_run_id([{"run_id": "run-0001"}] * 3) == "run-0002"
     assert next_run_id([{"run_id": "run-0001"}, {"run_id": "run-0002"}]) == "run-0003"
+    assert next_run_id(iter([{"run_id": "run-0001"}, {"run_id": "run-0002"}])) == "run-0003"
+
+
+def test_iter_store_yields_what_read_store_returns(tmp_path):
+    path = tmp_path / "store.jsonl"
+    assert list(pipeline.iter_store(path)) == []
+    append_records(path, [{"a": 1}, {"b": "x"}])
+    records = pipeline.iter_store(path)
+    assert next(records) == {"a": 1}
+    assert list(records) == [{"b": "x"}] == read_store(path)[1:]
+
+
+def _synthetic_record(i: int) -> dict:
+    """A store record of the shape run_experiment writes, about 1.5 kB."""
+    return {
+        "run_id": f"run-{i // 180 + 1:04d}",
+        "backend": f"backend-{i % 5}",
+        "prompt": {
+            "prompt_id": f"results-{i % 36:02d}",
+            "section": ("introduction", "methodology", "results")[i % 3],
+            "input_format": ("mandate_text", "lab_log_table", "reduced_csv")[i % 3],
+            "rendered_text": f"Prompt {i}: " + "evidence line\n" * 40,
+        },
+        "record_kind": "error" if i % 17 == 0 else "result",
+        "draft": {"text": f"Draft {i}. " + "The device was seen at 38.9073, -77.0727. " * 12,
+                  "latency_s": (i % 97) / 10.0},
+        "grounding": {
+            "hallucination_count": i % 4,
+            "completeness": (i % 9) / 8.0,
+            "claims": [{"kind": "coordinate", "span": [j, j + 18], "surface": f"38.{j:04d}"}
+                       for j in range(4)],
+        },
+    }
+
+
+def _traced(fn):
+    """fn's result, and the bytes tracemalloc saw held at its return and at
+    peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return (result, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_id_scan_and_summary_hold_a_fraction_of_the_store(tmp_path):
+    store = tmp_path / "store.jsonl"
+    append_records(store, (_synthetic_record(i) for i in range(1200)))
+    records, held, _ = _traced(lambda: read_store(store))
+    run_id, _, scan_peak = _traced(lambda: next_run_id(pipeline.iter_store(store)))
+    table, _, fold_peak = _traced(lambda: summarize(pipeline.iter_store(store)))
+    assert scan_peak < held / 4
+    assert fold_peak < held / 4
+    assert run_id == next_run_id(records) == "run-0008"
+    assert table == summarize(records)
 
 
 # --- experiment runs ------------------------------------------------------------
@@ -161,6 +222,31 @@ def test_run_experiment_is_byte_deterministic(golden_bundle, tmp_path):
     run_experiment(golden_bundle, [MOCK], a)
     run_experiment(golden_bundle, [MOCK], b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_run_opens_its_store_once_and_commits_each_record_before_the_next_score(
+    golden_bundle, tmp_path, monkeypatch
+):
+    store = tmp_path / "store.jsonl"
+    store.write_bytes(b'{"run_id": "run-0001"}\n{"run_id": "run-00')  # torn by a crash
+    opened, committed = [], []
+    original_score = pipeline.score
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        opened.append(mode)
+        return open(file, mode, *args, **kwargs)
+
+    def scoring(*args, **kwargs):
+        committed.append(store.read_bytes().count(b"\n"))
+        return original_score(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
+    monkeypatch.setattr(pipeline, "score", scoring)
+    records = run_experiment(golden_bundle, [MOCK, MOCK], store)
+    assert opened == ["rb", "a+b"]  # the run-id scan, then one handle for 72 appends
+    assert committed == [1] + list(range(2, 73))  # the torn line is cut at the first append
+    assert read_store(store) == [{"run_id": "run-0001"}] + records
+    assert {r["run_id"] for r in records} == {"run-0002"}
 
 
 def test_run_experiment_derives_each_input_once_for_all_mock_backends(
@@ -353,6 +439,65 @@ def test_summarize_error_records_only_count():
     assert row.median_latency_s == 3.0
     assert row.mean_hallucinations == 2.0
     assert row.mean_completeness == 0.75
+
+
+def _summary_key(record):
+    prompt = record.get("prompt", {})
+    return (record.get("backend", "?"), prompt.get("section", "?"), prompt.get("input_format", "?"))
+
+
+def _reference_summary(records) -> SummaryTable:
+    """The oracle: each group gathered from the whole list, then folded."""
+    rows = []
+    for key in sorted({_summary_key(r) for r in records}):
+        group = [r for r in records if _summary_key(r) == key]
+        results = [r for r in group if r.get("record_kind") == "result"]
+        latencies = [r["draft"]["latency_s"] for r in results]
+        hallucinations = [r["grounding"]["hallucination_count"] for r in results]
+        completeness = [r["grounding"]["completeness"] for r in results]
+        rows.append(SummaryRow(
+            backend=key[0], section=key[1], input_format=key[2],
+            count=len(group), error_count=len(group) - len(results),
+            mean_latency_s=statistics.mean(latencies) if latencies else None,
+            median_latency_s=statistics.median(latencies) if latencies else None,
+            mean_hallucinations=statistics.mean(hallucinations) if hallucinations else None,
+            mean_completeness=statistics.mean(completeness) if completeness else None,
+        ))
+    return SummaryTable(tuple(rows))
+
+
+def _optional(key, values):
+    """A one-entry dict, or an empty one for a record that lacks the key."""
+    return st.one_of(st.just({}), values.map(lambda v: {key: v}))
+
+
+_PROMPTS = st.builds(
+    lambda section, fmt: {**section, **fmt},
+    _optional("section", st.sampled_from(["introduction", "results"])),
+    _optional("input_format", st.sampled_from(["mandate_text", "reduced_csv"])),
+)
+_RESULT_FIELDS = st.fixed_dictionaries({
+    "record_kind": st.just("result"),
+    "draft": st.fixed_dictionaries({"latency_s": st.floats(0.0, 60.0)}),
+    "grounding": st.fixed_dictionaries({
+        "hallucination_count": st.integers(0, 5),
+        "completeness": st.floats(0.0, 1.0),
+    }),
+})
+_ERROR_FIELDS = st.fixed_dictionaries({"record_kind": st.just("error"), "error": st.just("boom")})
+_RECORDS = st.builds(
+    lambda backend, prompt, fields: {**backend, **prompt, **fields},
+    _optional("backend", st.sampled_from(["local", "hosted"])),
+    _optional("prompt", _PROMPTS),
+    st.one_of(_RESULT_FIELDS, _ERROR_FIELDS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RECORDS, max_size=40).flatmap(lambda rs: st.tuples(st.just(rs), st.permutations(rs))))
+def test_summarize_folds_a_stream_as_a_reference_fold_over_the_list(records_and_shuffled):
+    records, shuffled = records_and_shuffled
+    assert summarize(iter(shuffled)) == _reference_summary(records)
 
 
 def test_summary_table_renders_text(golden_bundle, tmp_path):
@@ -744,6 +889,23 @@ def test_append_cuts_a_torn_final_line_off(tail, tmp_path):
     append_records(store, [{"c": 3}])
     assert store.read_bytes() == good + b'{"c": 3}\n'
     assert torn_line(store) is None
+
+
+@pytest.mark.parametrize("tail_bytes", [
+    pytest.param(20, id="short-tail"),
+    pytest.param(pipeline._BLOCK + 100, id="tail-longer-than-a-block"),
+])
+def test_a_torn_final_line_after_more_than_a_block_names_its_line(tail_bytes, tmp_path):
+    store = tmp_path / "store.jsonl"
+    records = [{"n": i, "pad": "x" * 50} for i in range(2 * pipeline._BLOCK // 60 + 2)]
+    append_records(store, records)
+    good = store.read_bytes()
+    assert len(good) > pipeline._BLOCK
+    store.write_bytes(good + b'{"run_id": "' + b"r" * tail_bytes)
+    assert torn_line(store) == len(records) + 1
+    assert read_store(store) == records
+    append_records(store, [{"c": 3}])
+    assert store.read_bytes() == good + b'{"c": 3}\n'
 
 
 def test_append_ends_a_final_record_without_its_newline_first(tmp_path):

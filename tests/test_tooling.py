@@ -130,3 +130,16 @@ def test_no_hand_written_to_dict():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_dict"
     )
     assert found == []
+
+
+# every command reads the store one record at a time; read_store's list is
+# for tests and for callers outside the package
+def test_no_command_reads_the_whole_store():
+    calls = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "read_store" or getattr(node.func, "attr", None) == "read_store")
+    )
+    assert calls == []
