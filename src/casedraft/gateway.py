@@ -303,6 +303,19 @@ def _post_json(url: str, payload: dict, config: BackendConfig, headers: Optional
     )
 
 
+def _draft_text(config: BackendConfig, text) -> str:
+    """An HTTP backend's answer as draft text: a string that is not blank
+    and that UTF-8 can encode (a lone surrogate cannot be), as the store
+    writes it."""
+    if not isinstance(text, str) or not text.strip():
+        raise ProtocolError(f"{config.name}: backend returned empty text")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ProtocolError(f"{config.name}: backend returned text UTF-8 cannot encode") from None
+    return text
+
+
 def _generate_local(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraft:
     base = (config.endpoint_url or "http://127.0.0.1:5001").rstrip("/")
     url = base if base.endswith("/api/v1/generate") else f"{base}/api/v1/generate"
@@ -316,12 +329,10 @@ def _generate_local(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraft
         text = body["results"][0]["text"]
     except (KeyError, IndexError, TypeError) as exc:
         raise ProtocolError(f"{config.name}: no results[0].text in response") from exc
-    if not isinstance(text, str) or not text.strip():
-        raise ProtocolError(f"{config.name}: backend returned empty text")
     return GeneratedDraft(
         prompt_id=prompt.prompt_id,
         backend_label=config.name,
-        text=text,
+        text=_draft_text(config, text),
         latency_s=latency,
         created_at=datetime.now(timezone.utc),
     )
@@ -347,19 +358,18 @@ def _generate_hosted(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraf
         text = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise ProtocolError(f"{config.name}: no choices[0].message.content in response") from exc
-    if not isinstance(text, str) or not text.strip():
-        raise ProtocolError(f"{config.name}: backend returned empty text")
-    # usage is optional: a count that is no JSON integer (by model.from_data's
-    # scalar rule, true is none) or a usage that is no object is left out
+    # usage is optional: a usage that is no object, or a count that is no JSON
+    # integer (by model.from_data's scalar rule, true is none) or does not fit
+    # in 64 bits, is left out; every integer the store holds fits in 64 bits
     usage = body.get("usage")
     estimate = usage.get("completion_tokens") if isinstance(usage, dict) else None
     return GeneratedDraft(
         prompt_id=prompt.prompt_id,
         backend_label=config.name,
-        text=text,
+        text=_draft_text(config, text),
         latency_s=latency,
         created_at=datetime.now(timezone.utc),
-        token_estimate=estimate if type(estimate) is int else None,
+        token_estimate=estimate if type(estimate) is int and 0 <= estimate < 2**63 else None,
     )
 
 

@@ -100,17 +100,14 @@ class Claim:
     status: Optional[ClaimStatus] = None
 
 
-_TOKEN_RE = re.compile(r"[0-9a-z][0-9a-z_.:/'’-]*")
+# from a letter or digit to the last letter or digit of its run, so that
+# punctuation inside a token stays and punctuation after it goes
+_TOKEN_RE = re.compile(r"[0-9a-z](?:[0-9a-z_.:/'’-]*[0-9a-z])?")
 
 
 def tokens_of(text: str) -> list[str]:
     """Casefolded tokens; filenames, decimals and MACs stay in one piece."""
-    out = []
-    for tok in _TOKEN_RE.findall(text.casefold()):
-        tok = tok.rstrip("._:/-'’")
-        if tok:
-            out.append(tok)
-    return out
+    return _TOKEN_RE.findall(text.casefold())
 
 
 def _norm_phrase(text: str) -> str:

@@ -16,6 +16,8 @@ identical bytes.  A run opens the store once, at its first record, and
 writes and flushes each record as one line.  iter_store reads the store
 one record at a time, and next_run_id and summarize fold any iterable of
 records, so neither experiment nor summarize holds the store's history.
+Records are written by json and read by orjson; a line orjson refuses or
+might not read safely is read by json, whose verdict stands.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+import orjson
 
 from .gateway import BackendConfig, BackendKind, GatewayError, GeneratedDraft, InputFacts, generate
 from .grounding import GroundingContext, score
@@ -170,11 +174,33 @@ def render_markdown(document: ReportDocument) -> str:
 # ---------------------------------------------------------------------------
 # append-only results store
 
+# orjson 3.8 reads nesting of any depth and overflows its own stack, killing
+# the process, on a line some 70,000 objects deep; json raises RecursionError
+# near the interpreter's recursion limit instead.  Nesting needs an opening
+# bracket or brace per level, so a line with no more of them than this is
+# too shallow for either limit, and json alone decodes any other line.
+_ORJSON_OPENERS = 512
+
+
+def _decode(line: bytes):
+    if line.count(b"{") + line.count(b"[") <= _ORJSON_OPENERS:
+        try:
+            return orjson.loads(line)
+        except orjson.JSONDecodeError:
+            pass  # NaN, Infinity, 1e400 and lone surrogates are json's to decide
+    return json.loads(line.decode("utf-8"))
+
+
 def _record(line: bytes) -> Optional[dict]:
-    """The JSON object a store line holds as UTF-8 text, else None; every store reader uses it."""
+    """The JSON object a store line holds as UTF-8 text, else None; every
+    store reader uses it.  orjson decodes the raw bytes.  json decodes a
+    line orjson refuses (NaN, Infinity, 1e400, a lone-surrogate escape such
+    as "\\ud800") or one with more than _ORJSON_OPENERS brackets and braces,
+    and json's verdict stands.  A line nested past json's recursion limit is
+    no record."""
     try:
-        record = json.loads(line.decode("utf-8"))
-    except ValueError:  # UnicodeDecodeError too
+        record = _decode(line)
+    except (ValueError, RecursionError):  # UnicodeDecodeError too
         return None
     return record if isinstance(record, dict) else None
 
@@ -253,7 +279,10 @@ def iter_store(path: Union[str, Path]) -> Iterator[dict]:
     """Every record of the store, in order, decoded one line at a time;
     nothing for a store not yet made.  A torn final line (see torn_line) is
     skipped.  Any other line that is not one JSON object raises ValueError
-    naming the store and the line's number when the reader reaches it."""
+    naming the store and the line's number when the reader reaches it.
+    Lines are decoded by orjson where _record says, which reads an integer
+    outside 64 bits as the nearest float (RFC 8259 section 6 lets a parser
+    limit the range of numbers); casedraft never writes one."""
     p = Path(path)
     if not p.exists():
         return

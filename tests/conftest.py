@@ -73,6 +73,8 @@ class StubHandler(BaseHTTPRequestHandler):
     answered, and counts as in flight from its arrival until its answer is
     ready.  `fail_on` holds overall request numbers, counting from 1, or
     (path, number) pairs counting that path's requests, to answer with 503.
+    `texts` maps (path, number) pairs to the draft text to answer with in
+    place of the canned one.
     """
 
     server_version = "stub/0"
@@ -108,19 +110,20 @@ class StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"backend overloaded")
             return
+        text = state["texts"].get((self.path, path_n))
         if state["raw_response"] is not None:
             data = state["raw_response"]
         elif "chat/completions" in self.path:
             data = json.dumps(
                 {
                     "choices": [
-                        {"message": {"role": "assistant", "content": f"hosted draft {n}"}}
+                        {"message": {"role": "assistant", "content": text or f"hosted draft {n}"}}
                     ],
                     "usage": {"completion_tokens": 7},
                 }
             ).encode()
         else:
-            data = json.dumps({"results": [{"text": f"local draft {n}"}]}).encode()
+            data = json.dumps({"results": [{"text": text or f"local draft {n}"}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -140,6 +143,7 @@ class StubServer:
             "path_counter": {},
             "requests": [],
             "fail_on": set(),
+            "texts": {},
             "raw_response": None,
             "delay": 0.0,
             "in_flight": {},

@@ -306,6 +306,10 @@ def test_hosted_chat_wire_format(stub_server, intro_prompt, monkeypatch):
     ({"completion_tokens": True}, None),
     ({"completion_tokens": 7.0}, None),
     ({"completion_tokens": "7"}, None),
+    ({"completion_tokens": -1}, None),
+    ({"completion_tokens": 2**63}, None),
+    ({"completion_tokens": 10**30}, None),
+    ({"completion_tokens": 2**63 - 1}, 2**63 - 1),
 ])
 def test_hosted_chat_keeps_only_an_integer_token_count(
     stub_server, intro_prompt, monkeypatch, usage, estimate

@@ -84,6 +84,28 @@ def test_tokens_of_keeps_identifiers_whole():
     assert "cache4.db-wal" in tokens_of("from cache4.db-wal today")
 
 
+def _tokens_by_strip(text):
+    """tokens_of as a scan then a strip of each token's trailing punctuation."""
+    out = []
+    for tok in re.findall(r"[0-9a-z][0-9a-z_.:/'’-]*", text.casefold()):
+        tok = tok.rstrip("._:/-'’")
+        if tok:
+            out.append(tok)
+    return out
+
+
+# ß, ſ (long s), İ and the Kelvin sign change under casefold: ſ and the
+# Kelvin sign become token letters, ß becomes "ss" and İ "i" plus a combining dot
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="aZ09_.:/'’- \nßſ\u212aİxé,", max_size=40))
+def test_tokens_of_matches_the_scan_and_strip_oracle(text):
+    assert tokens_of(text) == _tokens_by_strip(text)
+
+
+def test_tokens_of_casefolds_before_it_scans():
+    assert tokens_of("Straße.:, ſ-\u212a İx") == ["strasse", "s-k", "i", "x"]
+
+
 def test_build_roster_collects_names_and_places(golden_bundle):
     roster = build_roster(golden_bundle)
     assert "Mr Sforza" in roster.person_names

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 import random
 import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
 from datetime import datetime, timezone
+from pathlib import Path
 
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -154,6 +160,129 @@ def test_iter_store_yields_what_read_store_returns(tmp_path):
     records = pipeline.iter_store(path)
     assert next(records) == {"a": 1}
     assert list(records) == [{"b": "x"}] == read_store(path)[1:]
+
+
+def _json_record(line: bytes):
+    """The store's verdict on a line as json alone gives it."""
+    try:
+        value = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def _same(ours, expected) -> bool:
+    """Equal values of equal JSON types, nan equal to nan and -0.0 unequal to
+    0.0.  An integer outside 64 bits may read as its nearest float, as
+    iter_store documents."""
+    if isinstance(expected, int) and not isinstance(expected, bool) and not -2**63 <= expected < 2**64:
+        return type(ours) is float and ours == float(expected)
+    if type(ours) is not type(expected):
+        return False
+    if isinstance(expected, float):
+        return (math.isnan(ours) and math.isnan(expected)) or (
+            ours == expected and math.copysign(1, ours) == math.copysign(1, expected)
+        )
+    if isinstance(expected, list):
+        return len(ours) == len(expected) and all(map(_same, ours, expected))
+    if isinstance(expected, dict):
+        return list(ours) == list(expected) and all(_same(ours[k], expected[k]) for k in expected)
+    return ours == expected
+
+
+_json_text = st.text(st.one_of(
+    st.characters(max_codepoint=0x7F),
+    st.characters(exclude_categories=()),  # surrogates too
+    st.sampled_from(["\ud800", "\udfff", "\x00", "\u2028", "\ufeff", "\u00e9", "\U0001d11e"]),
+), max_size=8)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**63, 2**63 - 1) | _json_text
+    | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_json_text, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    value=st.one_of(st.dictionaries(_json_text, _json_values, max_size=5), _json_values),
+    ensure_ascii=st.booleans(),
+    newline=st.booleans(),
+    mutation=st.one_of(
+        st.none(),
+        st.tuples(st.just("cut"), st.floats(0, 1)),
+        st.tuples(st.just("flip"), st.floats(0, 1), st.integers(1, 255)),
+        st.tuples(st.just("insert"), st.floats(0, 1), st.binary(min_size=1, max_size=3)),
+    ),
+)
+def test_a_store_line_gets_the_verdict_and_value_json_gives_it(value, ensure_ascii, newline, mutation):
+    line = json.dumps(value, ensure_ascii=ensure_ascii).encode("utf-8", "surrogatepass")
+    if mutation is not None:
+        at = int(mutation[1] * len(line))
+        if mutation[0] == "cut":
+            line = line[:at]
+        elif mutation[0] == "flip":
+            at = min(at, len(line) - 1)
+            line = line[:at] + bytes([line[at] ^ mutation[2]]) + line[at + 1:]
+        else:
+            line = line[:at] + mutation[2] + line[at:]
+    line += b"\n" if newline else b""
+    expected = _json_record(line)
+    ours = pipeline._record(line)
+    assert (ours is None) == (expected is None)
+    assert expected is None or _same(ours, expected)
+
+
+@pytest.mark.parametrize("line, expected", [
+    pytest.param(b'{"x": NaN}', {"x": math.nan}, id="nan"),
+    pytest.param(b'{"x": Infinity, "y": -Infinity}', {"x": math.inf, "y": -math.inf}, id="infinity"),
+    pytest.param(b'{"x": 1e400}', {"x": math.inf}, id="1e400"),
+    pytest.param(b'{"x": "\\ud800"}', {"x": "\ud800"}, id="lone-surrogate-escape"),
+    pytest.param(b'\xef\xbb\xbf{"x": 1}', None, id="utf-8-bom"),
+    pytest.param(b'{"x": "\xff"}', None, id="invalid-utf-8"),
+    pytest.param(b'{"x": "\xed\xa0\x80"}', None, id="surrogate-in-utf-8"),
+    pytest.param(b'{"x": -9223372036854775808, "y": 18446744073709551615}',
+                 {"x": -2**63, "y": 2**64 - 1}, id="64-bit-integers"),
+    # the 64-bit integer note: a larger integer reads as its nearest float
+    pytest.param(b'{"x": 123456789012345678901234567890}', {"x": 1.2345678901234568e+29},
+                 id="integer-past-64-bits"),
+    pytest.param(b'{"x": ' + b"[" * 5000 + b"]" * 5000 + b"}", None, id="nested-past-json-limit"),
+])
+def test_store_lines_orjson_refuses_or_reads_otherwise(line, expected):
+    record = pipeline._record(line + b"\n")
+    assert (record is None) if expected is None else _same(record, expected)
+
+
+def test_a_line_nested_deeper_than_orjson_can_read_is_no_record_and_no_crash():
+    # orjson 3.8 overflows its stack on such a line and kills the process
+    script = (
+        "from casedraft.pipeline import _record\n"
+        "deep_objects = b'{\"x\": ' * 100000 + b'1' + b'}' * 100000\n"
+        "deep_arrays = b'{\"x\": ' + b'[' * 200000 + b']' * 200000 + b'}'\n"
+        "print(_record(deep_objects), _record(deep_arrays))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])})
+    assert (done.returncode, done.stdout) == (0, "None None\n"), done.stderr[-500:]
+
+
+def test_a_store_casedraft_wrote_is_decoded_by_orjson_alone(golden_bundle, tmp_path, monkeypatch):
+    store = tmp_path / "store.jsonl"
+    run_experiment(golden_bundle, [MOCK, BackendConfig(name="inject", kind=BackendKind.MOCK,
+                                                       fault_profile=InjectName("Lord Vader"))], store)
+    calls = Counter()
+
+    def counted(name, loads):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return loads(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(orjson, "loads", counted("orjson", orjson.loads))
+    monkeypatch.setattr(json, "loads", counted("json", json.loads))
+    records = list(pipeline.iter_store(store))
+    assert len(records) == 72
+    assert calls == {"orjson": 72}
 
 
 def _synthetic_record(i: int) -> dict:
@@ -361,6 +490,22 @@ def test_a_failure_of_the_second_backend_lands_at_its_position(
     assert records[at]["backend"] == "hosted"
     assert records[at]["prompt"]["prompt_id"] == prompts[1].prompt_id
     assert records[at]["error"] == "hosted: status 503: backend overloaded"
+
+
+@pytest.mark.parametrize("kind, path", [
+    (BackendKind.LOCAL_GENERATE, LOCAL_PATH),
+    (BackendKind.HOSTED_CHAT, HOSTED_PATH),
+])
+def test_an_answer_utf8_cannot_encode_becomes_an_error_record(
+    kind, path, golden_bundle, tmp_path, stub_server, http_backends
+):
+    stub_server.state["texts"] = {(path, 3): "Draft \ud800 text"}
+    config = next(c for c in http_backends if c.kind is kind)
+    store = tmp_path / "store.jsonl"
+    records = run_experiment(golden_bundle, [config], store)
+    assert [r["record_kind"] for r in records] == ["result"] * 2 + ["error"] + ["result"] * 33
+    assert records[2]["error"] == f"{config.name}: backend returned text UTF-8 cannot encode"
+    assert read_store(store) == records
 
 
 def test_an_aborted_run_sends_no_further_prompts(
@@ -956,6 +1101,25 @@ def test_cli_store_with_a_corrupt_middle_line_is_rejected(bundle_file, config_fi
     assert store.read_bytes() == before
     assert main(["summarize", "--store", str(store), "-o", str(tmp_path / "summary.txt")]) == 2
     assert capsys.readouterr().err == f"error: {store}:19: invalid record\n"
+    assert not (tmp_path / "summary.txt").exists()
+
+
+def test_cli_store_with_a_line_nested_too_deeply_is_rejected(bundle_file, config_file, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    argv = ["experiment", "--bundle", str(bundle_file), "--config", str(config_file),
+            "--backends", "mock", "--store", str(store)]
+    assert main(argv) == 0
+    lines = store.read_bytes().splitlines(keepends=True)
+    lines[1] = b'{"x": ' + b"[" * 5000 + b"]" * 5000 + b"}\n"
+    store.write_bytes(b"".join(lines))
+    before = store.read_bytes()
+    capsys.readouterr()
+
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {store}:2: invalid record\n"
+    assert store.read_bytes() == before
+    assert main(["summarize", "--store", str(store), "-o", str(tmp_path / "summary.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {store}:2: invalid record\n"
     assert not (tmp_path / "summary.txt").exists()
 
 

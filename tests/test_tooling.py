@@ -143,3 +143,16 @@ def test_no_command_reads_the_whole_store():
         and (getattr(node.func, "id", None) == "read_store" or getattr(node.func, "attr", None) == "read_store")
     )
     assert calls == []
+
+
+# orjson decodes only the results store: it reads an integer past 64 bits as
+# a float, which a bundle's size_bytes or a config's integer may not become
+def test_only_the_store_reader_imports_orjson():
+    importers = sorted(
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "orjson" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "orjson")
+    )
+    assert importers == ["pipeline.py"]
