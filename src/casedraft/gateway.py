@@ -5,17 +5,21 @@ chat-completions API, and a deterministic in-process mock.  Every call is
 stateless: one prompt in, one draft out, no conversation history on the
 wire.  Transient transport failures retry with exponential backoff; other
 failures map to typed errors.  The hosted API key comes from the
-environment only, never from config files.
+environment only, never from config files.  generate drafts one prompt;
+drafting drafts a matrix, and it alone decides how each kind of backend runs.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Optional, Union, get_type_hints
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence, Union, get_type_hints
 
 import requests
 
@@ -39,6 +43,7 @@ __all__ = [
     "ProtocolError",
     "BackendRefusal",
     "generate",
+    "drafting",
     "mock_complete",
     "MOCK_CREATED_AT",
     "DEFAULT_API_KEY_ENV",
@@ -215,14 +220,10 @@ def _restate(fact: RequiredFact) -> str:
 
 
 class InputFacts:
-    """The mock's facts of each distinct prompt input, derived once.
-
-    The mock sees only a prompt's rendered input, and a matrix's prompts
-    share few distinct inputs, so pipeline.run_experiment holds one of
-    these per call and passes it to every generate call of the run, on
-    every backend.  Its life is the caller's: nothing is kept beyond it.
-    Facts are tuples, so no backend can change what another one reads.
-    """
+    """The mock's facts of each distinct prompt input, derived once.  A
+    matrix's prompts share few distinct inputs, and drafting shares one memo
+    among its mock backends for as long as its context lasts.  Facts are
+    tuples, so no backend can change what another one reads."""
 
     def __init__(self) -> None:
         self._facts: dict[tuple, tuple[RequiredFact, ...]] = {}
@@ -303,17 +304,27 @@ def _post_json(url: str, payload: dict, config: BackendConfig, headers: Optional
     )
 
 
-def _draft_text(config: BackendConfig, text) -> str:
-    """An HTTP backend's answer as draft text: a string that is not blank
-    and that UTF-8 can encode (a lone surrogate cannot be), as the store
-    writes it."""
+def _http_draft(config: BackendConfig, prompt: PromptSpec, text, latency: float,
+                token_estimate=None) -> GeneratedDraft:
+    """An HTTP backend's answer as a draft.  The text must be a non-blank
+    string UTF-8 can encode (a lone surrogate cannot be), as the store
+    writes it; a token estimate that is no JSON integer (true is none) or
+    does not fit in 64 bits, as every stored integer does, is left out."""
     if not isinstance(text, str) or not text.strip():
         raise ProtocolError(f"{config.name}: backend returned empty text")
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
         raise ProtocolError(f"{config.name}: backend returned text UTF-8 cannot encode") from None
-    return text
+    return GeneratedDraft(
+        prompt_id=prompt.prompt_id,
+        backend_label=config.name,
+        text=text,
+        latency_s=latency,
+        created_at=datetime.now(timezone.utc),
+        token_estimate=(token_estimate if type(token_estimate) is int
+                        and 0 <= token_estimate < 2**63 else None),
+    )
 
 
 def _generate_local(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraft:
@@ -329,13 +340,7 @@ def _generate_local(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraft
         text = body["results"][0]["text"]
     except (KeyError, IndexError, TypeError) as exc:
         raise ProtocolError(f"{config.name}: no results[0].text in response") from exc
-    return GeneratedDraft(
-        prompt_id=prompt.prompt_id,
-        backend_label=config.name,
-        text=_draft_text(config, text),
-        latency_s=latency,
-        created_at=datetime.now(timezone.utc),
-    )
+    return _http_draft(config, prompt, text, latency)
 
 
 def _generate_hosted(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraft:
@@ -358,19 +363,9 @@ def _generate_hosted(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraf
         text = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise ProtocolError(f"{config.name}: no choices[0].message.content in response") from exc
-    # usage is optional: a usage that is no object, or a count that is no JSON
-    # integer (by model.from_data's scalar rule, true is none) or does not fit
-    # in 64 bits, is left out; every integer the store holds fits in 64 bits
-    usage = body.get("usage")
+    usage = body.get("usage")  # optional, and left out when it is no object
     estimate = usage.get("completion_tokens") if isinstance(usage, dict) else None
-    return GeneratedDraft(
-        prompt_id=prompt.prompt_id,
-        backend_label=config.name,
-        text=_draft_text(config, text),
-        latency_s=latency,
-        created_at=datetime.now(timezone.utc),
-        token_estimate=estimate if type(estimate) is int and 0 <= estimate < 2**63 else None,
-    )
+    return _http_draft(config, prompt, text, latency, estimate)
 
 
 def generate(
@@ -391,3 +386,27 @@ def generate(
     if config.kind is BackendKind.LOCAL_GENERATE:
         return _generate_local(config, prompt)
     return _generate_hosted(config, prompt)
+
+
+@contextmanager
+def drafting(
+    configs: Sequence[BackendConfig], prompts: Sequence[PromptSpec]
+) -> Iterator[list[list[Callable[[], GeneratedDraft]]]]:
+    """For each backend, one call per prompt, in the prompts' order, that
+    returns the prompt's draft or raises GatewayError.  An HTTP backend
+    sends its prompts in order from a worker of its own, one request in
+    flight, so backends wait in parallel and a draft's latency_s is its own
+    request's.  A mock drafts when called, on the caller's thread, from one
+    InputFacts memo all mocks share.  Leaving the context cancels the
+    prompts not yet sent and waits for those in flight."""
+    inputs = InputFacts()
+    with ExitStack() as stack:
+        calls = []
+        for config in configs:
+            if config.kind is BackendKind.MOCK:
+                calls.append([partial(generate, config, prompt, inputs) for prompt in prompts])
+                continue
+            pool = ThreadPoolExecutor(max_workers=1)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            calls.append([pool.submit(generate, config, prompt).result for prompt in prompts])
+        yield calls

@@ -290,8 +290,8 @@ def parse_offset(text: str) -> timezone:
 # other values pass through unchanged.  Decoding a value of the wrong JSON
 # type raises ValueError naming the field: a str, int, float or bool field
 # takes only its own JSON type, except that a float field also takes an
-# integer, which stays an int.  Each type's converter is built once, on
-# first use.
+# integer, which stays an int, and a str field takes only a string UTF-8 can
+# encode.  Each type's converter is built once, on first use.
 
 def to_data(obj) -> dict:
     """The JSON-ready document of a dataclass instance."""
@@ -314,7 +314,6 @@ class _ShapeError(ValueError):
 # the exact types each scalar field accepts: bool is an int to isinstance,
 # but true is no number in a document
 _SCALARS = {
-    str: ((str,), "a string"),
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     bool: ((bool,), "a boolean"),
@@ -328,6 +327,19 @@ def _scalar(types: tuple[type, ...], what: str) -> Callable:
         raise _ShapeError(f"expected {what}, got {v!r:.40}")
 
     return check
+
+
+def _string(v):
+    """A str field's value.  Documents and the store are UTF-8, which cannot
+    encode a lone surrogate such as a "\\ud800" escape decodes to."""
+    if type(v) is not str:
+        raise _ShapeError(f"expected a string, got {v!r:.40}")
+    if not v.isascii():
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError:
+            raise _ShapeError(f"expected a string UTF-8 can encode, got {v!r:.40}") from None
+    return v
 
 
 def _checked(json_type: type, what: str, fn: Callable) -> Callable:
@@ -352,6 +364,8 @@ def _converter(tp, decode: bool) -> Optional[Callable]:
         return _dataclass_encoder(tp)
     if isinstance(tp, type) and issubclass(tp, Enum):
         return tp if decode else attrgetter("value")
+    if tp is str:
+        return _string if decode else None
     if tp in _SCALARS:
         return _scalar(*_SCALARS[tp]) if decode else None
     if tp in (date, datetime):

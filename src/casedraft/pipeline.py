@@ -3,11 +3,9 @@ matrix against configured backends, persist results append-only, and fold
 the store into summary statistics.
 
 Which sections take drafts is prompting.DRAFTED's decision; a report
-section it does not list is reserved for the examiner.
-
-An experiment drafts on every HTTP backend at once, one request in flight
-per backend, and drafts on mock backends inline; records are scored and
-committed in matrix order all the same.
+section it does not list is reserved for the examiner.  How each backend
+drafts is gateway.drafting's; records are scored and committed in matrix
+order whatever the backends.
 
 The store is a line-delimited JSON file.  Records are never rewritten;
 re-running an experiment appends under a fresh run identifier derived from
@@ -25,7 +23,6 @@ from __future__ import annotations
 import json
 import statistics
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import datetime
@@ -34,7 +31,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Sequence, Un
 
 import orjson
 
-from .gateway import BackendConfig, BackendKind, GatewayError, GeneratedDraft, InputFacts, generate
+from .gateway import BackendConfig, GatewayError, GeneratedDraft, drafting
 from .grounding import GroundingContext, score
 from .model import CaseBundle, ReportSectionKind, to_data
 from .prompting import DRAFTED, PromptSpec, build_matrix
@@ -317,45 +314,28 @@ def run_experiment(
     prompts: Optional[Sequence[PromptSpec]] = None,
 ) -> list[dict]:
     """Run every prompt against every backend, appending one record each.
-
-    A backend failure becomes an error record, never an abort.  Each HTTP
-    backend drafts its prompts in matrix order on a worker of its own, one
-    request in flight, so backends wait in parallel and each draft's
-    latency_s is its own request's; mock backends draft inline and share
-    one InputFacts memo.  Drafts are scored and records committed in matrix
-    order, backend by backend, so a store is reproducible byte for byte.
-    An exception that aborts the run cancels every prompt not yet sent.
-    """
+    A backend failure becomes an error record, never an abort.  Drafts come
+    from gateway.drafting and are scored and committed in matrix order,
+    backend by backend, so a store is reproducible byte for byte; an
+    exception that aborts the run cancels every prompt not yet sent."""
     if prompts is None:
         prompts = build_matrix(bundle)
     run_id = next_run_id(iter_store(store_path))
     context = GroundingContext(bundle)
-    inputs = InputFacts()
 
     records: list[dict] = []
     store = None  # opened at the first record, so a run aborted before it makes no store
-    with ExitStack() as stack:
-        drafting = []  # per backend, its drafts to come, or None to draft inline
-        for config in configs:
-            futures = None
-            if config.kind is not BackendKind.MOCK:
-                pool = ThreadPoolExecutor(max_workers=1)
-                # on any exit, drop the prompts not yet sent and wait for the one in flight
-                stack.callback(pool.shutdown, cancel_futures=True)
-                futures = [pool.submit(generate, config, prompt) for prompt in prompts]
-            drafting.append(futures)
-        for config, futures in zip(configs, drafting):
-            for i, prompt in enumerate(prompts):
+    with drafting(configs, prompts) as calls, ExitStack() as stack:
+        for config, backend_calls in zip(configs, calls):
+            for prompt, draft_of in zip(prompts, backend_calls):
                 base = {"run_id": run_id, "backend": config.name, "prompt": to_data(prompt)}
                 try:
-                    draft = generate(config, prompt, inputs) if futures is None else futures[i].result()
+                    draft = draft_of()
                     report = score(draft, context, prompt.section, topic=prompt.topic)
-                    base["record_kind"] = "result"
-                    base["draft"] = to_data(draft)
-                    base["grounding"] = to_data(report)
+                    base.update(record_kind="result", draft=to_data(draft),
+                                grounding=to_data(report))
                 except GatewayError as exc:
-                    base["record_kind"] = "error"
-                    base["error"] = str(exc)
+                    base.update(record_kind="error", error=str(exc))
                 records.append(base)
                 if store is None:
                     store = stack.enter_context(_appending(store_path))

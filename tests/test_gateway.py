@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import time
 from datetime import datetime, timezone
 
 import pytest
 
+from casedraft import gateway
 from casedraft.gateway import (
     DEFAULT_API_KEY_ENV,
     MOCK_CREATED_AT,
@@ -23,6 +26,7 @@ from casedraft.gateway import (
     ProtocolError,
     TransportError,
     backend_config_from_dict,
+    drafting,
     generate,
     mock_complete,
 )
@@ -405,3 +409,90 @@ def test_fault_parameters_decode_to_their_json_types():
 def test_backend_config_string_fields_must_be_strings(key, value):
     with pytest.raises(ValueError, match=rf"^profile 'm': {key}: expected a string, got "):
         backend_config_from_dict("m", {"kind": "local_generate", key: value})
+
+
+# --- drafting a matrix ---------------------------------------------------------
+
+def test_drafting_on_mocks_derives_an_inputs_facts_only_when_its_call_is_made(
+    golden_bundle, monkeypatch
+):
+    derived = []
+    original = gateway.facts_from_input
+
+    def counting(*args):
+        derived.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gateway, "facts_from_input", counting)
+    prompts = build_matrix(golden_bundle)
+    configs = [mock_config(), mock_config(DropFacts(1))]
+    texts = []
+    with drafting(configs, prompts) as calls:
+        assert derived == []
+        for backend_calls in calls:
+            for prompt, call in zip(prompts, backend_calls):
+                before = len(derived)
+                texts.append(call().text)
+                key = (prompt.section, prompt.input_format, prompt.topic, prompt.input_block())
+                # a call derives its own prompt's input, and only when no earlier call did
+                assert derived[before:] in ([], [key])
+    # one memo for the whole matrix on both backends: the 9 distinct inputs, once each
+    assert len(derived) == len(set(derived)) == 9
+    monkeypatch.undo()
+    assert texts == [mock_complete(p, c.fault_profile) for c in configs for p in prompts]
+
+
+def test_drafting_hands_out_each_backends_calls_in_matrix_order(
+    golden_bundle, stub_server, monkeypatch
+):
+    monkeypatch.setenv(DEFAULT_API_KEY_ENV, "sk-test")
+    stub_server.state["fail_on"] = {("/v1/chat/completions", 2)}
+    prompts = build_matrix(golden_bundle)[::9]
+    configs = [
+        BackendConfig(name="local", kind=BackendKind.LOCAL_GENERATE,
+                      endpoint_url=stub_server.url, max_retries=0),
+        mock_config(InjectName("Mr Moriarty")),
+        BackendConfig(name="hosted", kind=BackendKind.HOSTED_CHAT,
+                      endpoint_url=stub_server.url, model_name="m", max_retries=0),
+    ]
+    with drafting(configs, prompts) as calls:
+        assert [len(backend_calls) for backend_calls in calls] == [len(prompts)] * 3
+        outcomes = []
+        for backend_calls in calls:
+            drafts = []
+            for call in reversed(backend_calls):  # the order calls are made in changes nothing
+                try:
+                    drafts.append(call())
+                except GatewayError as exc:
+                    drafts.append(exc)
+            outcomes.append(drafts[::-1])
+    local, mock, hosted = outcomes
+    assert [d.prompt_id for d in local + mock] == [p.prompt_id for p in prompts] * 2
+    assert [d.text for d in mock] == [mock_complete(p, InjectName("Mr Moriarty")) for p in prompts]
+    assert isinstance(hosted[1], BackendRefusal)  # the second prompt's request was refused
+    assert [d.prompt_id for d in hosted[:1] + hosted[2:]] == [p.prompt_id for p in prompts[:1] + prompts[2:]]
+    # each HTTP backend sent its prompts in matrix order
+    requests = stub_server.requests
+    local_wire = [r["body"]["prompt"] for r in requests if r["path"] == "/api/v1/generate"]
+    hosted_wire = [r["body"]["messages"][0]["content"] for r in requests if "chat" in r["path"]]
+    assert local_wire == hosted_wire == [p.rendered_text for p in prompts]
+
+
+@pytest.mark.parametrize("aborted", [False, True])
+def test_leaving_drafting_early_sends_no_further_prompts(aborted, golden_bundle, stub_server):
+    stub_server.state["delay"] = 0.05
+    config = BackendConfig(name="local", kind=BackendKind.LOCAL_GENERATE,
+                           endpoint_url=stub_server.url, max_retries=0)
+    expected = pytest.raises(RuntimeError) if aborted else contextlib.nullcontext()
+    with expected, drafting([config], build_matrix(golden_bundle)) as calls:
+        calls[0][0]()
+        if aborted:
+            raise RuntimeError("the caller gave up")
+    # the requests in flight were answered before the context was left
+    assert set(stub_server.state["in_flight"].values()) == {0}
+    sent = len(stub_server.requests)
+    time.sleep(0.2)
+    assert len(stub_server.requests) == sent
+    # the first answer came back while the second request was in flight, and
+    # the context was left then: of 36 prompts, no more than a third was sent
+    assert sent <= 3

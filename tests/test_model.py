@@ -388,6 +388,11 @@ def _location(fields: str) -> str:
     ('{"mandate": {"questions": ["why", 5]}}', "Mandate.questions: expected a string, got 5"),
     ('{"messages": {"S1": [{"body": "b", "timestamp": "2019-02-14T14:33:44+01:00", "deleted": "no"}]}}',
      "MessageRecord.deleted: expected a boolean, got 'no'"),
+    # a lone surrogate is a Python str, but no UTF-8 document or store can hold it
+    (_location('"related_location": "Healy\\ud800Hall"'),
+     "LocationRecord.related_location: expected a string UTF-8 can encode, got 'Healy\\ud800Hall'"),
+    ('{"mandate": {"questions": ["why", "\\udfff"]}}',
+     "Mandate.questions: expected a string UTF-8 can encode, got '\\udfff'"),
 ])
 def test_wrong_json_type_raises_value_error_naming_the_field(doc, message):
     with pytest.raises(ValueError) as raised:

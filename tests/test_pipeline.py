@@ -991,6 +991,28 @@ def test_wrong_shape_errors_name_the_field(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["validate", "matrix", "experiment"])
+def test_a_bundle_string_utf8_cannot_encode_is_rejected_naming_its_field(
+    command, bundle_file, config_file, tmp_path, capsys
+):
+    text = bundle_file.read_text(encoding="utf-8")
+    bundle_file.write_text(text.replace("Healy Hall", "Healy\\ud800Hall", 1), encoding="utf-8")
+    bundle, out = str(bundle_file), tmp_path / "out"
+    argv = {
+        "validate": ["validate", "--bundle", bundle],
+        "matrix": ["matrix", "--bundle", bundle, "-o", str(out)],
+        "experiment": ["experiment", "--bundle", bundle, "--config", str(config_file),
+                       "--backends", "mock", "--store", str(out)],
+    }[command]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "error: LocationRecord.related_location: expected a string UTF-8 can encode, got 'Healy\\ud800Hall"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("corrupt", ['{"run_id": "run-0001", "backe', "[1, 2]"])
 def test_store_line_that_is_no_record_names_its_line(corrupt, golden_bundle, tmp_path):
     store = tmp_path / "store.jsonl"

@@ -156,3 +156,20 @@ def test_only_the_store_reader_imports_orjson():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "orjson")
     )
     assert importers == ["pipeline.py"]
+
+
+# how each kind of backend drafts, and on which thread, is gateway.drafting's
+# decision alone; the experiment loop only makes the calls it is handed
+GATEWAY_ONLY = {"BackendKind", "InputFacts", "ThreadPoolExecutor"}
+
+
+def test_only_the_gateway_names_backend_kinds_or_drafting_workers():
+    found = sorted(
+        f"{path.name}:{node.lineno}:{name}"
+        for path in SOURCES
+        if path.name != "gateway.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if name in GATEWAY_ONLY
+    )
+    assert found == []
