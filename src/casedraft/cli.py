@@ -264,6 +264,9 @@ def _cmd_assemble(args) -> int:
 
 def _cmd_experiment(args) -> int:
     bundle = _load_bundle(args.bundle)
+    issues = validate_bundle(bundle)
+    if issues:
+        raise ValueError(str(issues[0]))
     profiles = _load_profiles(args.config)
     names = [n.strip() for n in args.backends.split(",") if n.strip()]
     missing = [n for n in names if n not in profiles]
@@ -272,12 +275,10 @@ def _cmd_experiment(args) -> int:
 
     prompts = prompting.build_matrix(bundle, french_labels=args.french_labels)
     _warn_if_torn(args.store)
-    records = pipeline.run_experiment(
+    run_id, appended, errors = pipeline.run_experiment(
         bundle, [profiles[n] for n in names], args.store, prompts
     )
-    run_id = records[0]["run_id"] if records else "-"
-    errors = sum(1 for r in records if r.get("record_kind") == "error")
-    print(f"appended {len(records)} records to {args.store} as {run_id} ({errors} errors)")
+    print(f"appended {appended} records to {args.store} as {run_id if appended else '-'} ({errors} errors)")
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -397,16 +397,22 @@ def drafting(
     sends its prompts in order from a worker of its own, one request in
     flight, so backends wait in parallel and a draft's latency_s is its own
     request's.  A mock drafts when called, on the caller's thread, from one
-    InputFacts memo all mocks share.  Leaving the context cancels the
-    prompts not yet sent and waits for those in flight."""
+    InputFacts memo all mocks share.  Leaving the context cancels every
+    backend's prompts not yet sent before it waits for any request in
+    flight, so each backend sends at most the one it has."""
     inputs = InputFacts()
-    with ExitStack() as stack:
+    pools: list[ThreadPoolExecutor] = []
+    try:
         calls = []
         for config in configs:
             if config.kind is BackendKind.MOCK:
                 calls.append([partial(generate, config, prompt, inputs) for prompt in prompts])
                 continue
-            pool = ThreadPoolExecutor(max_workers=1)
-            stack.callback(pool.shutdown, cancel_futures=True)
-            calls.append([pool.submit(generate, config, prompt).result for prompt in prompts])
+            pools.append(ThreadPoolExecutor(max_workers=1))
+            calls.append([pools[-1].submit(generate, config, prompt).result for prompt in prompts])
         yield calls
+    finally:
+        for pool in pools:
+            pool.shutdown(wait=False, cancel_futures=True)
+        for pool in pools:
+            pool.shutdown()

@@ -10,12 +10,14 @@ order whatever the backends.
 The store is a line-delimited JSON file.  Records are never rewritten;
 re-running an experiment appends under a fresh run identifier derived from
 the store's current content, so identical configurations reproduce
-identical bytes.  A run opens the store once, at its first record, and
-writes and flushes each record as one line.  iter_store reads the store
-one record at a time, and next_run_id and summarize fold any iterable of
-records, so neither experiment nor summarize holds the store's history.
-Records are written by json and read by orjson; a line orjson refuses or
-might not read safely is read by json, whose verdict stands.
+identical bytes.  run_experiment is the store's one writer: it opens the
+store once, at its first record, and builds, writes and flushes each
+record as one line before it builds the next, keeping none of them.
+iter_store is its one reader, one record at a time, and next_run_id and
+summarize fold any iterable of records, so no command holds the store's
+history or a run's records.  Records are written by json and read by
+orjson; a line orjson refuses or might not read safely is read by json,
+whose verdict stands.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ import statistics
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from datetime import datetime
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import orjson
 
 from .gateway import BackendConfig, GatewayError, GeneratedDraft, drafting
-from .grounding import GroundingContext, score
+from .grounding import GroundingContext, GroundingReport, score
 from .model import CaseBundle, ReportSectionKind, to_data
 from .prompting import DRAFTED, PromptSpec, build_matrix
 from .transform import render_padded_table
@@ -46,9 +47,7 @@ __all__ = [
     "ReportDocument",
     "assemble",
     "render_markdown",
-    "append_records",
     "iter_store",
-    "read_store",
     "torn_line",
     "next_run_id",
     "run_experiment",
@@ -76,11 +75,8 @@ SECTION_TITLES = {
 
 @dataclass(frozen=True)
 class DraftContent:
-    text: str
-    backend_label: str
-    prompt_id: str
-    created_at: datetime
-    hallucination_count: int
+    draft: GeneratedDraft
+    grounding: GroundingReport
 
 
 @dataclass(frozen=True)
@@ -132,19 +128,7 @@ def assemble(
         if draft is None:
             sections.append((kind, ManualPlaceholder()))
             continue
-        report = score(draft, context, kind)
-        sections.append(
-            (
-                kind,
-                DraftContent(
-                    text=draft.text,
-                    backend_label=draft.backend_label,
-                    prompt_id=draft.prompt_id,
-                    created_at=draft.created_at,
-                    hallucination_count=report.hallucination_count,
-                ),
-            )
-        )
+        sections.append((kind, DraftContent(draft, score(draft, context, kind))))
     return ReportDocument(tuple(sections))
 
 
@@ -155,13 +139,14 @@ def render_markdown(document: ReportDocument) -> str:
         out.append(f"# {SECTION_TITLES[kind]}")
         out.append("")
         if isinstance(content, DraftContent):
+            draft = content.draft
             out.append(
-                f"<!-- backend={content.backend_label} prompt={content.prompt_id} "
-                f"created={content.created_at.isoformat()} "
-                f"hallucinations={content.hallucination_count} -->"
+                f"<!-- backend={draft.backend_label} prompt={draft.prompt_id} "
+                f"created={draft.created_at.isoformat()} "
+                f"hallucinations={content.grounding.hallucination_count} -->"
             )
             out.append("")
-            out.append(content.text.rstrip("\n"))
+            out.append(draft.text.rstrip("\n"))
         else:
             out.append(f"*{content.note}*")
         out.append("")
@@ -249,14 +234,6 @@ def _line(record: dict) -> bytes:
     return (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def append_records(path: Union[str, Path], records: Iterable[dict]) -> None:
-    """Append one line per record, after repairing a torn final line as
-    _appending does."""
-    with _appending(path) as fh:
-        for record in records:
-            fh.write(_line(record))
-
-
 def torn_line(path: Union[str, Path]) -> Optional[int]:
     """The number of the store's final line when a write was torn: the line
     lacks its newline and is not one JSON object.  None otherwise, and for a
@@ -295,11 +272,6 @@ def iter_store(path: Union[str, Path]) -> Iterator[dict]:
                 yield record
 
 
-def read_store(path: Union[str, Path]) -> list[dict]:
-    """iter_store's records as one list, for callers that want them all."""
-    return list(iter_store(path))
-
-
 def next_run_id(existing: Iterable[dict]) -> str:
     """The run identifier after those in any iterable of records, which is
     consumed one record at a time."""
@@ -312,18 +284,21 @@ def run_experiment(
     configs: Sequence[BackendConfig],
     store_path: Union[str, Path],
     prompts: Optional[Sequence[PromptSpec]] = None,
-) -> list[dict]:
-    """Run every prompt against every backend, appending one record each.
+) -> tuple[str, int, int]:
+    """Run every prompt against every backend, appending one record each,
+    and return (run_id, records appended, error records among them).
     A backend failure becomes an error record, never an abort.  Drafts come
     from gateway.drafting and are scored and committed in matrix order,
     backend by backend, so a store is reproducible byte for byte; an
-    exception that aborts the run cancels every prompt not yet sent."""
+    exception that aborts the run cancels every prompt not yet sent.  Each
+    record is written and flushed before the next is built and then
+    dropped, so a run holds one record at a time whatever its size."""
     if prompts is None:
         prompts = build_matrix(bundle)
     run_id = next_run_id(iter_store(store_path))
     context = GroundingContext(bundle)
 
-    records: list[dict] = []
+    appended = errors = 0
     store = None  # opened at the first record, so a run aborted before it makes no store
     with drafting(configs, prompts) as calls, ExitStack() as stack:
         for config, backend_calls in zip(configs, calls):
@@ -336,12 +311,13 @@ def run_experiment(
                                 grounding=to_data(report))
                 except GatewayError as exc:
                     base.update(record_kind="error", error=str(exc))
-                records.append(base)
+                    errors += 1
                 if store is None:
                     store = stack.enter_context(_appending(store_path))
                 store.write(_line(base))
                 store.flush()  # each record whole on disk before the next is scored
-    return records
+                appended += 1
+    return run_id, appended, errors
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,8 @@ class StubHandler(BaseHTTPRequestHandler):
     """Records every request; serves canned generate/chat responses.
 
     Each request is held for the state's `delay` seconds before it is
-    answered, and counts as in flight from its arrival until its answer is
-    ready.  `fail_on` holds overall request numbers, counting from 1, or
+    answered, or for `path_delay[path]` seconds where its path has one, and
+    counts as in flight from its arrival until its answer is ready.  `fail_on` holds overall request numbers, counting from 1, or
     (path, number) pairs counting that path's requests, to answer with 503.
     `texts` maps (path, number) pairs to the draft text to answer with in
     place of the canned one.
@@ -100,7 +100,7 @@ class StubHandler(BaseHTTPRequestHandler):
             state["peak_in_flight"] = max(state["peak_in_flight"], sum(flight.values()))
             peaks = state["peak_in_flight_by_path"]
             peaks[self.path] = max(peaks.get(self.path, 0), flight[self.path])
-        time.sleep(state["delay"])
+        time.sleep(state["path_delay"].get(self.path, state["delay"]))
         # no longer in flight once the answer is ready, so that a client's
         # next request never overlaps this one
         with state["lock"]:
@@ -146,6 +146,7 @@ class StubServer:
             "texts": {},
             "raw_response": None,
             "delay": 0.0,
+            "path_delay": {},
             "in_flight": {},
             "peak_in_flight": 0,
             "peak_in_flight_by_path": {},

@@ -30,7 +30,7 @@ from casedraft.gateway import (
 from casedraft.grounding import ClaimStatus, GroundingContext, score
 from casedraft.ingest import Severity, SourceFormat
 from casedraft.model import CaseBundle, LocationRecord, MessageRecord, ReportSectionKind
-from casedraft.pipeline import read_store, run_experiment
+from casedraft.pipeline import iter_store, run_experiment
 from casedraft.prompting import (
     Placement,
     PromptTopic,
@@ -477,7 +477,7 @@ def test_criterion_8_fault_tolerance(golden_bundle, stub_server, tmp_path):
         ])
         assert rc == 0
 
-        records = read_store(store)
+        records = list(iter_store(store))
         kinds = [r["record_kind"] for r in records]
         assert len(records) == 36
         assert kinds.count("result") == 35

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import json
 import time
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
@@ -496,3 +497,26 @@ def test_leaving_drafting_early_sends_no_further_prompts(aborted, golden_bundle,
     # the first answer came back while the second request was in flight, and
     # the context was left then: of 36 prompts, no more than a third was sent
     assert sent <= 3
+
+
+def test_leaving_drafting_cancels_every_backend_before_waiting_on_any(
+    golden_bundle, stub_server, monkeypatch
+):
+    # the hosted backend's request in flight is held 300 ms; a local backend
+    # still queued behind it would send a dozen more of its 10 ms requests
+    monkeypatch.setenv(DEFAULT_API_KEY_ENV, "sk-test")
+    local_path, hosted_path = "/api/v1/generate", "/v1/chat/completions"
+    stub_server.state["path_delay"] = {local_path: 0.01, hosted_path: 0.3}
+    configs = [
+        BackendConfig(name="local", kind=BackendKind.LOCAL_GENERATE,
+                      endpoint_url=stub_server.url, max_retries=0),
+        BackendConfig(name="hosted", kind=BackendKind.HOSTED_CHAT,
+                      endpoint_url=stub_server.url, model_name="stub-chat", max_retries=0),
+    ]
+    with drafting(configs, build_matrix(golden_bundle)) as calls:
+        calls[0][0]()
+        before = Counter(r["path"] for r in stub_server.requests)
+    after = Counter(r["path"] for r in stub_server.requests)
+    # once the context is left, each backend sends at most the request it has
+    assert all(after[path] <= before[path] + 1 for path in (local_path, hosted_path)), (before, after)
+    assert set(stub_server.state["in_flight"].values()) == {0}

@@ -57,7 +57,7 @@ from casedraft.model import (
     parse_offset,
     to_data,
 )
-from casedraft.pipeline import run_experiment
+from casedraft.pipeline import iter_store, run_experiment
 from casedraft.prompting import PromptTopic, build_matrix, render_input
 from casedraft.transform import DEFAULT_CLUSTER_RADIUS_M, group_locations_spatial
 
@@ -718,8 +718,9 @@ def test_nonexistent_instant_is_no_timestamp_claim(golden_bundle, instant):
 
 def test_experiment_survives_a_draft_naming_a_nonexistent_instant(golden_bundle, tmp_path):
     odd = BackendConfig("odd", BackendKind.MOCK, fault_profile=InjectName(NONEXISTENT_INSTANTS[0]))
-    records = run_experiment(golden_bundle, [odd], tmp_path / "store.jsonl")
-    assert [r["record_kind"] for r in records] == ["result"] * 36
+    store = tmp_path / "store.jsonl"
+    assert run_experiment(golden_bundle, [odd], store) == ("run-0001", 36, 0)
+    assert [r["record_kind"] for r in iter_store(store)] == ["result"] * 36
 
 
 def test_experiment_survives_a_byte_count_too_long_for_int(golden_bundle, tmp_path):
@@ -728,7 +729,9 @@ def test_experiment_survives_a_byte_count_too_long_for_int(golden_bundle, tmp_pa
     noted = replace(first, source_files=(f"cache4.db (Size: {count} bytes)",))
     bundle = replace(golden_bundle, messages={"IP6": (noted, *rest)})
     odd = BackendConfig("odd", BackendKind.MOCK, fault_profile=InjectName(f"{count} bytes"))
-    records = run_experiment(bundle, [odd], tmp_path / "store.jsonl")
+    store = tmp_path / "store.jsonl"
+    assert run_experiment(bundle, [odd], store) == ("run-0001", 36, 0)
+    records = list(iter_store(store))
     assert [r["record_kind"] for r in records] == ["result"] * 36
     # that long a claimed count is ungrounded, though a source string names
     # it; drafts restating that source string claim it twice

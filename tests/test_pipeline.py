@@ -12,6 +12,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,10 +39,9 @@ from casedraft.pipeline import (
     ManualPlaceholder,
     SummaryRow,
     SummaryTable,
-    append_records,
     assemble,
+    iter_store,
     next_run_id,
-    read_store,
     render_markdown,
     run_experiment,
     summarize,
@@ -94,9 +94,9 @@ def test_assemble_scores_drafted_sections(golden_bundle):
     document = assemble(golden_bundle, {ReportSectionKind.INTRODUCTION: draft})
     content = document.content(ReportSectionKind.INTRODUCTION)
     assert isinstance(content, DraftContent)
-    assert content.backend_label == "mock"
-    assert content.prompt_id == draft.prompt_id
-    assert content.hallucination_count == 0
+    assert content.draft.backend_label == "mock"
+    assert content.draft.prompt_id == draft.prompt_id
+    assert content.grounding.hallucination_count == 0
     # the other five remain placeholders
     assert isinstance(document.content(ReportSectionKind.RESULTS), ManualPlaceholder)
 
@@ -129,21 +129,37 @@ def test_render_markdown_placeholder_only(golden_bundle):
 
 # --- results store ---------------------------------------------------------------
 
+def _write_lines(path, records) -> None:
+    """Append one JSON line per record, as a run writes them."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+
+
+def _records_of_a_fresh_run(bundle, configs, store, prompts=None) -> list[dict]:
+    """Run the experiment on a store not yet made and return what it wrote,
+    after checking the run's (run_id, appended, errors) against it."""
+    summary = run_experiment(bundle, configs, store, prompts)
+    records = list(iter_store(store))
+    errors = sum(r["record_kind"] == "error" for r in records)
+    assert summary == ("run-0001", len(records), errors)
+    return records
+
+
 def test_store_round_trip(tmp_path):
     path = tmp_path / "store.jsonl"
-    append_records(path, [{"a": 1}, {"b": "x"}])
-    append_records(path, [{"c": [1, 2]}])
-    assert read_store(path) == [{"a": 1}, {"b": "x"}, {"c": [1, 2]}]
+    _write_lines(path, [{"a": 1}, {"b": "x"}])
+    _write_lines(path, [{"c": [1, 2]}])
+    assert list(iter_store(path)) == [{"a": 1}, {"b": "x"}, {"c": [1, 2]}]
 
 
-def test_read_store_missing_file(tmp_path):
-    assert read_store(tmp_path / "absent.jsonl") == []
+def test_iter_store_missing_file(tmp_path):
+    assert list(iter_store(tmp_path / "absent.jsonl")) == []
 
 
-def test_read_store_skips_blank_lines(tmp_path):
+def test_iter_store_skips_blank_lines(tmp_path):
     path = tmp_path / "store.jsonl"
     path.write_text('{"a": 1}\n\n{"b": 2}\n', encoding="utf-8")
-    assert read_store(path) == [{"a": 1}, {"b": 2}]
+    assert list(iter_store(path)) == [{"a": 1}, {"b": 2}]
 
 
 def test_next_run_id_counts_distinct_runs():
@@ -153,13 +169,13 @@ def test_next_run_id_counts_distinct_runs():
     assert next_run_id(iter([{"run_id": "run-0001"}, {"run_id": "run-0002"}])) == "run-0003"
 
 
-def test_iter_store_yields_what_read_store_returns(tmp_path):
+def test_iter_store_yields_one_record_at_a_time(tmp_path):
     path = tmp_path / "store.jsonl"
-    assert list(pipeline.iter_store(path)) == []
-    append_records(path, [{"a": 1}, {"b": "x"}])
-    records = pipeline.iter_store(path)
+    assert list(iter_store(path)) == []
+    _write_lines(path, [{"a": 1}, {"b": "x"}])
+    records = iter_store(path)
     assert next(records) == {"a": 1}
-    assert list(records) == [{"b": "x"}] == read_store(path)[1:]
+    assert list(records) == [{"b": "x"}] == list(iter_store(path))[1:]
 
 
 def _json_record(line: bytes):
@@ -321,8 +337,8 @@ def _traced(fn):
 
 def test_run_id_scan_and_summary_hold_a_fraction_of_the_store(tmp_path):
     store = tmp_path / "store.jsonl"
-    append_records(store, (_synthetic_record(i) for i in range(1200)))
-    records, held, _ = _traced(lambda: read_store(store))
+    _write_lines(store, (_synthetic_record(i) for i in range(1200)))
+    records, held, _ = _traced(lambda: list(iter_store(store)))
     run_id, _, scan_peak = _traced(lambda: next_run_id(pipeline.iter_store(store)))
     table, _, fold_peak = _traced(lambda: summarize(pipeline.iter_store(store)))
     assert scan_peak < held / 4
@@ -335,15 +351,34 @@ def test_run_id_scan_and_summary_hold_a_fraction_of_the_store(tmp_path):
 
 def test_run_experiment_mock_records(golden_bundle, tmp_path):
     store = tmp_path / "store.jsonl"
-    records = run_experiment(golden_bundle, [MOCK], store)
+    assert run_experiment(golden_bundle, [MOCK], store) == ("run-0001", 36, 0)
+    records = list(iter_store(store))
     assert len(records) == 36
     assert {r["record_kind"] for r in records} == {"result"}
     assert {r["run_id"] for r in records} == {"run-0001"}
-    assert read_store(store) == records
     # a second run on the same store appends under the next id
-    again = run_experiment(golden_bundle, [MOCK], store)
-    assert {r["run_id"] for r in again} == {"run-0002"}
-    assert len(read_store(store)) == 72
+    assert run_experiment(golden_bundle, [MOCK], store) == ("run-0002", 36, 0)
+    again = list(iter_store(store))
+    assert again[:36] == records
+    assert {r["run_id"] for r in again[36:]} == {"run-0002"}
+    assert len(again) == 72
+
+
+def test_a_run_holds_none_of_its_records(golden_bundle, tmp_path):
+    def traced_run(backends: int, store):
+        configs = [replace(MOCK, name=f"mock-{i}") for i in range(backends)]
+        return _traced(lambda: run_experiment(golden_bundle, configs, store))
+
+    traced_run(1, tmp_path / "warm.jsonl")  # first-use caches are not the run's
+    one, eight = tmp_path / "one.jsonl", tmp_path / "eight.jsonl"
+    summary_one, held_one, peak_one = traced_run(1, one)
+    summary_eight, held_eight, peak_eight = traced_run(8, eight)
+    # 252 more records, which a run keeping them would hold decoded in
+    # several times their bytes on disk; neither figure grows by half of those
+    more = eight.stat().st_size - one.stat().st_size
+    assert held_eight - held_one < more / 2
+    assert peak_eight - peak_one < more / 2
+    assert (summary_one, summary_eight) == (("run-0001", 36, 0), ("run-0001", 288, 0))
 
 
 def test_run_experiment_is_byte_deterministic(golden_bundle, tmp_path):
@@ -371,11 +406,12 @@ def test_a_run_opens_its_store_once_and_commits_each_record_before_the_next_scor
 
     monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
     monkeypatch.setattr(pipeline, "score", scoring)
-    records = run_experiment(golden_bundle, [MOCK, MOCK], store)
+    assert run_experiment(golden_bundle, [MOCK, MOCK], store) == ("run-0002", 72, 0)
     assert opened == ["rb", "a+b"]  # the run-id scan, then one handle for 72 appends
     assert committed == [1] + list(range(2, 73))  # the torn line is cut at the first append
-    assert read_store(store) == [{"run_id": "run-0001"}] + records
-    assert {r["run_id"] for r in records} == {"run-0002"}
+    records = list(iter_store(store))
+    assert records[0] == {"run_id": "run-0001"}
+    assert [r["run_id"] for r in records[1:]] == ["run-0002"] * 72
 
 
 def test_run_experiment_derives_each_input_once_for_all_mock_backends(
@@ -395,12 +431,12 @@ def test_run_experiment_derives_each_input_once_for_all_mock_backends(
         BackendConfig(name="name", kind=BackendKind.MOCK, fault_profile=InjectName("Mr Moriarty")),
     ]
     store = tmp_path / "store.jsonl"
-    records = run_experiment(golden_bundle, configs, store)
+    run_experiment(golden_bundle, configs, store)
     # the 36-prompt matrix holds 9 distinct inputs; all three backends share them
     assert len(derived) == 9
     assert len(set(derived)) == 9
     # the memo lives one run: a second run derives every input again
-    records += run_experiment(golden_bundle, configs, store)
+    run_experiment(golden_bundle, configs, store)
     assert len(derived) == 18
     monkeypatch.undo()
 
@@ -409,7 +445,7 @@ def test_run_experiment_derives_each_input_once_for_all_mock_backends(
         mock_complete(prompt, config.fault_profile)
         for _ in range(2) for config in configs for prompt in prompts
     ]
-    assert [r["draft"]["text"] for r in records] == expected
+    assert [r["draft"]["text"] for r in iter_store(store)] == expected
 
 
 def test_run_experiment_turns_failures_into_error_records(golden_bundle, tmp_path, stub_server):
@@ -420,7 +456,7 @@ def test_run_experiment_turns_failures_into_error_records(golden_bundle, tmp_pat
         endpoint_url=stub_server.url,
         max_retries=0,
     )
-    records = run_experiment(golden_bundle, [config], tmp_path / "store.jsonl")
+    records = _records_of_a_fresh_run(golden_bundle, [config], tmp_path / "store.jsonl")
     kinds = [r["record_kind"] for r in records]
     assert len(records) == 36
     assert kinds.count("error") == 1
@@ -454,15 +490,13 @@ def test_run_experiment_drafts_http_backends_in_parallel_and_records_in_matrix_o
     golden_bundle, tmp_path, stub_server, http_backends
 ):
     prompts = build_matrix(golden_bundle)[::9]
-    store = tmp_path / "store.jsonl"
-    records = run_experiment(golden_bundle, http_backends, store, prompts)
+    records = _records_of_a_fresh_run(golden_bundle, http_backends, tmp_path / "store.jsonl", prompts)
 
     expected = [(config.name, prompt) for config in http_backends for prompt in prompts]
     assert [(r["backend"], r["prompt"]["prompt_id"]) for r in records] == [
         (name, prompt.prompt_id) for name, prompt in expected
     ]
     assert {r["record_kind"] for r in records} == {"result"}
-    assert read_store(store) == records
     # each backend's requests arrive in its prompts' order
     for path in (LOCAL_PATH, HOSTED_PATH):
         wire = [_wire_prompt(r) for r in stub_server.requests if r["path"] == path]
@@ -483,7 +517,7 @@ def test_a_failure_of_the_second_backend_lands_at_its_position(
 ):
     stub_server.state["fail_on"] = {(HOSTED_PATH, 2)}
     prompts = build_matrix(golden_bundle)[::9]
-    records = run_experiment(golden_bundle, http_backends, tmp_path / "store.jsonl", prompts)
+    records = _records_of_a_fresh_run(golden_bundle, http_backends, tmp_path / "store.jsonl", prompts)
     kinds = [r["record_kind"] for r in records]
     at = len(prompts) + 1  # the hosted backend's second prompt
     assert kinds == ["result"] * at + ["error"] + ["result"] * (len(records) - at - 1)
@@ -501,11 +535,9 @@ def test_an_answer_utf8_cannot_encode_becomes_an_error_record(
 ):
     stub_server.state["texts"] = {(path, 3): "Draft \ud800 text"}
     config = next(c for c in http_backends if c.kind is kind)
-    store = tmp_path / "store.jsonl"
-    records = run_experiment(golden_bundle, [config], store)
+    records = _records_of_a_fresh_run(golden_bundle, [config], tmp_path / "store.jsonl")
     assert [r["record_kind"] for r in records] == ["result"] * 2 + ["error"] + ["result"] * 33
     assert records[2]["error"] == f"{config.name}: backend returned text UTF-8 cannot encode"
-    assert read_store(store) == records
 
 
 def test_an_aborted_run_sends_no_further_prompts(
@@ -531,7 +563,7 @@ def test_an_aborted_run_sends_no_further_prompts(
 # --- summary statistics -----------------------------------------------------------
 
 def test_summarize_grouping_and_means(golden_bundle, tmp_path):
-    records = run_experiment(golden_bundle, [MOCK], tmp_path / "s.jsonl")
+    records = _records_of_a_fresh_run(golden_bundle, [MOCK], tmp_path / "s.jsonl")
     table = summarize(records)
     keys = [(r.backend, r.section, r.input_format) for r in table.rows]
     assert keys == [
@@ -552,7 +584,7 @@ def test_summarize_grouping_and_means(golden_bundle, tmp_path):
 
 
 def test_summarize_is_order_independent(golden_bundle, tmp_path):
-    records = run_experiment(golden_bundle, [MOCK], tmp_path / "s.jsonl")
+    records = _records_of_a_fresh_run(golden_bundle, [MOCK], tmp_path / "s.jsonl")
     shuffled = list(records)
     random.Random(11).shuffle(shuffled)
     assert summarize(shuffled) == summarize(records)
@@ -646,7 +678,7 @@ def test_summarize_folds_a_stream_as_a_reference_fold_over_the_list(records_and_
 
 
 def test_summary_table_renders_text(golden_bundle, tmp_path):
-    records = run_experiment(golden_bundle, [MOCK], tmp_path / "s.jsonl")
+    records = _records_of_a_fresh_run(golden_bundle, [MOCK], tmp_path / "s.jsonl")
     text = summarize(records).render_text()
     assert "backend" in text.splitlines()[0]
     assert "mock" in text
@@ -905,6 +937,31 @@ def test_cli_experiment_and_summarize(bundle_file, config_file, tmp_path, capsys
     assert sum(r["count"] for r in rows) == 36
 
 
+def test_cli_experiment_names_its_run_or_a_dash_when_it_appends_nothing(
+    bundle_file, config_file, tmp_path, capsys
+):
+    store = tmp_path / "store.jsonl"
+    argv = ["experiment", "--bundle", str(bundle_file), "--config", str(config_file),
+            "--store", str(store), "--backends"]
+    assert main(argv + ["mock"]) == 0
+    assert capsys.readouterr().out == f"appended 36 records to {store} as run-0001 (0 errors)\n"
+    assert main(argv + [","]) == 0
+    assert capsys.readouterr().out == f"appended 0 records to {store} as - (0 errors)\n"
+
+
+def test_cli_experiment_drafts_from_no_bundle_validate_rejects(bundle_file, config_file, tmp_path, capsys):
+    doc = json.loads(bundle_file.read_text(encoding="utf-8"))
+    doc["messages"]["IPX"] = doc["messages"].pop("IP6")
+    bundle_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--bundle", str(bundle_file)]) == 1
+    assert capsys.readouterr().err == "messages['IPX']: unknown item_id\n"
+    store = tmp_path / "store.jsonl"
+    assert main(["experiment", "--bundle", str(bundle_file), "--config", str(config_file),
+                 "--backends", "mock", "--store", str(store)]) == 2
+    assert capsys.readouterr().err == "error: messages['IPX']: unknown item_id\n"
+    assert not store.exists()
+
+
 # --- rejected input: one error line, exit 2, nothing written ---------------------
 
 _ITEM_WITH_METHOD_STRING = {"item_id": "A", "kind": "physical_device", "acquisition_methods": "logical"}
@@ -1021,7 +1078,7 @@ def test_store_line_that_is_no_record_names_its_line(corrupt, golden_bundle, tmp
     lines[1] = corrupt + "\n"
     store.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=r"store\.jsonl:2: invalid record$"):
-        read_store(store)
+        list(iter_store(store))
 
 
 # what a crash mid-append leaves behind: a final line cut short, also inside
@@ -1041,20 +1098,30 @@ def _write_torn(path, tail: str) -> bytes:
     return good
 
 
+def _one_record_run(bundle, store, tmp_path) -> bytes:
+    """Append one record to store by a one-prompt mock run; return the
+    bytes the same run writes to a store not yet made."""
+    prompts = build_matrix(bundle)[:1]
+    fresh = tmp_path / "fresh.jsonl"
+    run_experiment(bundle, [MOCK], fresh, prompts)
+    run_experiment(bundle, [MOCK], store, prompts)
+    return fresh.read_bytes()
+
+
 @TORN_TAILS
-def test_read_store_skips_a_torn_final_line(tail, tmp_path):
+def test_iter_store_skips_a_torn_final_line(tail, tmp_path):
     store = tmp_path / "store.jsonl"
     _write_torn(store, tail)
-    assert read_store(store) == [{"a": 1}, {"b": 2}]
+    assert list(iter_store(store)) == [{"a": 1}, {"b": 2}]
     assert torn_line(store) == 3
 
 
 @TORN_TAILS
-def test_append_cuts_a_torn_final_line_off(tail, tmp_path):
+def test_a_run_cuts_a_torn_final_line_off(tail, golden_bundle, tmp_path):
     store = tmp_path / "store.jsonl"
     good = _write_torn(store, tail)
-    append_records(store, [{"c": 3}])
-    assert store.read_bytes() == good + b'{"c": 3}\n'
+    record = _one_record_run(golden_bundle, store, tmp_path)
+    assert store.read_bytes() == good + record
     assert torn_line(store) is None
 
 
@@ -1062,26 +1129,26 @@ def test_append_cuts_a_torn_final_line_off(tail, tmp_path):
     pytest.param(20, id="short-tail"),
     pytest.param(pipeline._BLOCK + 100, id="tail-longer-than-a-block"),
 ])
-def test_a_torn_final_line_after_more_than_a_block_names_its_line(tail_bytes, tmp_path):
+def test_a_torn_final_line_after_more_than_a_block_names_its_line(tail_bytes, golden_bundle, tmp_path):
     store = tmp_path / "store.jsonl"
     records = [{"n": i, "pad": "x" * 50} for i in range(2 * pipeline._BLOCK // 60 + 2)]
-    append_records(store, records)
+    _write_lines(store, records)
     good = store.read_bytes()
     assert len(good) > pipeline._BLOCK
     store.write_bytes(good + b'{"run_id": "' + b"r" * tail_bytes)
     assert torn_line(store) == len(records) + 1
-    assert read_store(store) == records
-    append_records(store, [{"c": 3}])
-    assert store.read_bytes() == good + b'{"c": 3}\n'
+    assert list(iter_store(store)) == records
+    record = _one_record_run(golden_bundle, store, tmp_path)
+    assert store.read_bytes() == good + record
 
 
-def test_append_ends_a_final_record_without_its_newline_first(tmp_path):
+def test_a_run_ends_a_final_record_without_its_newline_first(golden_bundle, tmp_path):
     store = tmp_path / "store.jsonl"
     store.write_bytes(b'{"a": 1}\n{"b": 2}')
     assert torn_line(store) is None
-    assert read_store(store) == [{"a": 1}, {"b": 2}]
-    append_records(store, [{"c": 3}])
-    assert store.read_bytes() == b'{"a": 1}\n{"b": 2}\n{"c": 3}\n'
+    assert list(iter_store(store)) == [{"a": 1}, {"b": 2}]
+    record = _one_record_run(golden_bundle, store, tmp_path)
+    assert store.read_bytes() == b'{"a": 1}\n{"b": 2}\n' + record
 
 
 def test_cli_experiment_and_summarize_warn_of_a_torn_final_line(bundle_file, config_file, tmp_path, capsys):
@@ -1100,7 +1167,7 @@ def test_cli_experiment_and_summarize_warn_of_a_torn_final_line(bundle_file, con
     captured = capsys.readouterr()
     assert captured.err == warning
     assert "appended 36 records" in captured.out and "run-0002" in captured.out
-    records = read_store(store)
+    records = list(iter_store(store))
     assert [r["run_id"] for r in records] == ["run-0001"] * 36 + ["run-0002"] * 36
     assert store.read_bytes().startswith(whole) and store.read_bytes().endswith(b"}\n")
     assert main(["summarize", "--store", str(store), "-o", str(tmp_path / "summary.txt")]) == 0
@@ -1161,7 +1228,7 @@ def test_cli_experiment_records_an_unsendable_request_as_errors(bundle_file, tmp
     rc, store = _experiment_with_a_bad_profile(bundle_file, tmp_path, "localhost:1")
     assert rc == 0
     assert "appended 72 records" in capsys.readouterr().out
-    records = read_store(store)
+    records = list(iter_store(store))
     assert len(records) == 72
     errors = [r for r in records if r["record_kind"] == "error"]
     assert len(errors) == 36 and all(r["backend"] == "bad" for r in errors)

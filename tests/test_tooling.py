@@ -132,17 +132,43 @@ def test_no_hand_written_to_dict():
     assert found == []
 
 
-# every command reads the store one record at a time; read_store's list is
-# for tests and for callers outside the package
-def test_no_command_reads_the_whole_store():
-    calls = sorted(
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) == "read_store" or getattr(node.func, "attr", None) == "read_store")
+def _called(node, names) -> bool:
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) in names
     )
-    assert calls == []
+
+
+def _whole_store_reads(tree) -> list[int]:
+    """Lines that call a whole-store reader or gather iter_store's records
+    into one collection."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if _called(node, {"read_store"})
+        or (_called(node, {"list", "tuple", "sorted"})
+            and any(_called(arg, {"iter_store"}) for arg in node.args))
+    )
+
+
+# every command reads the store one record at a time
+def test_no_command_reads_the_whole_store():
+    reads = [
+        f"{path.name}:{lineno}"
+        for path in SOURCES
+        for lineno in _whole_store_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert reads == []
+
+
+def test_whole_store_reads_are_seen():
+    tree = ast.parse(
+        "a = list(iter_store(p))\n"
+        "b = sorted(pipeline.iter_store(p), key=k)\n"
+        "c = tuple(iter_store(p))\n"
+        "d = summarize(iter_store(p))\n"
+        "e = read_store(p)\n"
+    )
+    assert _whole_store_reads(tree) == [1, 2, 3, 5]
 
 
 # orjson decodes only the results store: it reads an integer past 64 bits as
