@@ -5,14 +5,20 @@ chat-completions API, and a deterministic in-process mock.  Every call is
 stateless: one prompt in, one draft out, no conversation history on the
 wire.  Transient transport failures retry with exponential backoff; other
 failures map to typed errors.  The hosted API key comes from the
-environment only, never from config files.  generate drafts one prompt;
+environment only, never from config files.  Requests go out through the
+standard library's urllib, one connection each, through whatever proxy the
+environment names when the request is made.  generate drafts one prompt;
 drafting drafts a matrix, and it alone decides how each kind of backend runs.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -20,8 +26,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union, get_type_hints
-
-import requests
+from urllib.parse import urlsplit
 
 from .grounding import CoordinateAlternative, RequiredFact, TokenPhrase, facts_from_input
 from .model import ReportSectionKind, from_data
@@ -273,6 +278,77 @@ def mock_complete(
 # ---------------------------------------------------------------------------
 # HTTP adapters
 
+class _Redirects(urllib.request.HTTPRedirectHandler):
+    """Follows a 301, 302 or 303 answer to a POST with a GET, and sends the
+    API key on only to the host it was meant for.  A 307 or 308 answer to a
+    POST is not followed, so it stays a refusal."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        follow = super().redirect_request(req, fp, code, msg, headers, newurl)
+        if follow is not None and urlsplit(newurl).hostname != urlsplit(req.full_url).hostname:
+            follow.remove_header("Authorization")
+        return follow
+
+
+class _EnvironProxy(urllib.request.BaseHandler):
+    """Routes a request as ProxyHandler does, through the proxy that
+    http_proxy/https_proxy/no_proxy name when it is sent; ProxyHandler
+    itself reads them once, when it is made."""
+
+    handler_order = urllib.request.ProxyHandler.handler_order
+
+    def _route(self, req):
+        proxy = urllib.request.ProxyHandler()
+        proxy.parent = self.parent
+        route = getattr(proxy, f"{req.type}_open", None)
+        return route(req) if route else None
+
+    http_open = https_open = _route
+
+
+def _opener() -> urllib.request.OpenerDirector:
+    """http and https only, redirects included.  No handler keeps state
+    between requests, so one opener serves every thread."""
+    opener = urllib.request.OpenerDirector()
+    for handler in (_EnvironProxy(), urllib.request.UnknownHandler(),
+                    urllib.request.HTTPHandler(), urllib.request.HTTPSHandler(),
+                    urllib.request.HTTPDefaultErrorHandler(), _Redirects(),
+                    urllib.request.HTTPErrorProcessor()):
+        opener.add_handler(handler)
+    return opener
+
+
+_OPENER = _opener()
+
+
+def _exchange(url: str, payload: dict, timeout: float, headers: Optional[dict]) -> tuple[int, bytes]:
+    """One POST on a connection of its own; returns the final answer's
+    status and body."""
+    request = urllib.request.Request(
+        url,
+        json.dumps(payload, allow_nan=False).encode("utf-8"),
+        {"Content-Type": "application/json", "User-Agent": "casedraft", **(headers or {})},
+        method="POST",
+    )
+    if request.type not in ("http", "https"):
+        raise ValueError(f"unsupported URL scheme {request.type!r} in {url!r}")
+    try:
+        response = _OPENER.open(request, timeout=timeout)
+    except urllib.error.HTTPError as exc:  # a non-2xx answer, read like any other
+        response = exc
+    with response:
+        return response.status, response.read()
+
+
+def _retryable(exc: Exception) -> bool:
+    """A connection failure or a timeout, on connect or on read: a refused
+    connection, a DNS or TLS failure, a server that closes without
+    answering.  A URLError wraps one unless the URL itself is at fault."""
+    if isinstance(exc, urllib.error.URLError):
+        exc = exc.reason
+    return isinstance(exc, (OSError, http.client.BadStatusLine))
+
+
 def _post_json(url: str, payload: dict, config: BackendConfig, headers: Optional[dict] = None):
     """POST with retries on connection failures and timeouts; returns
     (body, latency_s).  Any other request failure, such as a URL without a
@@ -281,22 +357,20 @@ def _post_json(url: str, payload: dict, config: BackendConfig, headers: Optional
     for attempt in range(config.max_retries + 1):
         started = time.monotonic()
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=config.timeout)
-        except (requests.ConnectionError, requests.Timeout) as exc:
+            status, raw = _exchange(url, payload, config.timeout, headers)
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            if not _retryable(exc):
+                raise TransportError(f"{config.name}: request failed: {exc}") from exc
             last_exc = exc
             if attempt < config.max_retries:
                 time.sleep(config.retry_backoff * (2 ** attempt))
             continue
-        except requests.RequestException as exc:
-            raise TransportError(f"{config.name}: request failed: {exc}") from exc
         latency = time.monotonic() - started
-        if not 200 <= response.status_code < 300:
-            snippet = response.text[:200]
-            raise BackendRefusal(
-                f"{config.name}: status {response.status_code}: {snippet}"
-            )
+        if not 200 <= status < 300:
+            snippet = raw.decode("utf-8", "replace")[:200]
+            raise BackendRefusal(f"{config.name}: status {status}: {snippet}")
         try:
-            return response.json(), latency
+            return json.loads(raw), latency
         except ValueError as exc:
             raise ProtocolError(f"{config.name}: response is not JSON") from exc
     raise TransportError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -67,14 +68,16 @@ def golden_bundle() -> CaseBundle:
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Records every request; serves canned generate/chat responses.
+    """Records every request, with its method and raw body bytes; serves
+    canned generate/chat responses, to a GET as to a POST.
 
     Each request is held for the state's `delay` seconds before it is
     answered, or for `path_delay[path]` seconds where its path has one, and
     counts as in flight from its arrival until its answer is ready.  `fail_on` holds overall request numbers, counting from 1, or
-    (path, number) pairs counting that path's requests, to answer with 503.
-    `texts` maps (path, number) pairs to the draft text to answer with in
-    place of the canned one.
+    (path, number) pairs counting that path's requests, to answer with 503
+    and the body `fail_body`.  `redirect` maps a path to the (status,
+    Location) a POST to it is answered with.  `texts` maps (path, number)
+    pairs to the draft text to answer with in place of the canned one.
     """
 
     server_version = "stub/0"
@@ -90,9 +93,11 @@ class StubHandler(BaseHTTPRequestHandler):
             state["requests"].append(
                 {
                     "n": n,
+                    "method": self.command,
                     "path": self.path,
                     "headers": {k.lower(): v for k, v in self.headers.items()},
                     "body": json.loads(raw) if raw else None,
+                    "raw": raw,
                 }
             )
             flight = state["in_flight"]  # path -> requests in flight
@@ -108,7 +113,14 @@ class StubHandler(BaseHTTPRequestHandler):
         if n in state["fail_on"] or (self.path, path_n) in state["fail_on"]:
             self.send_response(503)
             self.end_headers()
-            self.wfile.write(b"backend overloaded")
+            self.wfile.write(state["fail_body"])
+            return
+        if self.command == "POST" and self.path in state["redirect"]:
+            status, location = state["redirect"][self.path]
+            self.send_response(status)
+            self.send_header("Location", location)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
             return
         text = state["texts"].get((self.path, path_n))
         if state["raw_response"] is not None:
@@ -130,19 +142,30 @@ class StubHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    do_GET = do_POST  # noqa: N815 (http.server API)
+
     def log_message(self, *args) -> None:
         pass
 
 
+class _QuietServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address) -> None:
+        # a client that timed out has gone before its answer is written
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 class StubServer:
     def __init__(self) -> None:
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+        self._httpd = _QuietServer(("127.0.0.1", 0), StubHandler)
         self._httpd.state = {  # type: ignore[attr-defined]
             "lock": threading.Lock(),
             "counter": 0,
             "path_counter": {},
             "requests": [],
             "fail_on": set(),
+            "fail_body": b"backend overloaded",
+            "redirect": {},
             "texts": {},
             "raw_response": None,
             "delay": 0.0,
@@ -151,7 +174,10 @@ class StubServer:
             "peak_in_flight": 0,
             "peak_in_flight_by_path": {},
         }
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # a short poll, so that shutdown returns within 10 ms, not 0.5 s
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self._thread.start()
 
     @property

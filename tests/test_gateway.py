@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import json
+import socket
+import threading
 import time
 from collections import Counter
 from datetime import datetime, timezone
@@ -222,6 +224,9 @@ def test_local_generate_wire_format(stub_server, intro_prompt):
     assert request["body"]["prompt"] == intro_prompt.rendered_text
     assert request["body"]["max_length"] == 128
     assert request["body"]["temperature"] == 0.25
+    payload = {"prompt": intro_prompt.rendered_text, "max_length": 128, "temperature": 0.25}
+    assert request["raw"] == json.dumps(payload, allow_nan=False).encode()
+    assert request["headers"]["content-type"] == "application/json"
 
 
 def test_local_generate_is_stateless(stub_server, golden_bundle):
@@ -238,14 +243,16 @@ def test_local_generate_is_stateless(stub_server, golden_bundle):
 
 
 def test_local_generate_refusal_on_http_error(stub_server, intro_prompt):
+    body = "".join(chr(ord("a") + i % 26) for i in range(500))
     stub_server.state["fail_on"] = {1}
+    stub_server.state["fail_body"] = body.encode()
     cfg = BackendConfig(
         name="local", kind=BackendKind.LOCAL_GENERATE,
         endpoint_url=stub_server.url, max_retries=0,
     )
     with pytest.raises(BackendRefusal) as excinfo:
         generate(cfg, intro_prompt)
-    assert "503" in str(excinfo.value)
+    assert str(excinfo.value) == f"local: status 503: {body[:200]}"
     assert len(stub_server.requests) == 1  # no retry on HTTP status errors
 
 
@@ -278,6 +285,84 @@ def test_transport_error_after_retries(intro_prompt):
     with pytest.raises(TransportError) as excinfo:
         generate(cfg, intro_prompt)
     assert "2 attempts" in str(excinfo.value)
+
+
+def test_a_read_timeout_is_retried(stub_server, intro_prompt):
+    stub_server.state["delay"] = 1.0
+    cfg = BackendConfig(
+        name="slow", kind=BackendKind.LOCAL_GENERATE,
+        endpoint_url=stub_server.url, max_retries=1, retry_backoff=0.01, timeout=0.25,
+    )
+    with pytest.raises(TransportError) as excinfo:
+        generate(cfg, intro_prompt)
+    assert "2 attempts" in str(excinfo.value)
+    assert len(stub_server.requests) == 2
+
+
+def test_a_server_that_closes_without_answering_is_retried(intro_prompt):
+    accepted = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5)
+
+        def hang_up():
+            for _ in range(2):
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(1 << 16)
+                accepted.append(conn)
+
+        thread = threading.Thread(target=hang_up, daemon=True)
+        thread.start()
+        cfg = BackendConfig(
+            name="rude", kind=BackendKind.LOCAL_GENERATE,
+            endpoint_url=f"http://127.0.0.1:{listener.getsockname()[1]}",
+            max_retries=1, retry_backoff=0.01, timeout=2,
+        )
+        with pytest.raises(TransportError) as excinfo:
+            generate(cfg, intro_prompt)
+        thread.join(5)
+    assert "2 attempts" in str(excinfo.value)
+    assert len(accepted) == 2
+
+
+@pytest.mark.parametrize("endpoint", ["{host}:{port}", "ftp://{host}:{port}"])
+def test_a_url_with_no_or_an_unsupported_scheme_fails_at_once(endpoint, stub_server, intro_prompt):
+    host, port = stub_server.url.removeprefix("http://").split(":")
+    cfg = BackendConfig(
+        name="bad", kind=BackendKind.LOCAL_GENERATE,
+        endpoint_url=endpoint.format(host=host, port=port), max_retries=2, retry_backoff=1.0,
+    )
+    started = time.monotonic()
+    with pytest.raises(TransportError, match="bad: request failed"):
+        generate(cfg, intro_prompt)
+    assert time.monotonic() - started < 0.9  # no backoff slept
+    assert stub_server.requests == []
+
+
+def test_a_draft_goes_through_the_proxy_the_environment_names(stub_server, intro_prompt, monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", stub_server.url)
+    cfg = BackendConfig(
+        name="local", kind=BackendKind.LOCAL_GENERATE,
+        endpoint_url="http://backend.invalid", max_retries=0,
+    )
+    draft = generate(cfg, intro_prompt)
+    assert draft.text == "local draft 1"
+    assert [r["path"] for r in stub_server.requests] == ["http://backend.invalid/api/v1/generate"]
+
+
+def test_a_host_no_proxy_names_is_sent_to_directly(stub_server, intro_prompt, monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # discard port: refused
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    cfg = BackendConfig(
+        name="local", kind=BackendKind.LOCAL_GENERATE,
+        endpoint_url=stub_server.url, max_retries=0,
+    )
+    assert generate(cfg, intro_prompt).text == "local draft 1"
+    assert [r["path"] for r in stub_server.requests] == ["/api/v1/generate"]
 
 
 # --- hosted chat endpoint ---------------------------------------------------------
@@ -354,6 +439,41 @@ def test_hosted_chat_honors_custom_key_env(stub_server, intro_prompt, monkeypatc
     )
     generate(cfg, intro_prompt)
     assert stub_server.requests[0]["headers"]["authorization"] == "Bearer sk-other"
+
+
+@pytest.mark.parametrize("status", [301, 302, 303])
+@pytest.mark.parametrize("host", ["127.0.0.1", "localhost"])
+def test_a_redirected_post_is_followed_with_a_get_that_keeps_the_key_on_its_host(
+    status, host, stub_server, intro_prompt, monkeypatch
+):
+    monkeypatch.setenv(DEFAULT_API_KEY_ENV, "sk-unit-test")
+    port = stub_server.url.rsplit(":", 1)[1]
+    stub_server.state["redirect"] = {
+        "/v1/chat/completions": (status, f"http://{host}:{port}/v2/chat/completions")
+    }
+    cfg = BackendConfig(
+        name="hosted", kind=BackendKind.HOSTED_CHAT,
+        endpoint_url="http://127.0.0.1:" + port, max_retries=0,
+    )
+    assert generate(cfg, intro_prompt).text == "hosted draft 2"
+    post, get = stub_server.requests
+    assert (post["method"], get["method"], get["path"]) == ("POST", "GET", "/v2/chat/completions")
+    assert get["raw"] == b""
+    # the key goes on to the host it was sent to, and to no other
+    kept = get["headers"].get("authorization")
+    assert kept == ("Bearer sk-unit-test" if host == "127.0.0.1" else None)
+
+
+@pytest.mark.parametrize("status", [307, 308])
+def test_a_post_answered_with_307_or_308_is_a_refusal(status, stub_server, intro_prompt):
+    stub_server.state["redirect"] = {"/api/v1/generate": (status, stub_server.url + "/v2/generate")}
+    cfg = BackendConfig(
+        name="local", kind=BackendKind.LOCAL_GENERATE,
+        endpoint_url=stub_server.url, max_retries=0,
+    )
+    with pytest.raises(BackendRefusal, match=f"local: status {status}"):
+        generate(cfg, intro_prompt)
+    assert len(stub_server.requests) == 1
 
 
 @pytest.mark.parametrize("fault, shown", [

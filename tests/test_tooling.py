@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import casedraft
 
 SOURCES = sorted(Path(casedraft.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # an export left behind by a deletion would break `from casedraft.x import *`
@@ -199,3 +205,27 @@ def test_only_the_gateway_names_backend_kinds_or_drafting_workers():
         if name in GATEWAY_ONLY
     )
     assert found == []
+
+
+# orjson is the one runtime dependency: every command imports the CLI, and
+# whatever it loads beside the standard library a user has to install
+def test_the_cli_loads_no_third_party_module_but_orjson():
+    script = (
+        "import json, sys; before = set(sys.modules); import casedraft.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(casedraft.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    # sysconfig's build data is a stdlib module whose name is platform-made
+    loaded = {name.split(".")[0] for name in json.loads(out) if not name.startswith("_sysconfigdata_")}
+    assert "casedraft" in loaded
+    assert sorted(loaded - sys.stdlib_module_names - {"orjson", "casedraft"}) == []
+
+
+def test_pyproject_declares_orjson_alone():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    block = re.search(r"^dependencies = (\[.*?\])", text, re.M | re.S)
+    assert block is not None
+    assert ast.literal_eval(block.group(1)) == ["orjson>=3.8"]
