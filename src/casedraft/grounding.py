@@ -117,52 +117,66 @@ def _norm_phrase(text: str) -> str:
 # ---------------------------------------------------------------------------
 # rosters: names the bundle itself vouches for
 
+def _fold(text: str) -> str:
+    """text lowercased, one character for one, so that each character
+    re.IGNORECASE equates with an ASCII letter or digit becomes that letter,
+    lowercased.  Beyond ASCII only İ, ı, ſ and the Kelvin sign are such
+    characters; İ goes first, as str.lower makes it two."""
+    return text.replace("İ", "i").lower().replace("ı", "i").replace("ſ", "s")
+
+
+_ASCII_RUN = re.compile(r"[\x00-\x7f]+")
+
+
 @dataclass(frozen=True)
 class Roster:
     person_names: tuple[str, ...] = ()
     place_names: tuple[str, ...] = ()
 
     @cached_property
-    def _scan(self) -> tuple[list[tuple[ClaimKind, re.Pattern]], Optional[re.Pattern]]:
-        """Each name's pattern with its claim kind, persons before places so
-        that a person takes precedence on overlap, and the start scan."""
+    def _names(self) -> list[tuple[ClaimKind, re.Pattern, Optional[str], int]]:
+        """Each name's claim kind, pattern, anchor and the anchor's offset in
+        the name, persons before places so that a person takes precedence
+        on overlap.  The anchor is the name's longest run of characters whose
+        fold is ASCII, folded; None when the name has no such character."""
         named = [(ClaimKind.PERSON_NAME, p) for p in self.person_names]
         named += [(ClaimKind.PLACE_NAME, p) for p in self.place_names]
-        patterns = [(kind, re.compile(rf"\b{re.escape(p)}\b", re.IGNORECASE)) for kind, p in named]
-        names = [p for _, p in named]
-        if not names:
-            return patterns, None
-        # under IGNORECASE the class takes the same case equivalences as the
-        # names themselves (ſ and s, the Kelvin sign and k)
-        firsts = "".join(sorted({re.escape(p[0]) for p in names if p}))
-        lead = f"(?=[{firsts}])" if all(names) else ""
-        alternatives = "|".join(rf"{re.escape(p)}\b" for p in names)
-        return patterns, re.compile(rf"{lead}\b(?=(?:{alternatives}))", re.IGNORECASE)
+        out = []
+        for kind, name in named:
+            pattern = re.compile(rf"\b{re.escape(name)}\b", re.IGNORECASE)
+            run = max(_ASCII_RUN.finditer(_fold(name)), key=lambda m: m.end() - m.start(), default=None)
+            out.append((kind, pattern, run.group() if run else None, run.start() if run else 0))
+        return out
 
-    def finditer(self, text: str) -> Iterator[tuple[ClaimKind, re.Match]]:
+    def finditer(self, text: str, folded: str) -> Iterator[tuple[ClaimKind, re.Match]]:
         """The roster's names in text as whole words, case-insensitively,
-        each with its claim kind.
+        each with its claim kind; folded is _fold(text).
 
-        One scan finds every position where some name starts; only those
-        positions are tried per name.  The scan first tests the character at
-        a position against the names' first characters, so most positions
-        cost one class test rather than a try of every name.  Matches come
-        out name by name, persons before places, each name's own matches left
-        to right and non-overlapping, as one re.finditer per name would give.
+        A name matches one character of text for each of its own, and every
+        character a name's anchor matches folds to the anchor's character,
+        so wherever the name matches, its folded anchor occurs in folded at
+        the name's start plus the anchor's offset.  str.find gives those
+        occurrences, overlapping ones included, and the name's pattern is
+        tried only at the starts they imply.  A name without an anchor is
+        scanned by its pattern at every position.  Matches come out name by
+        name, persons before places, each name's own matches left to right
+        and non-overlapping, as one re.finditer per name would give.
         """
-        patterns, starts = self._scan
-        if starts is None:
-            return
-        positions = [m.start() for m in starts.finditer(text)]
-        for kind, pattern in patterns:
-            end = 0
-            for pos in positions:
-                if pos < end:
-                    continue
-                m = pattern.match(text, pos)
-                if m:
-                    end = m.end()
+        for kind, pattern, anchor, offset in self._names:
+            if anchor is None:
+                for m in pattern.finditer(text):
                     yield kind, m
+                continue
+            end = 0
+            at = folded.find(anchor)
+            while at >= 0:
+                start = at - offset
+                if start >= end:
+                    m = pattern.match(text, start)
+                    if m:
+                        end = m.end()
+                        yield kind, m
+                at = folded.find(anchor, at + 1)
 
 
 def build_roster(bundle: CaseBundle) -> Roster:
@@ -222,7 +236,12 @@ _GATES = {
     _COORD_PAIR: re.compile(r",\s+-?\d{1,3}[.,]\d{3}"),
     _VERSION: re.compile(r"\.\d{1,3}\.\d"),
     _FILENAME: re.compile(rf"\.(?:{_FILENAME_EXTENSIONS})\b", re.IGNORECASE),
+    # case-sensitive like the pattern; the \s keeps a leading "Draft" out
+    HONORIFIC_NAME: re.compile(r"(?:M(?:rs?|s|me|lle)|Dr)\.?\s"),
 }
+# _BYTE_COUNT ignores case, so its gate is a plain search of the folded
+# draft: every match folds to text holding one of these
+_BYTE_WORDS = ("byte", "octet")
 
 
 def _finditer(pattern: re.Pattern, text: str) -> Iterator[re.Match]:
@@ -241,6 +260,7 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
     """Pattern- and roster-based claim extraction, earlier kinds take
     precedence on overlapping spans."""
     claims: list[Claim] = []
+    folded = _fold(draft_text)
     # taken spans never overlap, so sorted by start their ends ascend too
     starts: list[int] = []
     ends: list[int] = []
@@ -282,17 +302,18 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
     for m in _finditer(_VERSION, draft_text):
         add(ClaimKind.TOOL_VERSION, m.span(), m.group(0), m.group(0))
 
-    for m in _BYTE_COUNT.finditer(draft_text):
-        add(ClaimKind.NUMERIC_VALUE, m.span(), m.group(0), m.group(1))
+    if any(word in folded for word in _BYTE_WORDS):
+        for m in _BYTE_COUNT.finditer(draft_text):
+            add(ClaimKind.NUMERIC_VALUE, m.span(), m.group(0), m.group(1))
 
     for m in _finditer(_FILENAME, draft_text):
         add(ClaimKind.FILENAME, m.span(), m.group(0), m.group(0).casefold())
 
-    for m in HONORIFIC_NAME.finditer(draft_text):
+    for m in _finditer(HONORIFIC_NAME, draft_text):
         add(ClaimKind.PERSON_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
 
     if roster:
-        for kind, m in roster.finditer(draft_text):
+        for kind, m in roster.finditer(draft_text, folded):
             add(kind, m.span(), m.group(0), _norm_phrase(m.group(0)))
 
     claims.sort(key=lambda c: c.span)

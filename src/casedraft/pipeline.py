@@ -274,9 +274,14 @@ def iter_store(path: Union[str, Path]) -> Iterator[dict]:
 
 def next_run_id(existing: Iterable[dict]) -> str:
     """The run identifier after those in any iterable of records, which is
-    consumed one record at a time."""
+    consumed one record at a time: the first run-NNNN from the number of
+    distinct runs plus one upward that no record uses, so that a store with
+    a gap (run-0001 and run-0003) never hands out an identifier twice."""
     runs = {r.get("run_id") for r in existing if r.get("run_id")}
-    return f"run-{len(runs) + 1:04d}"
+    n = len(runs) + 1
+    while f"run-{n:04d}" in runs:
+        n += 1
+    return f"run-{n:04d}"
 
 
 def run_experiment(

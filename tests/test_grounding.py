@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -22,11 +23,13 @@ from casedraft.gateway import (
 )
 from casedraft.grounding import (
     _BYTE_COUNT,
+    _BYTE_WORDS,
     _COORD_PAIR,
     _FILENAME,
     _GATES,
     _TIMESTAMP,
     _VERSION,
+    _fold,
     COORDINATE_PLACES,
     TIMESTAMP_SLACK,
     Claim,
@@ -244,13 +247,14 @@ def _roster_and_text(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_roster_and_text())
-def test_roster_alternation_matches_per_phrase_oracle(roster_and_text):
+def test_roster_matches_the_per_phrase_oracle(roster_and_text):
     roster, text = roster_and_text
     assert extract_claims(text, roster) == _unconditional_claims(text, roster)
 
 
 # fragments of every claim kind, with near misses and characters whose case
-# equivalents differ in length or script (ſ and s, Kelvin sign and k, İ, ß)
+# equivalents differ in length or script (ſ and s, Kelvin sign and k, İ and
+# ı, ß, µ and μ, ς and σ), and names with no ASCII character at all
 _CLAIM_FRAGMENTS = [
     "05.02.2019 12:16(UTC+0)", "02/14/2019 14:33:44", "05.02.2019 12:16 (UTC+5:30)",
     "05.02.2019 12:6", "05.02.2019 1216", "99.99.2019 12:16", "12:16", ":00",
@@ -261,10 +265,12 @@ _CLAIM_FRAGMENTS = [
     "x.jpg", "IMG.JPG", "x.Db-Wal", "cache4.db-wal", "a.b.c.txt", "file.jpgx",
     "photo.ſqlite", "notes.DOCX", ".png", "x.", "db",
     "Mr Sforza", "Dr Who", "Mrs Doubtfire", "Mr. ſforza", "Ms K\u212aelvin",
+    "Mme. Curie", "Mlle\tDupont", "2048 byteſ", "ıstanbul", "5 µm", "μ", "ΣΟΦΙΑ", "σοφίας",
 ]
 _ROSTER_WORDS = [
     "Sforza", "ſforza", "SFORZA", "Kelvin", "\u212aelvin", "kelvin", "İstanbul", "istanbul",
     "Straße", "STRASSE", "ß", "Healy", "Hall", "St.", "37th", "O'Neil", "x.jpg", "7.3.0",
+    "ı", "ıstanbul", "µ", "μ", "ς", "σ", "Σοφία", "σοφίας",
 ]
 _SEPARATORS = [" ", ", ", "\n", ":", ".", "-", "(", ")", ""]
 
@@ -293,6 +299,15 @@ def test_extract_claims_matches_the_unconditional_scan_oracle(roster_and_text):
     assert extract_claims(text, roster) == _unconditional_claims(text, roster)
 
 
+def test_roster_names_match_at_overlapping_anchors_and_without_one():
+    # "x x" first occurs inside "xx", where \b fails, then overlapping that
+    roster = Roster(person_names=("x x",), place_names=("Σοφία Hall", "Σοφία"))
+    text = "xx x x in ΣΟΦΊΑ HALL and σοφία"
+    claims = extract_claims(text, roster)
+    assert claims == _unconditional_claims(text, roster)
+    assert [c.span for c in claims] == [(3, 6), (10, 20), (25, 30)]
+
+
 def test_roster_phrases_match_across_case_equivalents():
     roster = Roster(person_names=("ſforza", "\u212aelvin"), place_names=("İstanbul", "Straße"))
     text = "SFORZA met kelvin in istanbul on STRAßE"
@@ -304,13 +319,31 @@ def test_roster_phrases_match_across_case_equivalents():
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     _claim_text(_ROSTER_WORDS),
-    st.text(alphabet="0123456789.,:/ ()-+UTCbytesjpgdbwalſK\u212a\n", max_size=60),
+    st.text(alphabet="0123456789.,:/ ()-+UTCbytesjpgdbwalſK\u212a\nOCTBYEMDrmlx\t", max_size=60),
 ))
 def test_each_gate_is_implied_by_its_pattern(text):
-    assert set(_GATES) == {_TIMESTAMP, _COORD_PAIR, _VERSION, _FILENAME}
+    assert set(_GATES) == {_TIMESTAMP, _COORD_PAIR, _VERSION, _FILENAME, HONORIFIC_NAME}
     for pattern, gate in _GATES.items():
         for m in pattern.finditer(text):
             assert gate.search(m.group(0)) is not None, (pattern.pattern, m.group(0))
+    for m in _BYTE_COUNT.finditer(text):
+        assert any(word in _fold(m.group(0)) for word in _BYTE_WORDS), m.group(0)
+
+
+def test_fold_equates_what_ignorecase_equates_with_ascii():
+    """The premise of the roster's literal search, over every code point:
+    the only characters beyond ASCII that re.IGNORECASE equates with an
+    ASCII character are İ, ı, ſ and the Kelvin sign, each with one letter
+    in its two cases, and _fold makes each that letter, lowercased; and
+    only İ changes length under str.lower."""
+    code_points = [chr(c) for c in range(sys.maxunicode + 1)]
+    ascii_class = re.compile(r"[\x00-\x7f]", re.IGNORECASE)
+    equated = {ch for ch in code_points if not ch.isascii() and ascii_class.fullmatch(ch)}
+    assert equated == {"İ", "ı", "ſ", "\u212a"}
+    for ch in equated:
+        letters = {a for a in map(chr, range(128)) if re.fullmatch(re.escape(a), ch, re.IGNORECASE)}
+        assert letters == {_fold(ch), _fold(ch).upper()}, ch
+    assert [ch for ch in code_points if len(ch.lower()) != 1] == ["İ"]
 
 
 # --- verification -----------------------------------------------------------------

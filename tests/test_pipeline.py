@@ -169,6 +169,14 @@ def test_next_run_id_counts_distinct_runs():
     assert next_run_id(iter([{"run_id": "run-0001"}, {"run_id": "run-0002"}])) == "run-0003"
 
 
+def test_next_run_id_skips_identifiers_a_store_with_gaps_uses():
+    # a failed run's records removed, or two stores joined
+    assert next_run_id([{"run_id": "run-0002"}]) == "run-0003"
+    assert next_run_id([{"run_id": "run-0001"}, {"run_id": "run-0003"}]) == "run-0004"
+    assert next_run_id([{"run_id": "run-0003"}, {"run_id": "run-0004"}]) == "run-0005"
+    assert next_run_id([{"run_id": "run-0001"}, {"run_id": "run-0004"}]) == "run-0003"
+
+
 def test_iter_store_yields_one_record_at_a_time(tmp_path):
     path = tmp_path / "store.jsonl"
     assert list(iter_store(path)) == []
