@@ -72,6 +72,7 @@ _DIRECTIONS = {
     "outgoing": Direction.OUTGOING,
     "sortant": Direction.OUTGOING,
     "system": Direction.SYSTEM,
+    "unknown": None,  # what render_tool_report_messages writes for no direction
 }
 
 UTC = timezone.utc
@@ -93,21 +94,21 @@ def _decimal(token: str) -> float:
     return float(t)
 
 
-_OFFSET_RE = r"UTC[+-]\d{1,2}(?::\d{2})?"
+# the date-time grammar of every layout: day-first date, clock, (UTC±h) offset
+_DATE = r"(?P<day>\d{2})\.(?P<month>\d{2})\.(?P<year>\d{4})"
+_CLOCK = r"(?P<hour>\d{1,2}):(?P<minute>\d{2})(?::(?P<second>\d{2}))?"
+_OFFSET = r"\((?P<off>UTC[+-]\d{1,2}(?::\d{2})?)\)"
 
 
 def _instant(m: re.Match, default_offset: timezone) -> Optional[datetime]:
-    """The instant a match's day, month, year, time and off groups name, at
-    its own offset or else the default; None when the date, the clock time
-    or the offset does not exist."""
-    tm = re.fullmatch(r"(\d{1,2}):(\d{2})(?::(\d{2}))?", m.group("time").strip())
-    if not tm:
-        return None
+    """The instant a match's date, clock and off groups name, at its own
+    offset or else the default; None when the date, the clock time or the
+    offset does not exist."""
     off = m.group("off")
     try:
         return datetime(
             int(m.group("year")), int(m.group("month")), int(m.group("day")),
-            int(tm.group(1)), int(tm.group(2)), int(tm.group(3) or 0),
+            int(m.group("hour")), int(m.group("minute")), int(m.group("second") or 0),
             tzinfo=parse_offset(off) if off else default_offset,
         )
     except ValueError:
@@ -115,14 +116,10 @@ def _instant(m: re.Match, default_offset: timezone) -> Optional[datetime]:
 
 
 # timestamp with day first: 05.02.2019 12:16:04(UTC-5), seconds and offset optional
-_TS_DAYFIRST = re.compile(
-    r"(?P<day>\d{2})\.(?P<month>\d{2})\.(?P<year>\d{4})\s+"
-    r"(?P<time>\d{1,2}:\d{2}(?::\d{2})?)\s*(?:\((?P<off>" + _OFFSET_RE + r")\))?"
-)
+_TS_DAYFIRST = re.compile(_DATE + r"\s+" + _CLOCK + r"\s*(?:" + _OFFSET + ")?")
 # timestamp with month first: 02/14/2019 14:33:44, as tool reports render Hour
 _TS_MONTHFIRST = re.compile(
-    r"(?P<month>\d{2})/(?P<day>\d{2})/(?P<year>\d{4})\s+"
-    r"(?P<time>\d{1,2}:\d{2}(?::\d{2})?)\s*(?:\((?P<off>" + _OFFSET_RE + r")\))?"
+    r"(?P<month>\d{2})/(?P<day>\d{2})/(?P<year>\d{4})\s+" + _CLOCK + r"\s*(?:" + _OFFSET + ")?"
 )
 
 
@@ -203,9 +200,11 @@ def parse_tool_report_locations(
     """Parse numbered location entries as a commercial tool report prints them.
 
     Entries start with ``N (lat, lon) Name: file`` and continue with an
-    Hour line, a wrapped Source File path carrying a size, and a category
-    line.  Decimal marks may be dots or commas.  Timestamps are read at
-    UTC+0 unless the entry carries an explicit offset.
+    Hour line, a Source File path, and a category line.  The path runs from
+    its label through the first line that carries its size; when no size
+    ends it and no category line came, its last line is the category, unless
+    that is the label's own line.  Decimal marks may be dots or commas.
+    Timestamps are read at UTC+0 unless the entry carries an explicit offset.
     """
     diags: list[ParseDiagnostic] = []
     records: list[LocationRecord] = []
@@ -237,19 +236,16 @@ def parse_tool_report_locations(
                 in_source = False
                 continue
             sm = _SOURCE_LABEL.match(line)
-            if sm:
-                in_source = True
-                source_parts.append(sm.group(1).strip())
-                continue
-            if in_source and size is None:
-                source_parts.append(line.strip())
-                if _SIZE_IN_TEXT.search(line):
-                    in_source = False
+            if sm or in_source:
+                source_parts.append(sm.group(1).strip() if sm else line.strip())
+                in_source = not _SIZE_IN_TEXT.search(line)
                 continue
             if not category:
                 category = line.strip()
             else:
                 _warn(diags, n, f"unexpected line in entry: {line.strip()!r}")
+        if in_source and not category and not _SOURCE_LABEL.match(body[-1][1]):
+            category = source_parts.pop()
 
         source_text = " ".join(p for p in source_parts if p)
         szm = _SIZE_IN_TEXT.search(source_text)
@@ -288,8 +284,7 @@ def parse_tool_report_locations(
 
 _LAB_LOC_ROW = re.compile(
     r"^(?P<name>\S+)\s+"
-    r"(?P<day>\d{2})\.(?P<month>\d{2})\.(?P<year>\d{4})\s+"
-    r"(?P<time>\d{1,2}:\d{2}(?::\d{2})?)\s*(?:\((?P<off>" + _OFFSET_RE + r")\))?\s+"
+    + _DATE + r"\s+" + _CLOCK + r"\s*(?:" + _OFFSET + r")?\s+"
     r"(?P<category>.*?)\s+"
     r"(?P<lat>[-+]?\d{1,3}(?:[.,]\d+)?)\s+"
     r"(?P<lon>[-+]?\d{1,3}(?:[.,]\d+)?)"
@@ -354,8 +349,7 @@ def parse_lablog_locations(
 # tool-report messages
 
 _TOOL_MSG_START = re.compile(
-    r"^\s*(?P<day>\d{2})\.(?P<month>\d{2})\.(?P<year>\d{4})\s+"
-    r"(?P<time>\d{1,2}:\d{2}(?::\d{2})?)\s*\((?P<off>" + _OFFSET_RE + r")\)\s*"
+    r"^\s*" + _DATE + r"\s+" + _CLOCK + r"\s*" + _OFFSET + r"\s*"
     r"Direction\s*:\s*(?P<direction>[A-Za-zÀ-ſ]+)\s*"
     r"(?:,\s*(?P<sender>.+?))?\s*$"
 )
@@ -381,7 +375,7 @@ def parse_tool_report_messages(
 
         dir_label = head.group("direction").casefold()
         direction = _DIRECTIONS.get(dir_label)
-        if direction is None:
+        if dir_label not in _DIRECTIONS:
             _warn(diags, line_no, f"unknown direction label: {head.group('direction')!r}")
         sender = _sender_from(head.group("sender") or "", parenthesized=True)
 
@@ -422,9 +416,7 @@ def parse_tool_report_messages(
 # lab-log messages
 
 _LAB_MSG_ROW = re.compile(
-    r"^(?P<sender>.*?)\s*"
-    r"(?P<day>\d{2})\.(?P<month>\d{2})\.(?P<year>\d{4})\s+"
-    r"(?P<time>\d{1,2}:\d{2}(?::\d{2})?)\s*\((?P<off>" + _OFFSET_RE + r")\)\s*"
+    r"^(?P<sender>.*?)\s*" + _DATE + r"\s+" + _CLOCK + r"\s*" + _OFFSET + r"\s*"
     r"(?P<rest>.*)$"
 )
 

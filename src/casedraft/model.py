@@ -287,11 +287,12 @@ def parse_offset(text: str) -> timezone:
 # serialization: one codec for every dataclass document, driven by the field
 # types.  Enums become their values, dates and datetimes ISO text, tuples
 # lists, mappings and dataclasses objects (fields in declaration order);
-# other values pass through unchanged.  Decoding a value of the wrong JSON
-# type raises ValueError naming the field: a str, int, float or bool field
-# takes only its own JSON type, except that a float field also takes an
-# integer, which stays an int, and a str field takes only a string UTF-8 can
-# encode.  Each type's converter is built once, on first use.
+# other values pass through unchanged.  Decoding a value its field cannot
+# take, such as one of the wrong JSON type, an unknown enum value or a date
+# that does not exist, raises ValueError naming the field: a str, int, float
+# or bool field takes only its own JSON type, except that a float field also
+# takes an integer, which stays an int, and a str field takes only a string
+# UTF-8 can encode.  Each type's converter is built once, on first use.
 
 def to_data(obj) -> dict:
     """The JSON-ready document of a dataclass instance."""
@@ -303,12 +304,12 @@ def from_data(cls: type[T], data: Mapping) -> T:
     or check one value of a scalar field type such as int.  A missing key
     takes the field's default, or the value the field's metadata names
     under "if_absent"; a missing field with neither raises KeyError.  A
-    value of the wrong JSON type raises ValueError."""
+    value its field cannot take raises ValueError naming the field."""
     return _converter(cls, True)(data)
 
 
-class _ShapeError(ValueError):
-    """A value of the wrong JSON type; the enclosing decoder names the field."""
+class _Named(ValueError):
+    """A field's ValueError, named by the innermost dataclass decoder."""
 
 
 # the exact types each scalar field accepts: bool is an int to isinstance,
@@ -324,7 +325,7 @@ def _scalar(types: tuple[type, ...], what: str) -> Callable:
     def check(v):
         if type(v) in types:
             return v
-        raise _ShapeError(f"expected {what}, got {v!r:.40}")
+        raise ValueError(f"expected {what}, got {v!r:.40}")
 
     return check
 
@@ -333,12 +334,12 @@ def _string(v):
     """A str field's value.  Documents and the store are UTF-8, which cannot
     encode a lone surrogate such as a "\\ud800" escape decodes to."""
     if type(v) is not str:
-        raise _ShapeError(f"expected a string, got {v!r:.40}")
+        raise ValueError(f"expected a string, got {v!r:.40}")
     if not v.isascii():
         try:
             v.encode("utf-8")
         except UnicodeEncodeError:
-            raise _ShapeError(f"expected a string UTF-8 can encode, got {v!r:.40}") from None
+            raise ValueError(f"expected a string UTF-8 can encode, got {v!r:.40}") from None
     return v
 
 
@@ -348,7 +349,7 @@ def _checked(json_type: type, what: str, fn: Callable) -> Callable:
     def convert(v):
         if isinstance(v, json_type):
             return fn(v)
-        raise _ShapeError(f"expected {what}, got {v!r:.40}")
+        raise ValueError(f"expected {what}, got {v!r:.40}")
 
     return convert
 
@@ -431,8 +432,10 @@ def _dataclass_decoder(cls) -> Callable:
             if name in data:
                 try:
                     kwargs[name] = data[name] if fn is None else fn(data[name])
-                except _ShapeError as exc:
-                    raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
+                except _Named:
+                    raise
+                except ValueError as exc:
+                    raise _Named(f"{cls.__name__}.{name}: {exc}") from None
             elif absent is _REQUIRED:
                 raise KeyError(name)
             elif absent is not _DEFAULT:

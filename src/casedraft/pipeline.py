@@ -187,31 +187,22 @@ def _record(line: bytes) -> Optional[dict]:
     return record if isinstance(record, dict) else None
 
 
-_BLOCK = 1 << 16  # bytes read at a time to find the final line or count lines
-
-
-def _unterminated_tail(fh) -> Optional[tuple[int, bytes]]:
+def _unterminated_tail(fh) -> Optional[tuple[int, int, bytes]]:
     """The final line of a store opened in binary mode when it lacks its
-    newline, as (offset, bytes); None when the store is empty or ends in a
-    newline.  Only the final line is read whole: the last newline is
-    sought a block at a time from the end."""
+    newline, as (line number, offset, bytes); None when the store is empty
+    or ends in a newline.  Only the last byte is read unless it is not a
+    newline; then the lines are walked forward, as iter_store walks them."""
     size = fh.seek(0, 2)
     if size == 0:
         return None
     fh.seek(size - 1)
     if fh.read(1) == b"\n":
         return None
-    start = size
-    while start > 0:
-        begin = max(0, start - _BLOCK)
-        fh.seek(begin)
-        cut = fh.read(start - begin).rfind(b"\n")
-        if cut >= 0:
-            start = begin + cut + 1
-            break
-        start = begin
-    fh.seek(start)
-    return start, fh.read(size - start)
+    fh.seek(0)
+    offset = 0
+    for lineno, line in enumerate(fh, 1):
+        offset += len(line)
+    return lineno, offset - len(line), line
 
 
 @contextmanager
@@ -222,7 +213,7 @@ def _appending(path: Union[str, Path]) -> Iterator[BinaryIO]:
     with open(path, "a+b") as fh:
         tail = _unterminated_tail(fh)
         if tail is not None:
-            start, line = tail
+            _, start, line = tail
             if _record(line) is not None:
                 fh.write(b"\n")
             else:
@@ -237,16 +228,15 @@ def _line(record: dict) -> bytes:
 def torn_line(path: Union[str, Path]) -> Optional[int]:
     """The number of the store's final line when a write was torn: the line
     lacks its newline and is not one JSON object.  None otherwise, and for a
-    store not yet made.  Lines are counted a block at a time."""
+    store not yet made."""
     p = Path(path)
     if not p.exists():
         return None
     with open(p, "rb") as fh:
         tail = _unterminated_tail(fh)
-        if tail is None or not tail[1].strip() or _record(tail[1]) is not None:
-            return None
-        fh.seek(0)
-        return sum(block.count(b"\n") for block in iter(lambda: fh.read(_BLOCK), b"")) + 1
+    if tail is None or not tail[2].strip() or _record(tail[2]) is not None:
+        return None
+    return tail[0]
 
 
 def iter_store(path: Union[str, Path]) -> Iterator[dict]:

@@ -222,7 +222,9 @@ def render_tool_report_locations(
     records: Sequence[LocationRecord], french_labels: bool = False
 ) -> str:
     """Numbered tool-report location entries; parse_tool_report_locations
-    reads them back."""
+    reads them back.  A record's source goes on its one Source File line,
+    with its size, so a source must fit on one line and hold no size text
+    of its own."""
     out = ["# Source Position Info Confidence Category Deleted"]
     for n, rec in enumerate(records, start=1):
         lat = f"{rec.latitude:.6f}"

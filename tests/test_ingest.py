@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from casedraft import ingest
 from casedraft.ingest import (
     Severity,
     parse_csv_locations,
@@ -19,7 +22,7 @@ from casedraft.ingest import (
     parse_tool_report_locations,
     parse_tool_report_messages,
 )
-from casedraft.model import Direction, LocationRecord, MessageRecord, Sender
+from casedraft.model import Direction, LocationRecord, MessageRecord, Sender, parse_offset
 from casedraft.prompting import (
     render_csv_locations,
     render_lablog_locations,
@@ -84,6 +87,22 @@ def test_tool_report_locations_comment_lines_skipped():
     assert text.lstrip().startswith("#")
     records, _ = parse_tool_report_locations(text)
     assert len(records) == 3
+
+
+def test_tool_report_source_ends_at_its_size_and_a_line_after_the_category_is_unexpected():
+    text = (
+        "1 (38.9075, -77.0727) Name: x.jpg\n"
+        "Hour: 02/14/2019 14:33:44\n"
+        "Source File: USERDATA\n"
+        "/Root/x.jpg (Size : 12 bytes)\n"
+        "Media Locations\n"
+        "Deleted\n"
+    )
+    records, diags = parse_tool_report_locations(text)
+    assert [(r.source_file, r.size_bytes, r.category) for r in records] == [
+        ("USERDATA /Root/x.jpg", 12, "Media Locations")
+    ]
+    assert [(d.line_number, d.message) for d in diags] == [(6, "unexpected line in entry: 'Deleted'")]
 
 
 # --- lab-log locations -------------------------------------------------------
@@ -179,6 +198,31 @@ def test_tool_report_messages_empty_text_is_quiet():
     assert diags == []
 
 
+@pytest.mark.parametrize("label,direction,warned", [
+    ("Sortant", Direction.OUTGOING, False),
+    # what render_tool_report_messages writes for a message without a direction
+    ("Unknown", None, False),
+    ("Sideways", None, True),
+])
+def test_tool_report_direction_labels(label, direction, warned):
+    records, diags = parse_tool_report_messages(f"05.02.2019 12:16(UTC+0) Direction:{label}\nhello\n")
+    assert records[0].direction is direction
+    assert [d.message for d in diags] == ([f"unknown direction label: {label!r}"] if warned else [])
+
+
+@pytest.mark.parametrize("source,app", [
+    ("/Root/data/org.telegram.messenger/files/cache4.db", "Telegram"),
+    ("/Root/data/com.whatsapp/databases/msgstore.db", "WhatsApp"),
+    ("/Users/x/Library/Mail/V6/INBOX.mbox", "Email"),
+    ("/Root/data/notes.db", ""),
+])
+def test_tool_report_message_app_follows_its_source(source, app):
+    text = f"05.02.2019 12:16(UTC+0) Direction:Incoming\nhello\nSource File: {source}\n"
+    records, diags = parse_tool_report_messages(text)
+    assert diags == []
+    assert (records[0].app, records[0].source_files) == (app, (source,))
+
+
 # --- lab-log messages --------------------------------------------------------
 
 def test_lablog_messages_golden():
@@ -269,6 +313,21 @@ def test_device_profile_missing_model_is_error():
     assert len(errors(diags)) == 1
 
 
+def test_device_profile_warns_of_a_duplicate_row_and_an_empty_value():
+    text = (
+        "Detected Phone Vendor   Samsung\n"
+        "Detected Phone Vendor   Apple\n"
+        "Detected Phone Model   SM-G925F\n"
+        "OS Version\n"
+    )
+    profile, diags = parse_device_profile(text)
+    assert (profile.vendor, profile.model_code, profile.os_version) == ("Samsung", "SM-G925F", "")
+    assert [(d.line_number, d.severity, d.message) for d in diags] == [
+        (2, Severity.WARNING, "duplicate row for 'vendor'; keeping first"),
+        (4, Severity.WARNING, "row for 'os_version' has no value"),
+    ]
+
+
 # --- mandates ----------------------------------------------------------------
 
 def test_short_mandate_golden():
@@ -300,6 +359,24 @@ def test_empty_mandate_two_errors():
     mandate, diags = parse_mandate("")
     assert mandate.questions == ()
     assert len(errors(diags)) == 2
+
+
+@pytest.mark.parametrize("day,received", [
+    ("2019-02-14", date(2019, 2, 14)),
+    ("2019-02-30", None),
+])
+def test_mandate_reads_an_iso_date_and_a_transmitted_items_label(day, received):
+    text = (
+        f"Date: {day}\n"
+        "Description: A phone was seized.\n"
+        "Mandate: 1. Where was the phone?\n"
+        "Transmitted items: One Samsung phone; one Apple phone\n"
+    )
+    mandate, diags = parse_mandate(text)
+    assert mandate.received_date == received
+    assert mandate.transmitted_items == ("One Samsung phone", "one Apple phone")
+    assert mandate.questions == ("Where was the phone?",)
+    assert [d.message for d in diags] == ([] if received else ["Date block has no readable date"])
 
 
 # --- method steps ------------------------------------------------------------
@@ -387,6 +464,103 @@ def test_out_of_range_offset_drops_the_record_with_a_diagnostic(render, parser, 
         broken, diags = parser(text.replace("(UTC+1)", offset, 1))
         assert [r.timestamp for r in broken] == [records[1].timestamp]
         assert {d.severity for d in diags if d not in clean_diags} == {Severity.ERROR}
+
+
+# the five patterns as each once spelt out its own date, clock time and
+# offset, and the instant reader that parsed the clock a second time: the
+# references the shared date-time grammar must agree with
+_OLD_OFFSET = r"UTC[+-]\d{1,2}(?::\d{2})?"
+_OLD_PATTERNS = {
+    "_TS_DAYFIRST": re.compile(
+        r"(?P<day>\d{2})\.(?P<month>\d{2})\.(?P<year>\d{4})\s+"
+        r"(?P<time>\d{1,2}:\d{2}(?::\d{2})?)\s*(?:\((?P<off>" + _OLD_OFFSET + r")\))?"
+    ),
+    "_TS_MONTHFIRST": re.compile(
+        r"(?P<month>\d{2})/(?P<day>\d{2})/(?P<year>\d{4})\s+"
+        r"(?P<time>\d{1,2}:\d{2}(?::\d{2})?)\s*(?:\((?P<off>" + _OLD_OFFSET + r")\))?"
+    ),
+    "_LAB_LOC_ROW": re.compile(
+        r"^(?P<name>\S+)\s+"
+        r"(?P<day>\d{2})\.(?P<month>\d{2})\.(?P<year>\d{4})\s+"
+        r"(?P<time>\d{1,2}:\d{2}(?::\d{2})?)\s*(?:\((?P<off>" + _OLD_OFFSET + r")\))?\s+"
+        r"(?P<category>.*?)\s+"
+        r"(?P<lat>[-+]?\d{1,3}(?:[.,]\d+)?)\s+"
+        r"(?P<lon>[-+]?\d{1,3}(?:[.,]\d+)?)"
+        r"(?:\s+(?P<related>\S.*?))?\s*$"
+    ),
+    "_TOOL_MSG_START": re.compile(
+        r"^\s*(?P<day>\d{2})\.(?P<month>\d{2})\.(?P<year>\d{4})\s+"
+        r"(?P<time>\d{1,2}:\d{2}(?::\d{2})?)\s*\((?P<off>" + _OLD_OFFSET + r")\)\s*"
+        r"Direction\s*:\s*(?P<direction>[A-Za-zÀ-ſ]+)\s*"
+        r"(?:,\s*(?P<sender>.+?))?\s*$"
+    ),
+    "_LAB_MSG_ROW": re.compile(
+        r"^(?P<sender>.*?)\s*"
+        r"(?P<day>\d{2})\.(?P<month>\d{2})\.(?P<year>\d{4})\s+"
+        r"(?P<time>\d{1,2}:\d{2}(?::\d{2})?)\s*\((?P<off>" + _OLD_OFFSET + r")\)\s*"
+        r"(?P<rest>.*)$"
+    ),
+}
+
+
+def _old_instant(m, default_offset):
+    tm = re.fullmatch(r"(\d{1,2}):(\d{2})(?::(\d{2}))?", m.group("time").strip())
+    if not tm:
+        return None
+    off = m.group("off")
+    try:
+        return datetime(
+            int(m.group("year")), int(m.group("month")), int(m.group("day")),
+            int(tm.group(1)), int(tm.group(2)), int(tm.group(3) or 0),
+            tzinfo=parse_offset(off) if off else default_offset,
+        )
+    except ValueError:
+        return None
+
+
+_NOISE = st.text("0123456789.:/() \tUTC+-x", max_size=3)
+
+
+def _slot(*options: str):
+    """One part of a date-time line: a form the layouts write, or a few
+    characters of the grammar's alphabet in its place."""
+    return st.one_of(*map(st.just, options), _NOISE)
+
+
+# what each layout writes before and after its date-time, or noise
+_FRAMES = st.one_of(*map(st.just, [
+    ("", ""), ("Hour: ", ""), ("-", "\t-"),
+    ("x.jpg\t", "\tMedia Locations\t38,9075\t-77,0727\tHealy Hall"), ("x.jpg ", " Media 38.9 -77.0"),
+    ("", "Direction:Incoming"), (" ", " Direction : Entrant, 695862679 (Wonder Woman)"),
+    ("695862679 Wonder Woman\t", "\t-\t-\t-"),
+]), st.tuples(_NOISE, _NOISE))
+
+# a line with a date-time where the layouts put one, each part well formed or not
+_TIME_LINES = st.tuples(
+    _FRAMES,
+    _slot("05.02.2019", "31.02.2019", "00.13.2019", "02/14/2019", "13/01/2019", "5.2.2019"),
+    _slot(" ", "\t", "  ", ""),
+    _slot("12:16", "7:05", "23:59:59", "24:00", "123:45", "1:2", "12:16:4", "12:16:60"),
+    _slot("", " ", "\t"),
+    _slot("", "(UTC+0)", "(UTC-5)", "(UTC+5:30)", "(UTC+30)", "(UTC+1:99)", "(UTC+", "UTC-5"),
+).map(lambda parts: parts[0][0] + "".join(parts[1:]) + parts[0][1])
+
+
+@settings(max_examples=3000, deadline=None)
+@given(_TIME_LINES)
+def test_the_shared_grammar_matches_as_each_layout_once_spelt_it(text):
+    for name, old in _OLD_PATTERNS.items():
+        new = getattr(ingest, name)
+        for how in ("match", "search"):
+            a, b = getattr(old, how)(text), getattr(new, how)(text)
+            assert (a is None) == (b is None), (name, how)
+            if a is None:
+                continue
+            assert a.span() == b.span()
+            shared = [g for g in a.groupdict() if g != "time"]
+            assert [a.group(g) for g in shared] == [b.group(g) for g in shared]
+            assert a.group("time") == text[b.start("hour"):max(b.end("minute"), b.end("second"))]
+            assert _old_instant(a, MINUS5) == ingest._instant(b, MINUS5)
 
 
 _TOO_MANY_DIGITS = "9" * 5000  # past int()'s default limit of 4,300 digits

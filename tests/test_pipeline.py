@@ -9,6 +9,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from collections import Counter
@@ -1056,6 +1057,25 @@ def test_wrong_shape_errors_name_the_field(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("section,index,key,value,message", [
+    pytest.param("locations", 0, "timestamp", "2019-02-30T14:33:44+00:00",
+                 "LocationRecord.timestamp: day is out of range for month", id="no-such-day"),
+    pytest.param("locations", 1, "timestamp", "14.02.2019",
+                 "LocationRecord.timestamp: Invalid isoformat string: '14.02.2019'", id="not-iso"),
+    pytest.param("messages", 0, "direction", "sideways",
+                 "MessageRecord.direction: 'sideways' is not a valid Direction", id="no-such-enum"),
+])
+def test_a_value_its_field_cannot_take_is_rejected_naming_the_field(
+    section, index, key, value, message, bundle_file, capsys
+):
+    doc = json.loads(bundle_file.read_text(encoding="utf-8"))
+    (records,) = doc[section].values()
+    records[index][key] = value
+    bundle_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--bundle", str(bundle_file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["validate", "matrix", "experiment"])
 def test_a_bundle_string_utf8_cannot_encode_is_rejected_naming_its_field(
     command, bundle_file, config_file, tmp_path, capsys
@@ -1133,16 +1153,21 @@ def test_a_run_cuts_a_torn_final_line_off(tail, golden_bundle, tmp_path):
     assert torn_line(store) is None
 
 
+# the block size the reference below reads a store back from its end by;
+# stores and tails longer than one block stay among the cases
+_BLOCK = 1 << 16
+
+
 @pytest.mark.parametrize("tail_bytes", [
     pytest.param(20, id="short-tail"),
-    pytest.param(pipeline._BLOCK + 100, id="tail-longer-than-a-block"),
+    pytest.param(_BLOCK + 100, id="tail-longer-than-a-block"),
 ])
 def test_a_torn_final_line_after_more_than_a_block_names_its_line(tail_bytes, golden_bundle, tmp_path):
     store = tmp_path / "store.jsonl"
-    records = [{"n": i, "pad": "x" * 50} for i in range(2 * pipeline._BLOCK // 60 + 2)]
+    records = [{"n": i, "pad": "x" * 50} for i in range(2 * _BLOCK // 60 + 2)]
     _write_lines(store, records)
     good = store.read_bytes()
-    assert len(good) > pipeline._BLOCK
+    assert len(good) > _BLOCK
     store.write_bytes(good + b'{"run_id": "' + b"r" * tail_bytes)
     assert torn_line(store) == len(records) + 1
     assert list(iter_store(store)) == records
@@ -1157,6 +1182,74 @@ def test_a_run_ends_a_final_record_without_its_newline_first(golden_bundle, tmp_
     assert list(iter_store(store)) == [{"a": 1}, {"b": 2}]
     record = _one_record_run(golden_bundle, store, tmp_path)
     assert store.read_bytes() == b'{"a": 1}\n{"b": 2}\n' + record
+
+
+def _reference_tail(fh):
+    """The store's final line when it lacks its newline, as (offset, bytes),
+    found by reading back from the end a block at a time: the reference the
+    forward walk of pipeline._unterminated_tail must agree with."""
+    size = fh.seek(0, 2)
+    if size == 0:
+        return None
+    fh.seek(size - 1)
+    if fh.read(1) == b"\n":
+        return None
+    start = size
+    while start > 0:
+        begin = max(0, start - _BLOCK)
+        fh.seek(begin)
+        cut = fh.read(start - begin).rfind(b"\n")
+        if cut >= 0:
+            start = begin + cut + 1
+            break
+        start = begin
+    fh.seek(start)
+    return start, fh.read(size - start)
+
+
+def _reference_torn_line(path):
+    with open(path, "rb") as fh:
+        tail = _reference_tail(fh)
+        if tail is None or not tail[1].strip() or pipeline._record(tail[1]) is not None:
+            return None
+        fh.seek(0)
+        return sum(block.count(b"\n") for block in iter(lambda: fh.read(_BLOCK), b"")) + 1
+
+
+def _reference_append(path) -> None:
+    with open(path, "a+b") as fh:
+        tail = _reference_tail(fh)
+        if tail is not None:
+            start, line = tail
+            if pipeline._record(line) is not None:
+                fh.write(b"\n")
+            else:
+                fh.truncate(start)
+
+
+_LONG = b'{"pad": "' + b"x" * (_BLOCK + 100) + b'"}'
+_STORE_LINES = st.sampled_from([
+    b'{"a": 1}\n', b"\n", b"  \n", b"[1, 2]\n", b'{"b": "caf\xc3\xa9"}\n', b"\xff\xfe\n",
+    _LONG + b"\n",
+])
+_TAIL_STARTS = st.sampled_from([b"", b"  ", b'{"c": 3}', b'{"run_id": "run-00', b"[1]",
+                                b"\xef\xbb\xbf{}", b'{"d": "caf\xc3', b"\xff", _LONG])
+_TAIL_ENDS = st.sampled_from([b"", b"\n", b" ", b"x" * (_BLOCK + 100)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_STORE_LINES, max_size=6), start=_TAIL_STARTS, end=_TAIL_ENDS)
+def test_the_forward_walk_finds_the_tail_the_backward_block_scan_found(lines, start, end):
+    content = b"".join(lines) + start + end
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp, "ours.jsonl"), Path(tmp, "theirs.jsonl")
+        ours.write_bytes(content)
+        theirs.write_bytes(content)
+        assert torn_line(ours) == _reference_torn_line(theirs)
+        with pipeline._appending(ours):
+            pass
+        _reference_append(theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
 
 
 def test_cli_experiment_and_summarize_warn_of_a_torn_final_line(bundle_file, config_file, tmp_path, capsys):

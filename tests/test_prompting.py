@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import replace
+from functools import partial
+from operator import attrgetter
 
 import pytest
 
 from casedraft.ingest import (
     SourceFormat,
     parse_csv_locations,
+    parse_csv_messages,
     parse_lablog_locations,
     parse_lablog_messages,
     parse_mandate,
@@ -35,6 +39,9 @@ from casedraft.prompting import (
     render_tool_report_messages,
     request_sentence,
 )
+from casedraft.transform import reduce_to_csv
+
+from conftest import read_fixture
 
 INTRO_REQUEST = (
     "Can you summarize the previous text and write the intro of a forensic "
@@ -134,6 +141,69 @@ def test_csv_locations_round_trip(golden_bundle):
     assert [r.name for r in again] == [r.name for r in records]
     assert [r.related_location for r in again] == [r.related_location for r in records]
     assert [r.latitude for r in again] == [r.latitude for r in records]
+
+
+def _location_records() -> list:
+    """The tool report's locations, which carry sources and sizes, and
+    variants of its first: a source with no size, no category, neither,
+    no source at all, and a related location."""
+    records, _ = parse_tool_report_locations(read_fixture("tool_report_locations.txt"))
+    first = records[0]
+    return records + [
+        replace(first, size_bytes=None),
+        replace(first, category=""),
+        replace(first, size_bytes=None, category=""),
+        replace(first, source_file=None, size_bytes=None),
+        replace(first, related_location="Healy Hall, 37th St NW, Washington"),
+    ]
+
+
+def _message_records(golden_bundle) -> list:
+    """The tool report's messages, which carry directions and sources, the
+    golden bundle's, which carry no direction, and one marked deleted."""
+    records, _ = parse_tool_report_messages(read_fixture("tool_report_messages.txt"))
+    golden = list(golden_bundle.all_messages())
+    return records + golden + [replace(golden[1], deleted=True)]
+
+
+_LOCATED = ("name", "timestamp", "latitude", "longitude")
+_SENT = ("body", "timestamp", "sender")
+_TOOL_LOCATIONS = _LOCATED + ("category", "source_file", "size_bytes")
+_TOOL_MESSAGES = _SENT + ("direction", "source_files", "app")
+
+
+@pytest.mark.parametrize("render,parse,kind,carried", [
+    pytest.param(render_tool_report_locations, parse_tool_report_locations, "locations",
+                 _TOOL_LOCATIONS, id="tool-report-locations"),
+    pytest.param(partial(render_tool_report_locations, french_labels=True),
+                 parse_tool_report_locations, "locations", _TOOL_LOCATIONS,
+                 id="tool-report-locations-french"),
+    pytest.param(render_lablog_locations, parse_lablog_locations, "locations",
+                 _LOCATED + ("category", "related_location"), id="lablog-locations"),
+    pytest.param(render_csv_locations, parse_csv_locations, "locations",
+                 _LOCATED + ("related_location",), id="csv-locations"),
+    pytest.param(render_tool_report_messages, parse_tool_report_messages, "messages",
+                 _TOOL_MESSAGES, id="tool-report-messages"),
+    pytest.param(partial(render_tool_report_messages, french_labels=True),
+                 parse_tool_report_messages, "messages", _TOOL_MESSAGES,
+                 id="tool-report-messages-french"),
+    pytest.param(render_lablog_messages, parse_lablog_messages, "messages",
+                 _SENT + ("deleted", "source_files", "app"), id="lablog-messages"),
+    pytest.param(reduce_to_csv, parse_csv_messages, "messages", _SENT, id="csv-messages"),
+])
+def test_each_results_layout_reads_back_every_field_it_carries(
+    render, parse, kind, carried, golden_bundle
+):
+    records = _location_records() if kind == "locations" else _message_records(golden_bundle)
+    again, diags = parse(render(records))
+    fields = attrgetter(*carried)
+    assert [fields(r) for r in again] == [fields(r) for r in records]
+    # the tool report gives a category a line of its own, and an empty one none
+    no_category = [
+        f"entry {n} has no category line" for n, r in enumerate(records, start=1)
+        if carried == _TOOL_LOCATIONS and not r.category
+    ]
+    assert [d.message for d in diags] == no_category
 
 
 # --- request sentences ----------------------------------------------------------
