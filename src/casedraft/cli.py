@@ -104,7 +104,7 @@ def _cmd_ingest(args) -> int:
         try:
             for item in from_data(tuple[EvidenceItem, ...], json.loads(_read(args.items))):
                 items[item.item_id] = item
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise ValueError(f"items file: {exc}") from None
     for item_id in list(locations) + list(messages) + list(profiles):
         if item_id not in items:

@@ -168,9 +168,7 @@ def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
             fault_profile=from_data(_FAULT_KINDS[kind], params),
             **fields,
         )
-    except KeyError as exc:  # a fault parameter left out
-        raise ValueError(f"profile {name!r}: fault {kind}: no {exc.args[0]}") from None
-    except ValueError as exc:  # a bad fault parameter, a negative max_retries
+    except ValueError as exc:  # a fault parameter left out or bad, a negative max_retries
         raise ValueError(f"profile {name!r}: {exc}") from None
 
 

@@ -1,10 +1,11 @@
 """Deterministic grounding checks for generated drafts.
 
-Claims (coordinates, timestamps, person names, filenames, byte counts,
-place names, tool versions) are extracted from a draft by pattern and
-roster lookup, then verified against the case bundle within two fixed
-tolerances: COORDINATE_PLACES decimal places for a coordinate and
-TIMESTAMP_SLACK for a timestamp.  A claim with no support is a
+Claims are extracted from a draft by the rows of _PATTERNS, one per
+patterned kind (timestamps, coordinates, tool versions, byte counts,
+filenames, honorific names) in precedence order, and then by the bundle's
+roster of person and place names.  They are verified against the case
+bundle within two fixed tolerances: COORDINATE_PLACES decimal places for a
+coordinate and TIMESTAMP_SLACK for a timestamp.  A claim with no support is a
 hallucination.  Completeness is the fraction of the section's required
 facts whose key content appears in the draft.  Unknown capitalized
 phrases are deliberately not claims; the check is lexical and
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 from .ingest import (
@@ -148,20 +150,21 @@ class Roster:
             out.append((kind, pattern, run.group() if run else None, run.start() if run else 0))
         return out
 
-    def finditer(self, text: str, folded: str) -> Iterator[tuple[ClaimKind, re.Match]]:
+    def finditer(self, text: str) -> Iterator[tuple[ClaimKind, re.Match]]:
         """The roster's names in text as whole words, case-insensitively,
-        each with its claim kind; folded is _fold(text).
+        each with its claim kind.
 
         A name matches one character of text for each of its own, and every
         character a name's anchor matches folds to the anchor's character,
-        so wherever the name matches, its folded anchor occurs in folded at
-        the name's start plus the anchor's offset.  str.find gives those
+        so wherever the name matches, its folded anchor occurs in the folded
+        text at the name's start plus the anchor's offset.  str.find gives those
         occurrences, overlapping ones included, and the name's pattern is
         tried only at the starts they imply.  A name without an anchor is
         scanned by its pattern at every position.  Matches come out name by
         name, persons before places, each name's own matches left to right
         and non-overlapping, as one re.finditer per name would give.
         """
+        folded = _fold(text)
         for kind, pattern, anchor, offset in self._names:
             if anchor is None:
                 for m in pattern.finditer(text):
@@ -227,95 +230,81 @@ _FILENAME_EXTENSIONS = (
 )
 _FILENAME = re.compile(rf"\b[\w][\w-]*(?:\.[\w-]+)*\.(?:{_FILENAME_EXTENSIONS})\b", re.IGNORECASE)
 
-# A pattern led by a class or \b makes re try every position of a draft; a
-# search led by a literal skips ahead to it.  Each gate is such a search for
-# text that every match of its pattern contains, so a draft the gate finds
-# nothing in cannot match the pattern and is not scanned for it.
-_GATES = {
-    _TIMESTAMP: re.compile(r":\d{2}"),
-    _COORD_PAIR: re.compile(r",\s+-?\d{1,3}[.,]\d{3}"),
-    _VERSION: re.compile(r"\.\d{1,3}\.\d"),
-    _FILENAME: re.compile(rf"\.(?:{_FILENAME_EXTENSIONS})\b", re.IGNORECASE),
+
+def _timestamp(m: re.Match) -> Optional[str]:
+    """The instant m states, None when its date, time or offset is not real."""
+    a, b, sep, c = int(m.group(1)), int(m.group(3)), m.group(2), int(m.group(4))
+    day, month = (a, b) if sep == "." else (b, a)
+    hour, minute, second = int(m.group(5)), int(m.group(6)), int(m.group(7) or 0)
+    offset = m.group(8) or ""
+    try:
+        datetime(c, month, day, hour, minute, second, tzinfo=parse_offset(offset) if offset else None)
+    except ValueError:
+        return None
+    normalized = f"{c:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}"
+    return f"{normalized} {offset}" if offset else normalized
+
+
+def _coordinate(m: re.Match) -> Optional[str]:
+    """The pair m states as "lat,lon", None when it is off the globe."""
+    lat, lon = (float(g.replace(",", ".")) for g in m.groups())
+    if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+        return f"{lat:.6f},{lon:.6f}"
+    return None
+
+
+def _names_bytes(text: str) -> bool:
+    """_BYTE_COUNT ignores case, so each of its matches folds to text that
+    holds "byte" or "octet"."""
+    folded = _fold(text)
+    return "byte" in folded or "octet" in folded
+
+
+def _phrase(m: re.Match) -> str:
+    return _norm_phrase(m.group(0))
+
+
+# Each patterned claim kind as (kind, pattern, gate, value), in precedence
+# order: on overlapping spans the earlier row's claim stands, and the
+# roster's names come after every row.  A pattern led by a class or \b makes
+# re try every position of a draft, so gate(draft) first looks for text that
+# every match of the pattern contains; the regex gates are searches led by a
+# literal, which re skips ahead to.  value(match) is the claim's normalized
+# value, None when the match is no claim.
+_PATTERNS = (
+    (ClaimKind.TIMESTAMP, _TIMESTAMP, re.compile(r":\d{2}").search, _timestamp),
+    (ClaimKind.COORDINATE, _COORD_PAIR, re.compile(r",\s+-?\d{1,3}[.,]\d{3}").search, _coordinate),
+    (ClaimKind.TOOL_VERSION, _VERSION, re.compile(r"\.\d{1,3}\.\d").search, lambda m: m.group(0)),
+    (ClaimKind.NUMERIC_VALUE, _BYTE_COUNT, _names_bytes, lambda m: m.group(1)),
+    (ClaimKind.FILENAME, _FILENAME, re.compile(rf"\.(?:{_FILENAME_EXTENSIONS})\b", re.IGNORECASE).search,
+     lambda m: m.group(0).casefold()),
     # case-sensitive like the pattern; the \s keeps a leading "Draft" out
-    HONORIFIC_NAME: re.compile(r"(?:M(?:rs?|s|me|lle)|Dr)\.?\s"),
-}
-# _BYTE_COUNT ignores case, so its gate is a plain search of the folded
-# draft: every match folds to text holding one of these
-_BYTE_WORDS = ("byte", "octet")
-
-
-def _finditer(pattern: re.Pattern, text: str) -> Iterator[re.Match]:
-    """pattern.finditer(text), skipped when pattern's gate finds nothing."""
-    gate = _GATES.get(pattern)
-    if gate is not None and gate.search(text) is None:
-        return iter(())
-    return pattern.finditer(text)
-
-
-def _num(token: str) -> float:
-    return float(token.replace(",", "."))
+    (ClaimKind.PERSON_NAME, HONORIFIC_NAME, re.compile(r"(?:M(?:rs?|s|me|lle)|Dr)\.?\s").search, _phrase),
+)
 
 
 def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Claim]:
     """Pattern- and roster-based claim extraction, earlier kinds take
     precedence on overlapping spans."""
+    found = chain(
+        ((kind, m, value) for kind, pattern, gate, value in _PATTERNS if gate(draft_text)
+         for m in pattern.finditer(draft_text)),
+        ((kind, m, _phrase) for kind, m in (roster.finditer(draft_text) if roster else ())),
+    )
     claims: list[Claim] = []
-    folded = _fold(draft_text)
-    # taken spans never overlap, so sorted by start their ends ascend too
-    starts: list[int] = []
-    ends: list[int] = []
-
-    def add(kind: ClaimKind, m_span: tuple[int, int], surface: str, normalized: str) -> None:
-        start, end = m_span
+    starts, ends = [], []  # taken spans never overlap, so sorted by start their ends ascend too
+    for kind, m, value in found:
+        start, end = span = m.span()
         before = bisect_left(starts, end)  # spans starting before this one ends
         if before and ends[before - 1] > start:
-            return
+            continue
+        normalized = value(m)
+        if normalized is None:
+            continue
         i = bisect_left(starts, start)
         starts.insert(i, start)
         ends.insert(i, end)
-        claims.append(Claim(kind, surface, normalized, m_span))
-
-    for m in _finditer(_TIMESTAMP, draft_text):
-        a, b, sep, c = int(m.group(1)), int(m.group(3)), m.group(2), int(m.group(4))
-        day, month = (a, b) if sep == "." else (b, a)
-        hour, minute, second = int(m.group(5)), int(m.group(6)), int(m.group(7) or 0)
-        offset = m.group(8) or ""
-        try:  # only an instant that exists is a claim: date, clock time and offset
-            tz = parse_offset(offset) if offset else None
-            datetime(c, month, day, hour, minute, second, tzinfo=tz)
-        except ValueError:
-            continue
-        normalized = f"{c:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}"
-        if offset:
-            normalized += f" {offset}"
-        add(ClaimKind.TIMESTAMP, m.span(), m.group(0), normalized)
-
-    for m in _finditer(_COORD_PAIR, draft_text):
-        try:
-            lat, lon = _num(m.group(1)), _num(m.group(2))
-        except ValueError:
-            continue
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            continue
-        add(ClaimKind.COORDINATE, m.span(), m.group(0), f"{lat:.6f},{lon:.6f}")
-
-    for m in _finditer(_VERSION, draft_text):
-        add(ClaimKind.TOOL_VERSION, m.span(), m.group(0), m.group(0))
-
-    if any(word in folded for word in _BYTE_WORDS):
-        for m in _BYTE_COUNT.finditer(draft_text):
-            add(ClaimKind.NUMERIC_VALUE, m.span(), m.group(0), m.group(1))
-
-    for m in _finditer(_FILENAME, draft_text):
-        add(ClaimKind.FILENAME, m.span(), m.group(0), m.group(0).casefold())
-
-    for m in _finditer(HONORIFIC_NAME, draft_text):
-        add(ClaimKind.PERSON_NAME, m.span(), m.group(0), _norm_phrase(m.group(0)))
-
-    if roster:
-        for kind, m in roster.finditer(draft_text, folded):
-            add(kind, m.span(), m.group(0), _norm_phrase(m.group(0)))
-
+        claims.append(Claim(kind, m.group(0), normalized, span))
     claims.sort(key=lambda c: c.span)
     return claims
 

@@ -303,8 +303,8 @@ def from_data(cls: type[T], data: Mapping) -> T:
     """Rebuild a dataclass instance (or a tuple of them) from its document,
     or check one value of a scalar field type such as int.  A missing key
     takes the field's default, or the value the field's metadata names
-    under "if_absent"; a missing field with neither raises KeyError.  A
-    value its field cannot take raises ValueError naming the field."""
+    under "if_absent"; a missing field with neither, or a value its field
+    cannot take, raises ValueError naming the field."""
     return _converter(cls, True)(data)
 
 
@@ -414,7 +414,7 @@ _REQUIRED, _DEFAULT = object(), object()
 
 def _if_absent(f: dataclasses.Field):
     """What a document without field f decodes to: the field's default, or
-    the value its metadata names under "if_absent", or else a KeyError."""
+    the value its metadata names under "if_absent", or else an error."""
     if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
         return f.metadata.get("if_absent", _REQUIRED)
     return _DEFAULT
@@ -437,7 +437,7 @@ def _dataclass_decoder(cls) -> Callable:
                 except ValueError as exc:
                     raise _Named(f"{cls.__name__}.{name}: {exc}") from None
             elif absent is _REQUIRED:
-                raise KeyError(name)
+                raise _Named(f"{cls.__name__}.{name}: missing")
             elif absent is not _DEFAULT:
                 kwargs[name] = absent
         return cls(**kwargs)

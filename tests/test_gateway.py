@@ -503,7 +503,7 @@ def test_backend_config_of_the_wrong_shape_raises_value_error(entry):
 
 
 @pytest.mark.parametrize("fault, message", [
-    ({"kind": "drop_facts"}, "fault drop_facts: no count"),
+    ({"kind": "drop_facts"}, "DropFacts.count: missing"),
     ({"kind": "drop_facts", "count": -1}, "DropFacts.count: expected a non-negative integer, got -1"),
     ({"kind": "drop_facts", "count": True}, "DropFacts.count: expected an integer, got True"),
     ({"kind": "inject_name", "name": None}, "InjectName.name: expected a string, got None"),

@@ -23,10 +23,9 @@ from casedraft.gateway import (
 )
 from casedraft.grounding import (
     _BYTE_COUNT,
-    _BYTE_WORDS,
     _COORD_PAIR,
     _FILENAME,
-    _GATES,
+    _PATTERNS,
     _TIMESTAMP,
     _VERSION,
     _fold,
@@ -38,6 +37,7 @@ from casedraft.grounding import (
     FactCheck,
     GroundingContext,
     GroundingReport,
+    RequiredFact,
     Roster,
     TokenPhrase,
     build_roster,
@@ -51,6 +51,9 @@ from casedraft.grounding import (
 from casedraft.ingest import HONORIFIC_NAME, SourceFormat
 from casedraft.model import (
     CaseBundle,
+    EvidenceItem,
+    ImageHash,
+    ItemKind,
     LocationRecord,
     Mandate,
     MessageRecord,
@@ -322,12 +325,11 @@ def test_roster_phrases_match_across_case_equivalents():
     st.text(alphabet="0123456789.,:/ ()-+UTCbytesjpgdbwalſK\u212a\nOCTBYEMDrmlx\t", max_size=60),
 ))
 def test_each_gate_is_implied_by_its_pattern(text):
-    assert set(_GATES) == {_TIMESTAMP, _COORD_PAIR, _VERSION, _FILENAME, HONORIFIC_NAME}
-    for pattern, gate in _GATES.items():
+    patterns = [pattern for _, pattern, _, _ in _PATTERNS]
+    assert patterns == [_TIMESTAMP, _COORD_PAIR, _VERSION, _BYTE_COUNT, _FILENAME, HONORIFIC_NAME]
+    for _, pattern, gate, _ in _PATTERNS:
         for m in pattern.finditer(text):
-            assert gate.search(m.group(0)) is not None, (pattern.pattern, m.group(0))
-    for m in _BYTE_COUNT.finditer(text):
-        assert any(word in _fold(m.group(0)) for word in _BYTE_WORDS), m.group(0)
+            assert gate(m.group(0)), (pattern.pattern, m.group(0))
 
 
 def test_fold_equates_what_ignorecase_equates_with_ascii():
@@ -501,6 +503,37 @@ def test_item_without_make_or_model_requires_none(tmp_path):
         )
         assert report.completeness == 1.0, prompt.prompt_id
         assert [r.description for r in report.required_facts] == descriptions
+
+
+def test_a_forensic_image_is_identified_by_its_digest(golden_bundle):
+    digest = "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"
+    image = EvidenceItem(
+        item_id="IMG1", kind=ItemKind.FORENSIC_IMAGE, vendor="SanDisk", model="Cruzer Blade",
+        storage_size=16008609792, hash=ImageHash("SHA-256", digest), acquisition_methods=("physical",),
+    )
+    bundle = replace(golden_bundle, items=golden_bundle.items + (image,))
+    context = GroundingContext(bundle)
+    required = context.required_facts(ReportSectionKind.ITEMS_RECEIVED)
+    assert RequiredFact("item IMG1 identifier", (TokenPhrase(digest),)) in required
+    config = BackendConfig(name="mock", kind=BackendKind.MOCK)
+    prompts = [p for p in build_matrix(bundle) if p.section is ReportSectionKind.ITEMS_RECEIVED]
+    assert len(prompts) == 4
+
+    def by_tokens(facts):  # a MAC read back from the input keeps its comma, a token apart
+        return [(f.description, [a.tokens for a in f.alternatives]) for f in facts]
+
+    for prompt in prompts:
+        derived = facts_from_input(prompt.section, prompt.input_format, prompt.topic, prompt.input_block())
+        assert by_tokens(derived) == by_tokens(required), prompt.prompt_id
+        draft = generate(config, prompt)
+        report = score(draft, context, prompt.section, topic=prompt.topic)
+        assert (report.hallucination_count, report.completeness) == (0, 1.0), prompt.prompt_id
+        # one hex digit changed: the image is no longer identified
+        assert digest in draft.text
+        altered = draft.text.replace(digest, digest[:-1] + "9")
+        checks = score(altered, context, prompt.section).required_facts
+        unmet = [r.description for r in checks if not r.satisfied]
+        assert unmet == ["item IMG1 identifier"], prompt.prompt_id
 
 
 def test_methodology_facts(golden_bundle):

@@ -351,10 +351,10 @@ def test_missing_optional_keys_take_their_defaults():
     assert bundle == CaseBundle(mandate=Mandate())
 
 
-def test_missing_required_key_raises_key_error():
-    with pytest.raises(KeyError, match="item_id"):
+def test_missing_required_key_raises_value_error_naming_the_field():
+    with pytest.raises(ValueError, match=r"^EvidenceItem\.item_id: missing$"):
         from_data(EvidenceItem, {"kind": "physical_device"})
-    with pytest.raises(KeyError, match="latitude"):
+    with pytest.raises(ValueError, match=r"^LocationRecord\.latitude: missing$"):
         bundle_from_json(
             '{"locations": {"S1": [{"name": "a.jpg", "timestamp": "2019-02-14T14:33:44+01:00",'
             ' "category": "", "longitude": -77.0}]}}'

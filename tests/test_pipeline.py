@@ -1076,6 +1076,24 @@ def test_a_value_its_field_cannot_take_is_rejected_naming_the_field(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_a_missing_field_is_rejected_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import casegen
+
+    case = casegen.scaled_case(1, 200, tmp_path / "papers")
+    bundle, items = tmp_path / "bundle.json", tmp_path / "items.json"
+    assert main(["ingest", *case.ingest_args, "-o", str(bundle)]) == 0
+    capsys.readouterr()
+    doc = json.loads(bundle.read_text(encoding="utf-8"))
+    del doc["items"][0]["kind"]
+    bundle.write_text(json.dumps(doc), encoding="utf-8")
+    items.write_text(json.dumps(doc["items"]), encoding="utf-8")
+    assert main(["validate", "--bundle", str(bundle)]) == 2
+    assert capsys.readouterr().err == "error: EvidenceItem.kind: missing\n"
+    assert main(["ingest", "--items", str(items)]) == 2
+    assert capsys.readouterr().err == "error: items file: EvidenceItem.kind: missing\n"
+
+
 @pytest.mark.parametrize("command", ["validate", "matrix", "experiment"])
 def test_a_bundle_string_utf8_cannot_encode_is_rejected_naming_its_field(
     command, bundle_file, config_file, tmp_path, capsys

@@ -177,6 +177,74 @@ def test_whole_store_reads_are_seen():
     assert _whole_store_reads(tree) == [1, 2, 3, 5]
 
 
+# bench/tracing.py times a layer by swapping each public module-level function
+# for a wrapper; a table built at import that holds the function itself keeps
+# calling the original, and the layer's span would read 0 with no error.  A
+# lambda looks the function up when it runs, so it sees the wrapper.
+def _function_captures(tree, public: set[str], modules: set[str]) -> list[tuple[int, str]]:
+    """(line, name) for each public function that a module- or class-level
+    assignment names outside a lambda, other than as the callee of a call."""
+
+    def named(node):
+        if isinstance(node, ast.Lambda):
+            return
+        if isinstance(node, ast.Call):  # the callee is called, not kept
+            children = [*node.args, *node.keywords]
+        else:
+            children = list(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Name) and node.id in public:
+            yield node.lineno, node.id
+        elif (isinstance(node, ast.Attribute) and node.attr in public
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            yield node.lineno, node.attr
+        for child in children:
+            yield from named(child)
+
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    return sorted(
+        found
+        for body in bodies
+        for node in body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None
+        for found in named(node.value)
+    )
+
+
+def test_no_table_captures_a_public_function():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    public = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+    assert {"extract_claims", "score", "generate"} <= public
+    found = [
+        f"{module}.py:{lineno}:{name}"
+        for module, tree in trees.items()
+        for lineno, name in _function_captures(tree, public, set(trees))
+    ]
+    assert found == []
+
+
+def test_function_captures_are_seen():
+    tree = ast.parse(
+        "A = score\n"
+        "B = {'x': pipeline.score, 'y': lambda t: score(t), 'z': other.score}\n"
+        "C = score(t)\n"
+        "class K:\n"
+        "    d = (1, verify)\n"
+        "    e = lambda self: verify(self)\n"
+        "    f: dict = field(default_factory=tokens_of)\n"
+        "G = partial(score, 1)\n"
+        "def h():\n"
+        "    i = score\n"
+    )
+    assert _function_captures(tree, {"score", "verify", "tokens_of"}, {"pipeline"}) == [
+        (1, "score"), (2, "score"), (5, "verify"), (7, "tokens_of"), (8, "score"),
+    ]
+
+
 # orjson decodes only the results store: it reads an integer past 64 bits as
 # a float, which a bundle's size_bytes or a config's integer may not become
 def test_only_the_store_reader_imports_orjson():
