@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from datetime import timedelta
 from pathlib import Path
@@ -56,10 +58,21 @@ def _load_bundle(path: str) -> CaseBundle:
 
 
 def _save_text(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
+    """text to the file output, or to stdout.  The file is rewritten in
+    place, cut to the new length and synced to disk.  It is not truncated to
+    zero bytes first: on ext4, cutting blocks that are already on disk
+    stalls for tens of milliseconds, and a truncating rewrite cuts every
+    block, while one in place cuts only those past a shorter text's end.  A
+    crash before the sync can leave old, new or mixed bytes."""
+    if not output:
         sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")  # before opening: a text that cannot encode leaves the file as it was
+    with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # /dev/null and a FIFO have no length to cut
+            fh.truncate()  # flushes the buffer first
+            os.fdatasync(fh.fileno())
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from datetime import datetime, timedelta
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .ingest import (
     HONORIFIC_NAME,
@@ -253,11 +253,25 @@ def _coordinate(m: re.Match) -> Optional[str]:
     return None
 
 
-def _names_bytes(text: str) -> bool:
+def _anywhere(gate: str, flags: int = 0) -> Callable[[str], Optional[int]]:
+    """The gate of a pattern each match of which holds a hit of gate."""
+    search = re.compile(gate, flags).search
+    return lambda text: 0 if search(text) else None
+
+
+def _from_first(gate: str) -> Callable[[str], Optional[int]]:
+    """The gate of a pattern each match of which starts where a hit of gate
+    starts: the scan starts at the first hit, since \\b at a scan's start
+    still looks at the character before it."""
+    search = re.compile(gate).search
+    return lambda text: (m := search(text)) and m.start()
+
+
+def _names_bytes(text: str) -> Optional[int]:
     """_BYTE_COUNT ignores case, so each of its matches folds to text that
     holds "byte" or "octet"."""
     folded = _fold(text)
-    return "byte" in folded or "octet" in folded
+    return 0 if "byte" in folded or "octet" in folded else None
 
 
 def _phrase(m: re.Match) -> str:
@@ -268,18 +282,19 @@ def _phrase(m: re.Match) -> str:
 # order: on overlapping spans the earlier row's claim stands, and the
 # roster's names come after every row.  A pattern led by a class or \b makes
 # re try every position of a draft, so gate(draft) first looks for text that
-# every match of the pattern contains; the regex gates are searches led by a
-# literal, which re skips ahead to.  value(match) is the claim's normalized
-# value, None when the match is no claim.
+# every match of the pattern contains, and gives the position the scan
+# starts at, None when the draft holds no match; the regex gates are
+# searches led by a literal, which re skips ahead to.  value(match) is the
+# claim's normalized value, None when the match is no claim.
 _PATTERNS = (
-    (ClaimKind.TIMESTAMP, _TIMESTAMP, re.compile(r":\d{2}").search, _timestamp),
-    (ClaimKind.COORDINATE, _COORD_PAIR, re.compile(r",\s+-?\d{1,3}[.,]\d{3}").search, _coordinate),
-    (ClaimKind.TOOL_VERSION, _VERSION, re.compile(r"\.\d{1,3}\.\d").search, lambda m: m.group(0)),
+    (ClaimKind.TIMESTAMP, _TIMESTAMP, _anywhere(r":\d{2}"), _timestamp),
+    (ClaimKind.COORDINATE, _COORD_PAIR, _anywhere(r",\s+-?\d{1,3}[.,]\d{3}"), _coordinate),
+    (ClaimKind.TOOL_VERSION, _VERSION, _anywhere(r"\.\d{1,3}\.\d"), lambda m: m.group(0)),
     (ClaimKind.NUMERIC_VALUE, _BYTE_COUNT, _names_bytes, lambda m: m.group(1)),
-    (ClaimKind.FILENAME, _FILENAME, re.compile(rf"\.(?:{_FILENAME_EXTENSIONS})\b", re.IGNORECASE).search,
+    (ClaimKind.FILENAME, _FILENAME, _anywhere(rf"\.(?:{_FILENAME_EXTENSIONS})\b", re.IGNORECASE),
      lambda m: m.group(0).casefold()),
     # case-sensitive like the pattern; the \s keeps a leading "Draft" out
-    (ClaimKind.PERSON_NAME, HONORIFIC_NAME, re.compile(r"(?:M(?:rs?|s|me|lle)|Dr)\.?\s").search, _phrase),
+    (ClaimKind.PERSON_NAME, HONORIFIC_NAME, _from_first(r"(?:M(?:rs?|s|me|lle)|Dr)\.?\s"), _phrase),
 )
 
 
@@ -287,8 +302,8 @@ def extract_claims(draft_text: str, roster: Optional[Roster] = None) -> list[Cla
     """Pattern- and roster-based claim extraction, earlier kinds take
     precedence on overlapping spans."""
     found = chain(
-        ((kind, m, value) for kind, pattern, gate, value in _PATTERNS if gate(draft_text)
-         for m in pattern.finditer(draft_text)),
+        ((kind, m, value) for kind, pattern, gate, value in _PATTERNS
+         if (start := gate(draft_text)) is not None for m in pattern.finditer(draft_text, start)),
         ((kind, m, _phrase) for kind, m in (roster.finditer(draft_text) if roster else ())),
     )
     claims: list[Claim] = []

@@ -328,8 +328,11 @@ def test_each_gate_is_implied_by_its_pattern(text):
     patterns = [pattern for _, pattern, _, _ in _PATTERNS]
     assert patterns == [_TIMESTAMP, _COORD_PAIR, _VERSION, _BYTE_COUNT, _FILENAME, HONORIFIC_NAME]
     for _, pattern, gate, _ in _PATTERNS:
+        start = gate(text)
         for m in pattern.finditer(text):
-            assert gate(m.group(0)), (pattern.pattern, m.group(0))
+            # the match alone opens the gate, and the draft's scan starts at or before it
+            assert gate(m.group(0)) == 0, (pattern.pattern, m.group(0))
+            assert start is not None and start <= m.start(), (pattern.pattern, text)
 
 
 def test_fold_equates_what_ignorecase_equates_with_ascii():

@@ -21,7 +21,7 @@ import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casedraft.cli import main
+from casedraft.cli import _save_text, main
 from casedraft import gateway, pipeline
 from casedraft.gateway import (
     DEFAULT_API_KEY_ENV,
@@ -709,18 +709,19 @@ def config_file(tmp_path):
     return path
 
 
+_GOLDEN_INGEST = [
+    "ingest",
+    "--mandate", str(DATA_DIR / "full_mandate.txt"),
+    "--lablog-locations", f"S1={DATA_DIR / 'lablog_locations.txt'}",
+    "--lablog-messages", f"IP6={DATA_DIR / 'lablog_messages.txt'}",
+    "--device-profile", f"S1={DATA_DIR / 'device_lablog.txt'}",
+    "--method-steps", str(DATA_DIR / "method_steps.txt"),
+]
+
+
 def test_cli_ingest_builds_bundle(tmp_path, capsys):
     out = tmp_path / "bundle.json"
-    rc = main([
-        "ingest",
-        "--mandate", str(DATA_DIR / "full_mandate.txt"),
-        "--lablog-locations", f"S1={DATA_DIR / 'lablog_locations.txt'}",
-        "--lablog-messages", f"IP6={DATA_DIR / 'lablog_messages.txt'}",
-        "--device-profile", f"S1={DATA_DIR / 'device_lablog.txt'}",
-        "--method-steps", str(DATA_DIR / "method_steps.txt"),
-        "--default-offset", "UTC-5",
-        "-o", str(out),
-    ])
+    rc = main([*_GOLDEN_INGEST, "--default-offset", "UTC-5", "-o", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert len(doc["mandate"]["questions"]) == 5
@@ -729,6 +730,62 @@ def test_cli_ingest_builds_bundle(tmp_path, capsys):
     assert doc["device_profiles"]["S1"]["vendor"] == "Samsung"
     # auto-registered items inherit profile details
     assert {i["item_id"] for i in doc["items"]} == {"S1", "IP6"}
+
+
+def _fresh_golden_bundle(tmp_path) -> bytes:
+    fresh = tmp_path / "fresh" / "bundle.json"
+    fresh.parent.mkdir()
+    assert main([*_GOLDEN_INGEST, "-o", str(fresh)]) == 0
+    return fresh.read_bytes()
+
+
+def test_an_output_over_a_longer_file_is_the_fresh_output(tmp_path):
+    out = tmp_path / "bundle.json"
+    out.write_bytes(os.urandom(1 << 20))
+    assert main([*_GOLDEN_INGEST, "-o", str(out)]) == 0
+    assert out.read_bytes() == _fresh_golden_bundle(tmp_path)
+
+
+def test_an_output_through_a_symlink_rewrites_its_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("x" * 100_000, encoding="utf-8")
+    link.symlink_to(target)
+    assert main([*_GOLDEN_INGEST, "-o", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == _fresh_golden_bundle(tmp_path)
+
+
+def test_an_output_keeps_the_inode_and_mode_of_the_file_it_rewrites(tmp_path):
+    out = tmp_path / "bundle.json"
+    out.write_text("old\n", encoding="utf-8")
+    out.chmod(0o640)
+    before = out.stat()
+    assert main([*_GOLDEN_INGEST, "-o", str(out)]) == 0
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert out.read_bytes() == _fresh_golden_bundle(tmp_path)
+
+
+def test_an_output_file_is_synced_and_dev_null_is_not(tmp_path, monkeypatch):
+    synced = []
+    monkeypatch.setattr(os, "fdatasync", synced.append)
+    assert main([*_GOLDEN_INGEST, "-o", str(tmp_path / "bundle.json")]) == 0
+    assert len(synced) == 1
+    assert main([*_GOLDEN_INGEST, "-o", os.devnull]) == 0
+    assert len(synced) == 1
+
+
+def test_a_rejected_command_leaves_its_old_output_as_it_was(tmp_path, capsys):
+    out = tmp_path / "bundle.json"
+    old = os.urandom(4096)
+    out.write_bytes(old)
+    assert main([*_GOLDEN_INGEST, "--default-offset", "UTC+99", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == old
+    # a text that cannot be written is found before the file is opened
+    with pytest.raises(UnicodeEncodeError):
+        _save_text("Healy\ud800Hall", str(out))
+    assert out.read_bytes() == old
 
 
 def test_cli_ingest_items_may_omit_vendor_and_model(tmp_path):

@@ -177,6 +177,90 @@ def test_whole_store_reads_are_seen():
     assert _whole_store_reads(tree) == [1, 2, 3, 5]
 
 
+# On ext4, cutting blocks that are already on disk stalls for tens of
+# milliseconds, and a truncating rewrite cuts every block of the old file.
+# So every -o output goes through cli._save_text, which overwrites in place,
+# the store is only appended to, and nothing names O_TRUNC.
+FILE_WRITERS = {"cli._save_text", "pipeline._appending"}
+_WRITE_CALLS = {"write_text", "write_bytes", "copyfile"}
+
+
+def _file_writes(tree) -> list[tuple[int, str, str]]:
+    """(line, enclosing function, what) for each file write: a call of
+    write_text, write_bytes or copyfile, an open() whose mode writes or an
+    os.open() whose flags do, and every O_TRUNC wherever it stands."""
+
+    def write(node) -> str | None:
+        if "O_TRUNC" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            return "O_TRUNC"
+        if _called(node, _WRITE_CALLS):
+            return "write"
+        if not _called(node, {"open"}):
+            return None
+        # open, io.open, os.open and gzip.open take the mode second; a
+        # method such as Path.open takes it first
+        method = isinstance(node.func, ast.Attribute) and getattr(node.func.value, "id", None) not in ("os", "io")
+        modes = [k.value for k in node.keywords if k.arg in ("mode", "flags")] + node.args[1 - method:2]
+        for mode in modes:
+            if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+                if set(mode.value) <= set("rwxabtU+") and set(mode.value) & set("wax+"):
+                    return "open"
+            elif {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(mode)} & {"O_WRONLY", "O_RDWR"}:
+                return "open"
+        return None
+
+    found = []
+
+    def visit(node, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        what = write(node)
+        if what:
+            found.append((node.lineno, function, what))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_only_the_output_writer_and_the_store_write_files():
+    writes = [
+        (f"{path.stem}.{function}", f"{path.name}:{line}:{what}")
+        for path in SOURCES
+        for line, function, what in _file_writes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert {writer for writer, _ in writes} == FILE_WRITERS
+    assert [where for writer, where in writes if writer not in FILE_WRITERS or where.endswith("O_TRUNC")] == []
+
+
+def test_file_writes_are_seen():
+    tree = ast.parse(
+        "def a(p):\n"
+        "    Path(p).write_text(t)\n"
+        "    p.write_bytes(b)\n"
+        "    shutil.copyfile(p, q)\n"
+        "def b(p):\n"
+        "    with open(p, 'w') as fh: pass\n"
+        "    open(p, mode='a+b')\n"
+        "    open(p, 'rb'), open(p), opener.open(request, timeout=3)\n"
+        "    os.open(p, os.O_WRONLY | os.O_CREAT)\n"
+        "    os.open(p, flags=os.O_RDONLY)\n"
+        "    def c():\n"
+        "        return O_TRUNC | os.O_RDWR\n"
+        "x = open(p, 'x')\n"
+        "def d(p):\n"
+        "    Path(p).open('w'), p.open(mode='ab'), gzip.open(p, 'wt'), io.open(p, 'w')\n"
+        "    p.open(), p.open('rb'), tarfile.open('data.tar'), open('x'), io.open('w.txt')\n"
+    )
+    assert _file_writes(tree) == [
+        (2, "a", "write"), (3, "a", "write"), (4, "a", "write"),
+        (6, "b", "open"), (7, "b", "open"), (9, "b", "open"),
+        (12, "c", "O_TRUNC"), (13, "", "open"),
+        (15, "d", "open"), (15, "d", "open"), (15, "d", "open"), (15, "d", "open"),
+    ]
+
+
 # bench/tracing.py times a layer by swapping each public module-level function
 # for a wrapper; a table built at import that holds the function itself keeps
 # calling the original, and the layer's span would read 0 with no error.  A
