@@ -7,7 +7,8 @@ wire.  Transient transport failures retry with exponential backoff; other
 failures map to typed errors.  The hosted API key comes from the
 environment only, never from config files.  Requests go out through the
 standard library's urllib, one connection each, through whatever proxy the
-environment names when the request is made.  generate drafts one prompt;
+environment names when the request is made.  No redirect is followed: a
+3xx is a refusal naming its status.  generate drafts one prompt;
 drafting drafts a matrix, and it alone decides how each kind of backend runs.
 """
 
@@ -26,7 +27,6 @@ from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union, get_type_hints
-from urllib.parse import urlsplit
 
 from .grounding import CoordinateAlternative, RequiredFact, TokenPhrase, facts_from_input
 from .model import ReportSectionKind, from_data
@@ -276,52 +276,17 @@ def mock_complete(
 # ---------------------------------------------------------------------------
 # HTTP adapters
 
-class _Redirects(urllib.request.HTTPRedirectHandler):
-    """Follows a 301, 302 or 303 answer to a POST with a GET, and sends the
-    API key on only to the host it was meant for.  A 307 or 308 answer to a
-    POST is not followed, so it stays a refusal."""
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        follow = super().redirect_request(req, fp, code, msg, headers, newurl)
-        if follow is not None and urlsplit(newurl).hostname != urlsplit(req.full_url).hostname:
-            follow.remove_header("Authorization")
-        return follow
-
-
-class _EnvironProxy(urllib.request.BaseHandler):
-    """Routes a request as ProxyHandler does, through the proxy that
-    http_proxy/https_proxy/no_proxy name when it is sent; ProxyHandler
-    itself reads them once, when it is made."""
-
-    handler_order = urllib.request.ProxyHandler.handler_order
-
-    def _route(self, req):
-        proxy = urllib.request.ProxyHandler()
-        proxy.parent = self.parent
-        route = getattr(proxy, f"{req.type}_open", None)
-        return route(req) if route else None
-
-    http_open = https_open = _route
-
-
-def _opener() -> urllib.request.OpenerDirector:
-    """http and https only, redirects included.  No handler keeps state
-    between requests, so one opener serves every thread."""
-    opener = urllib.request.OpenerDirector()
-    for handler in (_EnvironProxy(), urllib.request.UnknownHandler(),
-                    urllib.request.HTTPHandler(), urllib.request.HTTPSHandler(),
-                    urllib.request.HTTPDefaultErrorHandler(), _Redirects(),
-                    urllib.request.HTTPErrorProcessor()):
-        opener.add_handler(handler)
-    return opener
-
-
-_OPENER = _opener()
+# made once, as an HTTPSHandler may set up TLS when made; each reads of its
+# opener only the stock default headers, so every request's opener shares them
+_HANDLERS = (urllib.request.UnknownHandler(), urllib.request.HTTPHandler(),
+             urllib.request.HTTPSHandler())
 
 
 def _exchange(url: str, payload: dict, timeout: float, headers: Optional[dict]) -> tuple[int, bytes]:
-    """One POST on a connection of its own; returns the final answer's
-    status and body."""
+    """One POST on a connection of its own, through the proxy that
+    http_proxy/https_proxy/no_proxy name when it is sent; returns the
+    answer's status and body.  No redirect is followed: a 3xx comes back
+    like any other answer."""
     request = urllib.request.Request(
         url,
         json.dumps(payload, allow_nan=False).encode("utf-8"),
@@ -330,11 +295,10 @@ def _exchange(url: str, payload: dict, timeout: float, headers: Optional[dict]) 
     )
     if request.type not in ("http", "https"):
         raise ValueError(f"unsupported URL scheme {request.type!r} in {url!r}")
-    try:
-        response = _OPENER.open(request, timeout=timeout)
-    except urllib.error.HTTPError as exc:  # a non-2xx answer, read like any other
-        response = exc
-    with response:
+    opener = urllib.request.OpenerDirector()
+    for handler in (urllib.request.ProxyHandler(), *_HANDLERS):
+        opener.add_handler(handler)
+    with opener.open(request, timeout=timeout) as response:
         return response.status, response.read()
 
 

@@ -682,20 +682,18 @@ def _flatten(lines: list[str]) -> str:
     return re.sub(r"\s+", " ", " ".join(lines)).strip()
 
 
+_ISO_DATE = re.compile(r"(?P<year>\d{4})-(?P<month>\d{2})-(?P<day>\d{2})")
+
+
 def _parse_block_date(text: str) -> Optional[date]:
-    m = re.search(r"(\d{2})\.(\d{2})\.(\d{4})", text)
-    if m:
-        try:
-            return date(int(m.group(3)), int(m.group(2)), int(m.group(1)))
-        except ValueError:
-            return None
-    m = re.search(r"(\d{4})-(\d{2})-(\d{2})", text)
-    if m:
-        try:
-            return date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-        except ValueError:
-            return None
-    return None
+    """A Date block's first day-first date, else its first ISO one; None
+    when the date found does not exist, with no ISO date tried after an
+    invalid day-first one."""
+    m = re.search(_DATE, text) or _ISO_DATE.search(text)
+    try:
+        return date(int(m["year"]), int(m["month"]), int(m["day"])) if m else None
+    except ValueError:
+        return None
 
 
 def _split_enumerated(text: str) -> list[str]:

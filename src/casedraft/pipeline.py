@@ -262,12 +262,20 @@ def iter_store(path: Union[str, Path]) -> Iterator[dict]:
                 yield record
 
 
+def _wrong_shape(exc: Exception) -> ValueError:
+    return ValueError(f"a store record has the wrong shape: {type(exc).__name__}: {exc}")
+
+
 def next_run_id(existing: Iterable[dict]) -> str:
     """The run identifier after those in any iterable of records, which is
     consumed one record at a time: the first run-NNNN from the number of
     distinct runs plus one upward that no record uses, so that a store with
-    a gap (run-0001 and run-0003) never hands out an identifier twice."""
-    runs = {r.get("run_id") for r in existing if r.get("run_id")}
+    a gap (run-0001 and run-0003) never hands out an identifier twice.
+    A record whose run_id is no identifier raises ValueError."""
+    try:
+        runs = {r.get("run_id") for r in existing if r.get("run_id")}
+    except (AttributeError, TypeError) as exc:
+        raise _wrong_shape(exc) from None
     n = len(runs) + 1
     while f"run-{n:04d}" in runs:
         n += 1
@@ -361,38 +369,38 @@ def summarize(records: Iterable[dict]) -> SummaryTable:
     Order-independent: the same set of records always yields the same table.
     Latency, hallucination and completeness means cover result records;
     error records only count toward count and error_count.  Each group
-    keeps its count and its result records' values, not the records.
+    keeps its count and its result records' values, not the records.  A
+    record of the wrong shape, such as a prompt that is no object or a
+    latency that is no number, raises ValueError.
     """
     counts: Counter[tuple[str, str, str]] = Counter()
     values: dict[tuple[str, str, str], tuple[list, list, list]] = {}
-    for record in records:
-        prompt = record.get("prompt", {})
-        key = (
-            record.get("backend", "?"),
-            prompt.get("section", "?"),
-            prompt.get("input_format", "?"),
-        )
-        counts[key] += 1
-        latencies, hallucinations, completeness = values.setdefault(key, ([], [], []))
-        if record.get("record_kind") == "result":
-            latencies.append(record["draft"]["latency_s"])
-            hallucinations.append(record["grounding"]["hallucination_count"])
-            completeness.append(record["grounding"]["completeness"])
-
-    rows: list[SummaryRow] = []
-    for key in sorted(counts):
-        latencies, hallucinations, completeness = values[key]
-        rows.append(
-            SummaryRow(
-                backend=key[0],
-                section=key[1],
-                input_format=key[2],
-                count=counts[key],
-                error_count=counts[key] - len(latencies),
-                mean_latency_s=statistics.mean(latencies) if latencies else None,
+    # a field of the wrong type fails where it is used, and a key that is no
+    # text where it is checked, once per group, not once per record
+    try:
+        for record in records:
+            prompt = record.get("prompt", {})
+            key = (record.get("backend", "?"), prompt.get("section", "?"),
+                   prompt.get("input_format", "?"))
+            counts[key] += 1
+            latencies, hallucinations, completeness = values.setdefault(key, ([], [], []))
+            if record.get("record_kind") == "result":
+                latencies.append(record["draft"]["latency_s"])
+                hallucinations.append(record["grounding"]["hallucination_count"])
+                completeness.append(record["grounding"]["completeness"])
+        for key in counts:
+            if not all(isinstance(part, str) for part in key):
+                raise TypeError(f"backend, section or format is no string in {key!r:.80}")
+        rows = []
+        for key in sorted(counts):
+            latencies = values[key][0]
+            means = [statistics.mean(v) if v else None for v in values[key]]
+            rows.append(SummaryRow(
+                *key, count=counts[key], error_count=counts[key] - len(latencies),
+                mean_latency_s=means[0],
                 median_latency_s=statistics.median(latencies) if latencies else None,
-                mean_hallucinations=statistics.mean(hallucinations) if hallucinations else None,
-                mean_completeness=statistics.mean(completeness) if completeness else None,
-            )
-        )
+                mean_hallucinations=means[1], mean_completeness=means[2],
+            ))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise _wrong_shape(exc) from None
     return SummaryTable(tuple(rows))

@@ -361,6 +361,18 @@ def test_empty_mandate_two_errors():
     assert len(errors(diags)) == 2
 
 
+# a day-first date wins over an ISO one wherever each stands, and one that
+# does not exist leaves the block without a date
+@pytest.mark.parametrize("day,received", [
+    ("2019-02-14, that is 15.02.2019", date(2019, 2, 15)),
+    ("30.02.2019 (2019-02-14)", None),
+])
+def test_mandate_date_block_reads_its_day_first_date_before_any_iso_one(day, received):
+    mandate, diags = parse_mandate(f"Date: {day}\nDescription: A phone.\nMandate: 1. Where?\n")
+    assert mandate.received_date == received
+    assert [d.message for d in diags] == ([] if received else ["Date block has no readable date"])
+
+
 @pytest.mark.parametrize("day,received", [
     ("2019-02-14", date(2019, 2, 14)),
     ("2019-02-30", None),

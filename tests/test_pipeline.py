@@ -1388,6 +1388,41 @@ def test_cli_store_with_a_line_nested_too_deeply_is_rejected(bundle_file, config
     assert not (tmp_path / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("lines, problem", [
+    (['{"prompt": 5}'], "AttributeError: 'int' object has no attribute 'get'"),
+    (['{"record_kind": "result", "prompt": {}, "draft": {"latency_s": "x"}, '
+      '"grounding": {"hallucination_count": 1, "completeness": 1}}'],
+     "TypeError: can't convert type 'str'"),
+    (['{"backend": 5}', '{"backend": "a"}'],
+     "TypeError: backend, section or format is no string in (5, '?', '?')"),
+])
+def test_cli_summarize_rejects_a_store_record_of_the_wrong_shape(lines, problem, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    store.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    before = store.read_bytes()
+    out = tmp_path / "summary.txt"
+    assert main(["summarize", "--store", str(store), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: a store record has the wrong shape: {problem}")
+    assert err.count("\n") == 1
+    assert store.read_bytes() == before
+    assert not out.exists()
+
+
+def test_cli_experiment_rejects_a_store_record_whose_run_id_is_a_list(
+    bundle_file, config_file, tmp_path, capsys
+):
+    store = tmp_path / "store.jsonl"
+    store.write_text('{"run_id": ["x"]}\n', encoding="utf-8")
+    rc = main(["experiment", "--bundle", str(bundle_file), "--config", str(config_file),
+               "--backends", "mock", "--store", str(store)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: a store record has the wrong shape: TypeError: unhashable type: 'list'\n"
+    )
+    assert store.read_text(encoding="utf-8") == '{"run_id": ["x"]}\n'
+
+
 def _experiment_with_a_bad_profile(bundle_file, tmp_path, endpoint_url):
     config = tmp_path / "bad_backends.json"
     config.write_text(json.dumps({"profiles": {

@@ -359,6 +359,23 @@ def test_only_the_gateway_names_backend_kinds_or_drafting_workers():
     assert found == []
 
 
+# a drafting POST goes out once and its answer, 3xx or not, comes back as
+# it is; urlopen and build_opener install a redirect handler by default
+REDIRECTING = {"urlopen", "build_opener", "HTTPRedirectHandler", "HTTPErrorProcessor",
+               "HTTPDefaultErrorHandler"}
+
+
+def test_no_module_names_a_redirect_following_or_error_raising_urllib_part():
+    found = sorted(
+        f"{path.name}:{node.lineno}:{name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if name in REDIRECTING
+    )
+    assert found == []
+
+
 # orjson is the one runtime dependency: every command imports the CLI, and
 # whatever it loads beside the standard library a user has to install
 def test_the_cli_loads_no_third_party_module_but_orjson():
