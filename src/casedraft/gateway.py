@@ -223,20 +223,25 @@ def _restate(fact: RequiredFact) -> str:
 
 
 class InputFacts:
-    """The mock's facts of each distinct prompt input, derived once.  A
-    matrix's prompts share few distinct inputs, and drafting shares one memo
-    among its mock backends for as long as its context lasts.  Facts are
-    tuples, so no backend can change what another one reads."""
+    """The mock's facts of each distinct prompt input, derived once, and
+    beside them the line restating each fact.  A matrix's prompts share few
+    distinct inputs, and drafting shares one memo among its mock backends
+    for as long as its context lasts.  Both are tuples, so no backend can
+    change what another one reads."""
 
     def __init__(self) -> None:
-        self._facts: dict[tuple, tuple[RequiredFact, ...]] = {}
+        self._inputs: dict[tuple, tuple[tuple[RequiredFact, ...], tuple[str, ...]]] = {}
+
+    def _derived(self, prompt: PromptSpec) -> tuple[tuple[RequiredFact, ...], tuple[str, ...]]:
+        key = (prompt.section, prompt.input_format, prompt.topic, prompt.input_block())
+        found = self._inputs.get(key)
+        if found is None:
+            facts = tuple(facts_from_input(*key))
+            found = self._inputs[key] = (facts, tuple(map(_restate, facts)))
+        return found
 
     def facts(self, prompt: PromptSpec) -> tuple[RequiredFact, ...]:
-        key = (prompt.section, prompt.input_format, prompt.topic, prompt.input_block())
-        found = self._facts.get(key)
-        if found is None:
-            found = self._facts[key] = tuple(facts_from_input(*key))
-        return found
+        return self._derived(prompt)[0]
 
 
 def mock_complete(
@@ -248,19 +253,18 @@ def mock_complete(
 
     Faithful restates every fact of the input block, one line each.
     DropFacts(k) omits the last k lines; the Inject profiles add one
-    fabricated statement at the end.  The facts come from `inputs`, or
-    from a memo made for this call alone.
+    fabricated statement at the end.  The facts and their restated lines
+    come from `inputs`, or from a memo made for this call alone.
     """
-    facts = (inputs or InputFacts()).facts(prompt)
+    facts, restated = (inputs or InputFacts())._derived(prompt)
     lines = [f"Draft of the {prompt.section.value.replace('_', ' ')} section."]
     if prompt.section is ReportSectionKind.INTRODUCTION:
         qcount = sum(1 for f in facts if f.description.startswith("question"))
         lines.append(f"The mandate poses {qcount} investigative questions.")
 
-    kept = facts
     if isinstance(fault_profile, DropFacts):
-        kept = facts[: max(0, len(facts) - fault_profile.count)]
-    lines.extend(_restate(f) for f in kept)
+        restated = restated[: max(0, len(restated) - fault_profile.count)]
+    lines.extend(restated)
 
     if isinstance(fault_profile, InjectCoordinate):
         lines.append(

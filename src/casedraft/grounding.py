@@ -13,8 +13,8 @@ conservative, a reviewer's net rather than a lie detector.
 
 score and verify take their evidence as a GroundingContext: one bundle's
 roster and lookup sets, built with the context, and the required facts
-per (section, topic), each derived on first use.  Build one per
-experiment or report and score every draft against it.
+per (section, topic), each derived and indexed on first use.  Build one
+per experiment or report and score every draft against it.
 required_facts_for derives a section's facts from a plain bundle; the
 context caches its results.  Nothing is cached beyond a
 context: no module-level cache is keyed by bundle or text, so evidence
@@ -334,16 +334,19 @@ class GroundingContext:
     bundle's values in the shape each claim kind is looked up by, within
     the tolerances COORDINATE_PLACES and TIMESTAMP_SLACK.  The required
     facts per (section, topic) are derived on first use, from those
-    clusters.  All of it is kept for the life of the context, and the
-    caller owns that life: pipeline.run_experiment and pipeline.assemble
-    build one context per call and score every draft against it.  The
-    bundle must not change while a context built from it is in use.
+    clusters, and indexed by what satisfies them; each coordinate claim
+    verify sees is parsed once, into a memo score reads.  All of it is
+    kept for the life of the context, and the caller owns that life:
+    pipeline.run_experiment and pipeline.assemble build one context per
+    call and score every draft against it.  The bundle must not change
+    while a context built from it is in use.
     """
 
     def __init__(self, bundle: CaseBundle):
         self.bundle = bundle
         self.roster = build_roster(bundle)
-        self._facts: dict[tuple, tuple[RequiredFact, ...]] = {}  # by (section, topic)
+        self._facts: dict[tuple, tuple] = {}  # facts and their index, by (section, topic)
+        self._claimed_coords: dict[str, tuple[float, float]] = {}  # by normalized value, rounded
         self.coords: set[tuple[float, float]] = set()
         self.filenames: set[str] = set()
         self.sizes: set[int] = set()
@@ -422,13 +425,27 @@ class GroundingContext:
     ) -> tuple[RequiredFact, ...]:
         """required_facts_for this context's bundle, derived once per
         (section, topic) from the context's clusters."""
+        return self._fact_index(section, topic)[0]
+
+    def _fact_index(self, section: ReportSectionKind, topic: Optional[PromptTopic]) -> tuple:
+        """The required facts and their index: each rounded coordinate
+        alternative to the indices of its facts, and each phrase alternative
+        with tokens as (fact index, tokens), filed under its least token,
+        which a draft must hold to satisfy the phrase."""
         key = (section, topic)
-        facts = self._facts.get(key)
-        if facts is None:
-            facts = self._facts[key] = tuple(
-                required_facts_for(section, self.bundle, topic, clusters=self.clusters)
-            )
-        return facts
+        index = self._facts.get(key)
+        if index is None:
+            facts = tuple(required_facts_for(section, self.bundle, topic, clusters=self.clusters))
+            by_coord: dict[tuple[float, float], list[int]] = {}
+            by_token: dict[str, list[tuple[int, frozenset[str]]]] = {}
+            for i, fact in enumerate(facts):
+                for alt in fact.alternatives:
+                    if isinstance(alt, CoordinateAlternative):
+                        by_coord.setdefault(_rounded(alt.latitude, alt.longitude), []).append(i)
+                    elif alt.tokens:
+                        by_token.setdefault(min(alt.tokens), []).append((i, alt.tokens))
+            index = self._facts[key] = (facts, by_coord, by_token)
+        return index
 
 
 _PATH_SEPARATORS = re.compile(r"[/\\\s]+")
@@ -466,15 +483,14 @@ def _rounded(latitude: float, longitude: float) -> tuple[float, float]:
     return round(latitude, COORDINATE_PLACES), round(longitude, COORDINATE_PLACES)
 
 
-def _claimed_coordinate(claim: Claim) -> tuple[float, float]:
-    """A coordinate claim's normalized "lat,lon", rounded."""
-    return _rounded(*map(float, claim.normalized_value.split(",")))
-
-
 def _claim_grounded(claim: Claim, context: GroundingContext) -> bool:
     value = claim.normalized_value
     if claim.kind is ClaimKind.COORDINATE:
-        return _claimed_coordinate(claim) in context.coords
+        # parsed once per context, as score looks the rounded pair up again
+        rounded = context._claimed_coords.get(value)
+        if rounded is None:
+            rounded = context._claimed_coords[value] = _rounded(*map(float, value.split(",")))
+        return rounded in context.coords
     if claim.kind is ClaimKind.TIMESTAMP:
         return _timestamp_grounded(value, context)
     if claim.kind is ClaimKind.PERSON_NAME:
@@ -518,20 +534,11 @@ class TokenPhrase:
     def tokens(self) -> frozenset[str]:
         return frozenset(tokens_of(self.text))
 
-    def satisfied_by(self, draft_tokens: set[str], draft_coords) -> bool:
-        wanted = self.tokens
-        return bool(wanted) and wanted <= draft_tokens
-
 
 @dataclass(frozen=True)
 class CoordinateAlternative:
     latitude: float
     longitude: float
-
-    def satisfied_by(self, draft_tokens: set[str], draft_coords) -> bool:
-        """draft_coords holds the draft's coordinates, already rounded to
-        COORDINATE_PLACES."""
-        return _rounded(self.latitude, self.longitude) in draft_coords
 
 
 FactAlternative = Union[TokenPhrase, CoordinateAlternative]
@@ -539,11 +546,12 @@ FactAlternative = Union[TokenPhrase, CoordinateAlternative]
 
 @dataclass(frozen=True)
 class RequiredFact:
+    """A fact a draft satisfies through any one of its alternatives: a
+    phrase all of whose tokens it holds (a phrase without tokens never
+    holds), or a coordinate it claims, equal at COORDINATE_PLACES."""
+
     description: str
     alternatives: tuple[FactAlternative, ...]
-
-    def satisfied_by(self, draft_tokens: set[str], draft_coords) -> bool:
-        return any(a.satisfied_by(draft_tokens, draft_coords) for a in self.alternatives)
 
     @cached_property
     def _checks(self) -> tuple[FactCheck, FactCheck]:
@@ -752,10 +760,15 @@ def score(
     checked = verify(extract_claims(text, context.roster), context)
     hallucinations = sum(1 for c in checked if c.status is ClaimStatus.UNGROUNDED)
 
+    facts, by_coord, by_token = context._fact_index(section, topic)
+    met: set[int] = set()
+    for c in checked:
+        if c.kind is ClaimKind.COORDINATE:
+            met.update(by_coord.get(context._claimed_coords[c.normalized_value], ()))
     draft_tokens = set(tokens_of(text))
-    draft_coords = {_claimed_coordinate(c) for c in checked if c.kind is ClaimKind.COORDINATE}
-    facts = context.required_facts(section, topic)
-    results = tuple(f._checks[f.satisfied_by(draft_tokens, draft_coords)] for f in facts)
+    for token in by_token.keys() & draft_tokens:
+        met.update(i for i, wanted in by_token[token] if wanted <= draft_tokens)
+    results = tuple(f._checks[i in met] for i, f in enumerate(facts))
     completeness = sum(r.satisfied for r in results) / len(results) if results else 1.0
 
     return GroundingReport(

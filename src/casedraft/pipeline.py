@@ -371,12 +371,13 @@ def summarize(records: Iterable[dict]) -> SummaryTable:
     error records only count toward count and error_count.  Each group
     keeps its count and its result records' values, not the records.  A
     record of the wrong shape, such as a prompt that is no object or a
-    latency that is no number, raises ValueError.
+    latency that is no number (true and false are none), raises ValueError.
     """
     counts: Counter[tuple[str, str, str]] = Counter()
     values: dict[tuple[str, str, str], tuple[list, list, list]] = {}
-    # a field of the wrong type fails where it is used, and a key that is no
-    # text where it is checked, once per group, not once per record
+    # a field of the wrong type fails where it is used; a key that is no text,
+    # and a true or false where a number belongs, are checked once per group,
+    # not once per record
     try:
         for record in records:
             prompt = record.get("prompt", {})
@@ -391,6 +392,10 @@ def summarize(records: Iterable[dict]) -> SummaryTable:
         for key in counts:
             if not all(isinstance(part, str) for part in key):
                 raise TypeError(f"backend, section or format is no string in {key!r:.80}")
+            # JSON true and false load as bools, which statistics takes for 1 and 0
+            for name, group in zip(("latency_s", "hallucination_count", "completeness"), values[key]):
+                if bool in set(map(type, group)):
+                    raise TypeError(f"{name} is true or false, not a number, in {key!r:.80}")
         rows = []
         for key in sorted(counts):
             latencies = values[key][0]

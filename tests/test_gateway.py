@@ -33,6 +33,7 @@ from casedraft.gateway import (
     generate,
     mock_complete,
 )
+from casedraft.grounding import facts_from_input
 from casedraft.ingest import SourceFormat
 from casedraft.model import CaseBundle, Mandate, ReportSectionKind, from_data, to_data
 from casedraft.prompting import (
@@ -543,6 +544,27 @@ def test_drafting_on_mocks_derives_an_inputs_facts_only_when_its_call_is_made(
                 assert derived[before:] in ([], [key])
     # one memo for the whole matrix on both backends: the 9 distinct inputs, once each
     assert len(derived) == len(set(derived)) == 9
+    monkeypatch.undo()
+    assert texts == [mock_complete(p, c.fault_profile) for c in configs for p in prompts]
+
+
+def test_drafting_on_mocks_restates_each_inputs_facts_once(golden_bundle, monkeypatch):
+    restated = []
+    original = gateway._restate
+
+    def counting(fact):
+        restated.append(fact)
+        return original(fact)
+
+    monkeypatch.setattr(gateway, "_restate", counting)
+    prompts = build_matrix(golden_bundle)
+    configs = [mock_config(), mock_config(DropFacts(1))]
+    with drafting(configs, prompts) as calls:
+        texts = [call().text for backend_calls in calls for call in backend_calls]
+    inputs = {(p.section, p.input_format, p.topic, p.input_block()) for p in prompts}
+    # the facts of the 9 distinct inputs, each fact restated once for both backends
+    assert len(restated) == sum(len(facts_from_input(*key)) for key in inputs)
+    assert len({id(fact) for fact in restated}) == len(restated)
     monkeypatch.undo()
     assert texts == [mock_complete(p, c.fault_profile) for c in configs for p in prompts]
 

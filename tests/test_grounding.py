@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
 import re
 import sys
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from casedraft.gateway import (
     Faithful,
     InjectCoordinate,
     InjectName,
+    backend_config_from_dict,
+    drafting,
     generate,
 )
 from casedraft.grounding import (
@@ -670,6 +674,40 @@ def test_score_required_facts_match_the_per_alternative_oracle(text):
         report = score(text, context, ReportSectionKind.RESULTS, topic=topic)
         facts = context.required_facts(ReportSectionKind.RESULTS, topic)
         assert report.required_facts == _old_fact_results(report, text, facts, COORDINATE_PLACES)
+
+
+@pytest.mark.parametrize("papers", ["golden", "scaled"])
+def test_score_required_facts_match_the_oracle_on_the_benchmark_matrices(
+    papers, golden_bundle, tmp_path, monkeypatch
+):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import casegen
+    import run
+
+    bundle = golden_bundle
+    if papers == "scaled":
+        case = casegen.scaled_case(1, 200, tmp_path / "papers")
+        assert main(["ingest", *case.ingest_args, "-o", str(tmp_path / "bundle.json")]) == 0
+        bundle = bundle_from_json((tmp_path / "bundle.json").read_text(encoding="utf-8"))
+    profiles, _ = run.mock_backends(1)
+    configs = [backend_config_from_dict(name, profile) for name, profile in profiles.items()]
+    prompts = build_matrix(bundle)
+    context = GroundingContext(bundle)
+    rng = random.Random(1)
+    verdicts = set()
+    with drafting(configs, prompts) as calls:
+        for backend_calls in calls:
+            for prompt, call in zip(prompts, backend_calls):
+                lines = call().text.splitlines(keepends=True)
+                # the whole draft, and the draft with a seeded random subset of its lines left out
+                for text in ("".join(lines), "".join(line for line in lines if rng.random() < 0.7)):
+                    report = score(text, context, prompt.section, topic=prompt.topic)
+                    facts = context.required_facts(prompt.section, prompt.topic)
+                    expected = _old_fact_results(report, text, facts, COORDINATE_PLACES)
+                    assert report.required_facts == expected, (prompt.prompt_id, text)
+                    verdicts.update(check.satisfied for check in expected)
+    assert verdicts == {False, True}
+
 
 def all_rendered_inputs(bundle):
     for section, fmt, topic in [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -1151,6 +1152,24 @@ def test_a_missing_field_is_rejected_naming_it(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: items file: EvidenceItem.kind: missing\n"
 
 
+def test_the_seed_1_scaled_case_on_the_benchmark_mocks_stores_the_recorded_bytes(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import casegen
+    import run
+
+    case = casegen.scaled_case(1, 200, tmp_path / "papers")
+    profiles, _ = run.mock_backends(1)
+    bundle, config, store = tmp_path / "bundle.json", tmp_path / "backends.json", tmp_path / "store.jsonl"
+    config.write_text(json.dumps({"profiles": profiles}), encoding="utf-8")
+    assert main(["ingest", *case.ingest_args, "-o", str(bundle)]) == 0
+    assert main(["experiment", "--bundle", str(bundle), "--config", str(config),
+                 "--backends", ",".join(profiles), "--store", str(store)]) == 0
+    # every record the benchmark's scaled-mock case writes: any changed output byte changes it
+    assert hashlib.sha256(store.read_bytes()).hexdigest() == (
+        "0e8d2726a5a27ad89c45e21085b34c6ee2f1f60d52cbbb92391896edceafc529"
+    )
+
+
 @pytest.mark.parametrize("command", ["validate", "matrix", "experiment"])
 def test_a_bundle_string_utf8_cannot_encode_is_rejected_naming_its_field(
     command, bundle_file, config_file, tmp_path, capsys
@@ -1406,6 +1425,23 @@ def test_cli_summarize_rejects_a_store_record_of_the_wrong_shape(lines, problem,
     assert err.startswith(f"error: a store record has the wrong shape: {problem}")
     assert err.count("\n") == 1
     assert store.read_bytes() == before
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["latency_s", "hallucination_count", "completeness"])
+def test_cli_summarize_rejects_true_or_false_where_a_number_belongs(field, tmp_path, capsys):
+    record = {"record_kind": "result", "backend": "m",
+              "prompt": {"section": "introduction", "input_format": "mandate_text"},
+              "draft": {"latency_s": 0.5}, "grounding": {"hallucination_count": 1, "completeness": 0.5}}
+    (record["draft"] if field == "latency_s" else record["grounding"])[field] = True
+    store = tmp_path / "store.jsonl"
+    store.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    out = tmp_path / "summary.txt"
+    assert main(["summarize", "--store", str(store), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: a store record has the wrong shape: TypeError: "
+        f"{field} is true or false, not a number, in ('m', 'introduction', 'mandate_text')\n"
+    )
     assert not out.exists()
 
 
