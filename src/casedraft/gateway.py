@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import time
 import urllib.error
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence, Union, get_type_hints
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .grounding import CoordinateAlternative, RequiredFact, TokenPhrase, facts_from_input
 from .model import ReportSectionKind, from_data
@@ -113,62 +114,28 @@ class BackendConfig:
     max_retries: int = 2
     retry_backoff: float = 0.5  # seconds; doubles per attempt
     api_key_env: str = DEFAULT_API_KEY_ENV
-    fault_profile: FaultProfile = field(default_factory=Faithful)
+    fault: FaultProfile = field(default_factory=Faithful)
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries: expected a non-negative integer, got {self.max_retries}")
-
-
-_FAULT_KINDS = {
-    "faithful": Faithful,
-    "drop_facts": DropFacts,
-    "inject_coordinate": InjectCoordinate,
-    "inject_name": InjectName,
-}
-
-
-# the scalar fields a profile may set, each decoded by model.from_data's rule
-_PROFILE_FIELDS = {
-    key: tp for key, tp in get_type_hints(BackendConfig).items()
-    if key not in ("name", "kind", "fault_profile")
-}
+        # a bad number would otherwise fail mid-run: no request sent, a sleep
+        # of negative length, or a NaN that json.dumps refuses on the wire
+        for key, ok, expected in (
+            ("max_retries", self.max_retries >= 0, "a non-negative integer"),
+            ("timeout", 0 < self.timeout < math.inf, "a finite number above 0"),
+            ("retry_backoff", 0 <= self.retry_backoff < math.inf, "a finite number of at least 0"),
+            ("temperature", math.isfinite(self.temperature), "a finite number"),
+        ):
+            if not ok:
+                raise ValueError(f"BackendConfig.{key}: expected {expected}, got {getattr(self, key)}")
 
 
 def backend_config_from_dict(name: str, d: dict) -> BackendConfig:
-    """Build a profile from one config-file entry; API keys never appear here.
-    An entry that is not a JSON object, a missing or unknown backend or fault
-    kind, a field or fault parameter of the wrong JSON type or out of range,
-    or a fault parameter left out raises ValueError naming the profile.
-    Fields decode as documents do: `true` is no number and `1.9` no integer."""
-    if not isinstance(d, dict):
-        raise ValueError(f"profile {name!r}: expected a JSON object, got {d!r:.40}")
-    backend_kinds = [k.value for k in BackendKind]
-    if d.get("kind") not in backend_kinds:
-        problem = f"unknown kind {d['kind']!r:.60}" if "kind" in d else "no kind"
-        raise ValueError(f"profile {name!r}: {problem}; kinds are {', '.join(backend_kinds)}")
-    fields = {}
-    for key, tp in _PROFILE_FIELDS.items():
-        if key in d:
-            try:
-                fields[key] = from_data(tp, d[key])
-            except ValueError as exc:
-                raise ValueError(f"profile {name!r}: {key}: {exc}") from None
-    fault = d.get("fault", "faithful")
-    params = {"kind": fault} if isinstance(fault, str) else fault
-    kind = params.get("kind") if isinstance(params, dict) else None
-    if not isinstance(kind, str) or kind not in _FAULT_KINDS:
-        raise ValueError(
-            f"profile {name!r}: unknown fault {fault!r:.60}; kinds are {', '.join(_FAULT_KINDS)}"
-        )
+    """Decode one config-file entry, a BackendConfig document named by its
+    key, with model.from_data; API keys never appear here.  Any error names
+    the profile."""
     try:
-        return BackendConfig(
-            name=name,
-            kind=BackendKind(d["kind"]),
-            fault_profile=from_data(_FAULT_KINDS[kind], params),
-            **fields,
-        )
-    except ValueError as exc:  # a fault parameter left out or bad, a negative max_retries
+        return from_data(BackendConfig, {**d, "name": name} if isinstance(d, dict) else d)
+    except ValueError as exc:
         raise ValueError(f"profile {name!r}: {exc}") from None
 
 
@@ -246,7 +213,7 @@ class InputFacts:
 
 def mock_complete(
     prompt: PromptSpec,
-    fault_profile: FaultProfile = Faithful(),
+    fault: FaultProfile = Faithful(),
     inputs: Optional[InputFacts] = None,
 ) -> str:
     """Deterministic draft text for a prompt, no model involved.
@@ -262,17 +229,14 @@ def mock_complete(
         qcount = sum(1 for f in facts if f.description.startswith("question"))
         lines.append(f"The mandate poses {qcount} investigative questions.")
 
-    if isinstance(fault_profile, DropFacts):
-        restated = restated[: max(0, len(restated) - fault_profile.count)]
+    if isinstance(fault, DropFacts):
+        restated = restated[: max(0, len(restated) - fault.count)]
     lines.extend(restated)
 
-    if isinstance(fault_profile, InjectCoordinate):
-        lines.append(
-            "Relevant activity was also traced to "
-            f"({fault_profile.latitude:.6f}, {fault_profile.longitude:.6f})."
-        )
-    elif isinstance(fault_profile, InjectName):
-        lines.append(f"The records further implicate {fault_profile.name}.")
+    if isinstance(fault, InjectCoordinate):
+        lines.append(f"Relevant activity was also traced to ({fault.latitude:.6f}, {fault.longitude:.6f}).")
+    elif isinstance(fault, InjectName):
+        lines.append(f"The records further implicate {fault.name}.")
 
     return "\n".join(lines) + "\n"
 
@@ -414,7 +378,7 @@ def generate(
     """One stateless completion: exactly this prompt goes over the wire.
     A mock backend takes its input facts from `inputs` when given."""
     if config.kind is BackendKind.MOCK:
-        text = mock_complete(prompt, config.fault_profile, inputs)
+        text = mock_complete(prompt, config.fault, inputs)
         return GeneratedDraft(
             prompt_id=prompt.prompt_id,
             backend_label=config.name,

@@ -287,12 +287,14 @@ def parse_offset(text: str) -> timezone:
 # serialization: one codec for every dataclass document, driven by the field
 # types.  Enums become their values, dates and datetimes ISO text, tuples
 # lists, mappings and dataclasses objects (fields in declaration order);
-# other values pass through unchanged.  Decoding a value its field cannot
-# take, such as one of the wrong JSON type, an unknown enum value or a date
-# that does not exist, raises ValueError naming the field: a str, int, float
-# or bool field takes only its own JSON type, except that a float field also
-# takes an integer, which stays an int, and a str field takes only a string
-# UTF-8 can encode.  Each type's converter is built once, on first use.
+# other values pass through unchanged.  A Union of dataclasses is a tagged
+# union, which only decodes: an object's "kind", or a bare string, names its
+# member in snake case (DropFacts as drop_facts).  Decoding a value its field
+# cannot take, such as one of the wrong JSON type, an unknown enum value or
+# kind, or a date that does not exist, raises ValueError naming the field: a
+# str, int, float or bool field takes only its own JSON type, except that a
+# float field also takes an integer, which stays an int, and a str field
+# takes only a string UTF-8 can encode.  Each type's converter is built once.
 
 def to_data(obj) -> dict:
     """The JSON-ready document of a dataclass instance."""
@@ -343,6 +345,22 @@ def _string(v):
     return v
 
 
+def _one_of(table: dict, key, shown=None):
+    """table's entry under key; a key it lacks raises ValueError listing the
+    keys and showing the value, by default the key."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):  # a TypeError: an unhashable key, such as a list
+        shown = key if shown is None else shown
+        raise ValueError(f"expected one of {', '.join(table)}, got {shown!r:.40}") from None
+
+
+def _tagged(table: dict, v):
+    """The tagged union member that v names, decoded by table's decoder."""
+    doc = {"kind": v} if isinstance(v, str) else v
+    return _one_of(table, doc.get("kind") if isinstance(doc, abc.Mapping) else None, v)(doc)
+
+
 def _checked(json_type: type, what: str, fn: Callable) -> Callable:
     """fn, after checking that its argument is a json_type."""
 
@@ -364,13 +382,19 @@ def _converter(tp, decode: bool) -> Optional[Callable]:
             return _checked(abc.Mapping, "a JSON object", _dataclass_decoder(tp))
         return _dataclass_encoder(tp)
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return tp if decode else attrgetter("value")
+        return functools.partial(_one_of, {m.value: m for m in tp}) if decode else attrgetter("value")
     if tp is str:
         return _string if decode else None
     if tp in _SCALARS:
         return _scalar(*_SCALARS[tp]) if decode else None
     if tp in (date, datetime):
         return _checked(str, "a string", tp.fromisoformat) if decode else tp.isoformat
+    if origin is Union and type(None) not in args:
+        if not decode:
+            raise TypeError(f"a tagged union only decodes: {tp}")
+        return functools.partial(_tagged, {  # each member under its name in snake case
+            re.sub(r"(?<!^)(?=[A-Z])", "_", m.__name__).lower(): _converter(m, True) for m in args
+        })
     if origin is Union:
         (inner,) = [a for a in args if a is not type(None)]  # Optional only
         fn = _converter(inner, decode)
@@ -440,7 +464,10 @@ def _dataclass_decoder(cls) -> Callable:
                 raise _Named(f"{cls.__name__}.{name}: missing")
             elif absent is not _DEFAULT:
                 kwargs[name] = absent
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:  # a check of __post_init__'s, which names its field
+            raise _Named(exc) from None
 
     return decode
 

@@ -385,10 +385,13 @@ def summarize(records: Iterable[dict]) -> SummaryTable:
                    prompt.get("input_format", "?"))
             counts[key] += 1
             latencies, hallucinations, completeness = values.setdefault(key, ([], [], []))
-            if record.get("record_kind") == "result":
+            kind = record.get("record_kind")
+            if kind == "result":
                 latencies.append(record["draft"]["latency_s"])
                 hallucinations.append(record["grounding"]["hallucination_count"])
                 completeness.append(record["grounding"]["completeness"])
+            elif kind != "error":
+                raise TypeError(f"record_kind is neither result nor error: {kind!r:.40}")
         for key in counts:
             if not all(isinstance(part, str) for part in key):
                 raise TypeError(f"backend, section or format is no string in {key!r:.80}")

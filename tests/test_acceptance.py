@@ -312,7 +312,7 @@ def test_criterion_5_grounding_soundness_and_sensitivity(golden_bundle):
             InjectCoordinate(40.7128, -74.0060),
             InjectName("Mr Moriarty"),
         ):
-            config = BackendConfig(name="faulty", kind=BackendKind.MOCK, fault_profile=fault)
+            config = BackendConfig(name="faulty", kind=BackendKind.MOCK, fault=fault)
             for prompt in build_matrix(golden_bundle):
                 draft = generate(config, prompt)
                 report = score(
@@ -331,7 +331,7 @@ def test_criterion_5_grounding_soundness_and_sensitivity(golden_bundle):
         n = 10  # intro facts in the golden bundle
         for k in (1, 2, 3):
             config = BackendConfig(
-                name="lossy", kind=BackendKind.MOCK, fault_profile=DropFacts(k)
+                name="lossy", kind=BackendKind.MOCK, fault=DropFacts(k)
             )
             report = score(
                 generate(config, prompt), GroundingContext(golden_bundle),

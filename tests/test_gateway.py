@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import socket
 import threading
 import time
@@ -47,7 +48,7 @@ from casedraft.prompting import (
 
 def mock_config(fault=None) -> BackendConfig:
     return BackendConfig(
-        name="mock", kind=BackendKind.MOCK, fault_profile=fault or Faithful()
+        name="mock", kind=BackendKind.MOCK, fault=fault or Faithful()
     )
 
 
@@ -64,22 +65,24 @@ def intro_prompt(golden_bundle):
 
 # --- config -----------------------------------------------------------------
 
-def test_backend_config_from_dict_parses_fault_profiles():
-    cfg = backend_config_from_dict(
-        "m", {"kind": "mock", "fault": {"kind": "drop_facts", "count": 2}}
-    )
-    assert cfg.kind is BackendKind.MOCK
-    assert isinstance(cfg.fault_profile, DropFacts)
-    assert cfg.fault_profile.count == 2
+# the tags are the config format: renaming a fault class must not change them
+@pytest.mark.parametrize("fault, expected", [
+    ("faithful", Faithful()),
+    ({"kind": "faithful"}, Faithful()),
+    ({"kind": "drop_facts", "count": 2}, DropFacts(2)),
+    ({"kind": "inject_coordinate", "latitude": 1.5, "longitude": -2}, InjectCoordinate(1.5, -2)),
+    ({"kind": "inject_name", "name": "Mr Moriarty"}, InjectName("Mr Moriarty")),
+])
+def test_backend_config_from_dict_parses_fault_profiles(fault, expected):
+    config = backend_config_from_dict("m", {"kind": "mock", "fault": fault})
+    assert (config.kind, config.fault) == (BackendKind.MOCK, expected)
 
-    cfg = backend_config_from_dict("m", {"kind": "mock", "fault": "faithful"})
-    assert isinstance(cfg.fault_profile, Faithful)
 
-    cfg = backend_config_from_dict(
-        "m",
-        {"kind": "mock", "fault": {"kind": "inject_coordinate", "latitude": 1.0, "longitude": 2.0}},
-    )
-    assert isinstance(cfg.fault_profile, InjectCoordinate)
+def test_a_bare_fault_name_is_a_fault_without_parameters():
+    assert backend_config_from_dict("m", {"kind": "mock"}).fault == Faithful()
+    with pytest.raises(ValueError) as raised:
+        backend_config_from_dict("m", {"kind": "mock", "fault": "drop_facts"})
+    assert str(raised.value) == "profile 'm': DropFacts.count: missing"
 
 
 def test_backend_config_ignores_unknown_keys():
@@ -87,33 +90,50 @@ def test_backend_config_ignores_unknown_keys():
     assert cfg == BackendConfig("m", BackendKind.MOCK)
 
 
-_KINDS = "kinds are local_generate, hosted_chat, mock"
+_KINDS = "expected one of local_generate, hosted_chat, mock"
 
 
 def test_backend_config_rejects_unknown_kind():
     with pytest.raises(ValueError) as raised:
         backend_config_from_dict("m", {"kind": "quantum"})
-    assert str(raised.value) == f"profile 'm': unknown kind 'quantum'; {_KINDS}"
+    assert str(raised.value) == f"profile 'm': BackendConfig.kind: {_KINDS}, got 'quantum'"
 
 
 @pytest.mark.parametrize("entry, problem", [
-    ({}, "no kind"),
-    ({"kind": 5}, "unknown kind 5"),
-    ({"kind": None}, "unknown kind None"),
-    ({"kind": ["mock"]}, "unknown kind ['mock']"),
-    ({"kind": "MOCK"}, "unknown kind 'MOCK'"),
+    ({}, "missing"),
+    ({"kind": 5}, f"{_KINDS}, got 5"),
+    ({"kind": None}, f"{_KINDS}, got None"),
+    ({"kind": ["mock"]}, f"{_KINDS}, got ['mock']"),
+    ({"kind": "MOCK"}, f"{_KINDS}, got 'MOCK'"),
 ])
 def test_backend_config_missing_or_unknown_kind_names_profile_and_kinds(entry, problem):
     with pytest.raises(ValueError) as raised:
         backend_config_from_dict("m", entry)
-    assert str(raised.value) == f"profile 'm': {problem}; {_KINDS}"
+    assert str(raised.value) == f"profile 'm': BackendConfig.kind: {problem}"
 
 
 def test_backend_config_rejects_a_negative_max_retries():
     with pytest.raises(ValueError) as raised:
         backend_config_from_dict("neg", {"kind": "local_generate", "max_retries": -1})
-    assert str(raised.value) == "profile 'neg': max_retries: expected a non-negative integer, got -1"
+    assert str(raised.value) == (
+        "profile 'neg': BackendConfig.max_retries: expected a non-negative integer, got -1"
+    )
     assert backend_config_from_dict("m", {"kind": "local_generate", "max_retries": 0}).max_retries == 0
+
+
+@pytest.mark.parametrize("key, expected, values", [
+    ("timeout", "a finite number above 0", (0, -1.5, math.nan, math.inf)),
+    ("retry_backoff", "a finite number of at least 0", (-1, -0.001, math.nan, math.inf)),
+    ("temperature", "a finite number", (math.nan, math.inf, -math.inf)),
+])
+def test_backend_config_rejects_an_out_of_range_number(key, expected, values):
+    for value in values:
+        with pytest.raises(ValueError) as raised:
+            backend_config_from_dict("neg", {"kind": "local_generate", key: value})
+        assert str(raised.value) == f"profile 'neg': BackendConfig.{key}: expected {expected}, got {value}"
+    edges = {"timeout": 0.001, "retry_backoff": 0, "temperature": -2.5}
+    config = backend_config_from_dict("m", {"kind": "local_generate", key: edges[key]})
+    assert getattr(config, key) == edges[key]
 
 
 @pytest.mark.parametrize("key, expected, value", [
@@ -125,7 +145,7 @@ def test_backend_config_rejects_a_negative_max_retries():
 def test_backend_config_number_fields_take_only_their_json_type(key, expected, value):
     with pytest.raises(ValueError) as raised:
         backend_config_from_dict("m", {"kind": "local_generate", key: value})
-    assert str(raised.value) == f"profile 'm': {key}: expected {expected}, got {value!r}"
+    assert str(raised.value) == f"profile 'm': BackendConfig.{key}: expected {expected}, got {value!r}"
 
 
 @pytest.mark.parametrize("key", ["timeout", "temperature", "retry_backoff"])
@@ -468,9 +488,12 @@ def test_every_3xx_is_a_refusal_after_one_post(
     (5, "5"),
 ])
 def test_backend_config_unknown_fault_names_profile_and_value(fault, shown):
-    with pytest.raises(ValueError, match=r"^profile 'm': unknown fault ") as raised:
+    with pytest.raises(ValueError) as raised:
         backend_config_from_dict("m", {"kind": "mock", "fault": fault})
-    assert f"unknown fault {shown}; kinds are faithful, drop_facts," in str(raised.value)
+    assert str(raised.value) == (
+        "profile 'm': BackendConfig.fault: expected one of"
+        f" faithful, drop_facts, inject_coordinate, inject_name, got {shown}"
+    )
 
 
 @pytest.mark.parametrize("entry", [5, [], None, {"kind": "mock", "timeout": None},
@@ -505,7 +528,7 @@ def test_fault_parameters_decode_to_their_json_types():
     cfg = backend_config_from_dict(
         "m", {"kind": "mock", "fault": {"kind": "inject_coordinate", "latitude": 40, "longitude": -74.5}}
     )
-    assert cfg.fault_profile == InjectCoordinate(40, -74.5)
+    assert cfg.fault == InjectCoordinate(40, -74.5)
     with pytest.raises(ValueError):
         DropFacts(-1)
 
@@ -513,7 +536,7 @@ def test_fault_parameters_decode_to_their_json_types():
 @pytest.mark.parametrize("key", ["endpoint_url", "model_name", "api_key_env"])
 @pytest.mark.parametrize("value", [5, None])
 def test_backend_config_string_fields_must_be_strings(key, value):
-    with pytest.raises(ValueError, match=rf"^profile 'm': {key}: expected a string, got "):
+    with pytest.raises(ValueError, match=rf"^profile 'm': BackendConfig\.{key}: expected a string, got "):
         backend_config_from_dict("m", {"kind": "local_generate", key: value})
 
 
@@ -545,7 +568,7 @@ def test_drafting_on_mocks_derives_an_inputs_facts_only_when_its_call_is_made(
     # one memo for the whole matrix on both backends: the 9 distinct inputs, once each
     assert len(derived) == len(set(derived)) == 9
     monkeypatch.undo()
-    assert texts == [mock_complete(p, c.fault_profile) for c in configs for p in prompts]
+    assert texts == [mock_complete(p, c.fault) for c in configs for p in prompts]
 
 
 def test_drafting_on_mocks_restates_each_inputs_facts_once(golden_bundle, monkeypatch):
@@ -566,7 +589,7 @@ def test_drafting_on_mocks_restates_each_inputs_facts_once(golden_bundle, monkey
     assert len(restated) == sum(len(facts_from_input(*key)) for key in inputs)
     assert len({id(fact) for fact in restated}) == len(restated)
     monkeypatch.undo()
-    assert texts == [mock_complete(p, c.fault_profile) for c in configs for p in prompts]
+    assert texts == [mock_complete(p, c.fault) for c in configs for p in prompts]
 
 
 def test_drafting_hands_out_each_backends_calls_in_matrix_order(

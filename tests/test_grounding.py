@@ -38,6 +38,7 @@ from casedraft.grounding import (
     Claim,
     ClaimKind,
     ClaimStatus,
+    CoordinateAlternative,
     FactCheck,
     GroundingContext,
     GroundingReport,
@@ -579,20 +580,56 @@ def test_location_cluster_fact_accepts_any_member(golden_bundle, draft):
     assert (rep.completeness, rep.hallucination_count) == (1.0, 0)
 
 
-def test_facts_from_input_mirror_bundle_facts(golden_bundle):
-    combos = [
-        (ReportSectionKind.INTRODUCTION, SourceFormat.MANDATE_TEXT, PromptTopic.GENERAL),
-        (ReportSectionKind.ITEMS_RECEIVED, SourceFormat.MANDATE_TEXT, PromptTopic.GENERAL),
-        (ReportSectionKind.METHODOLOGY, SourceFormat.LAB_LOG_TABLE, PromptTopic.GENERAL),
-        (ReportSectionKind.RESULTS, SourceFormat.TOOL_REPORT_EXCERPT, PromptTopic.CONVERSATIONS),
-        (ReportSectionKind.RESULTS, SourceFormat.LAB_LOG_TABLE, PromptTopic.LOCATIONS),
-        (ReportSectionKind.RESULTS, SourceFormat.REDUCED_CSV, PromptTopic.CONVERSATIONS),
-    ]
-    for section, fmt, topic in combos:
-        text = render_input(golden_bundle, section, fmt, topic=topic)
-        derived = facts_from_input(section, fmt, topic, text)
-        reference = required_facts_for(section, golden_bundle, topic=topic)
+def _seed_1_bundle(tmp_path, monkeypatch) -> CaseBundle:
+    """bench/casegen.py's seed-1 case at 200 records, ingested."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import casegen
+
+    case = casegen.scaled_case(1, 200, tmp_path / "papers")
+    assert main(["ingest", *case.ingest_args, "-o", str(tmp_path / "bundle.json")]) == 0
+    return bundle_from_json((tmp_path / "bundle.json").read_text(encoding="utf-8"))
+
+
+def _rounded_coordinates(fact: RequiredFact) -> list[tuple[float, float]]:
+    return [(round(a.latitude, COORDINATE_PLACES), round(a.longitude, COORDINATE_PLACES))
+            for a in fact.alternatives if isinstance(a, CoordinateAlternative)]
+
+
+# fact by fact, over every input of the matrix, with two known gaps counted
+@pytest.mark.parametrize("papers, gaps", [
+    ("golden", {"mac comma": 1, "cluster label": 1}),
+    ("seed 1", {"mac comma": 3, "cluster label": 4}),
+])
+def test_facts_from_input_mirror_bundle_facts(papers, gaps, golden_bundle, tmp_path, monkeypatch):
+    bundle = golden_bundle if papers == "golden" else _seed_1_bundle(tmp_path, monkeypatch)
+    inputs = {(p.section, p.input_format, p.topic) for p in build_matrix(bundle)}
+    assert len(inputs) == 9
+    found = dict.fromkeys(gaps, 0)
+    for section, fmt, topic in inputs:
+        derived = facts_from_input(section, fmt, topic, render_input(bundle, section, fmt, topic=topic))
+        reference = required_facts_for(section, bundle, topic=topic)
         assert len(derived) == len(reference), (section, fmt, topic)
+        for got, want in zip(derived, reference):
+            if got == want:
+                continue
+            (label, *_), (want_label, *_) = got.alternatives, want.alternatives
+            # an item line puts a comma after the MAC address, which the
+            # parser keeps; the two are equal by tokens
+            if (got.description == want.description
+                    and got.alternatives == (TokenPhrase(want_label.text + ","),)
+                    and tokens_of(label.text) == tokens_of(want_label.text)):
+                found["mac comma"] += 1
+            # the tool report writes no related_location, so a cluster whose
+            # records carry a place comes back labelled by its centroid
+            elif (fmt is SourceFormat.TOOL_REPORT_EXCERPT
+                  and want.description == f"location cluster {want_label.text}"
+                  and got.description == f"location cluster {label.text}"
+                  and label.text.startswith("(")
+                  and _rounded_coordinates(got) == _rounded_coordinates(want)):
+                found["cluster label"] += 1
+            else:
+                pytest.fail(f"{section.value}, {fmt.value}, {topic.value}: {got} != {want}")
+    assert found == gaps
 
 
 def test_a_context_clusters_its_locations_once(golden_bundle, monkeypatch):
@@ -759,7 +796,7 @@ def test_shared_context_scores_like_the_bare_bundle(golden_bundle):
         InjectName("Mr Sforz"),
     ]
     for fault in faults:
-        config = BackendConfig(name="mock", kind=BackendKind.MOCK, fault_profile=fault)
+        config = BackendConfig(name="mock", kind=BackendKind.MOCK, fault=fault)
         for prompt in build_matrix(golden_bundle):
             draft = generate(config, prompt)
             shared = score(draft, context, prompt.section, topic=prompt.topic)
@@ -824,7 +861,7 @@ def test_nonexistent_instant_is_no_timestamp_claim(golden_bundle, instant):
 
 
 def test_experiment_survives_a_draft_naming_a_nonexistent_instant(golden_bundle, tmp_path):
-    odd = BackendConfig("odd", BackendKind.MOCK, fault_profile=InjectName(NONEXISTENT_INSTANTS[0]))
+    odd = BackendConfig("odd", BackendKind.MOCK, fault=InjectName(NONEXISTENT_INSTANTS[0]))
     store = tmp_path / "store.jsonl"
     assert run_experiment(golden_bundle, [odd], store) == ("run-0001", 36, 0)
     assert [r["record_kind"] for r in iter_store(store)] == ["result"] * 36
@@ -835,7 +872,7 @@ def test_experiment_survives_a_byte_count_too_long_for_int(golden_bundle, tmp_pa
     first, *rest = golden_bundle.messages["IP6"]
     noted = replace(first, source_files=(f"cache4.db (Size: {count} bytes)",))
     bundle = replace(golden_bundle, messages={"IP6": (noted, *rest)})
-    odd = BackendConfig("odd", BackendKind.MOCK, fault_profile=InjectName(f"{count} bytes"))
+    odd = BackendConfig("odd", BackendKind.MOCK, fault=InjectName(f"{count} bytes"))
     store = tmp_path / "store.jsonl"
     assert run_experiment(bundle, [odd], store) == ("run-0001", 36, 0)
     records = list(iter_store(store))

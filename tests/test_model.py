@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from typing import Union
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +34,11 @@ from casedraft.model import (
 from casedraft.transform import LocationCluster
 
 UTC = timezone.utc
+
+
+@dataclass(frozen=True)
+class _Signed:
+    by: Union[ImageHash, Sender]
 
 
 # --- report sections --------------------------------------------------------
@@ -349,6 +356,27 @@ def test_missing_optional_keys_take_their_defaults():
     assert item == EvidenceItem("A", ItemKind.PHYSICAL_DEVICE, "", "")
     bundle = bundle_from_json('{"mandate": {}}')
     assert bundle == CaseBundle(mandate=Mandate())
+
+
+def test_an_enum_field_lists_its_values_for_any_value_it_cannot_take():
+    for value, shown in (("sideways", "'sideways'"), (["incoming"], "['incoming']"), (None, "None")):
+        with pytest.raises(ValueError) as raised:
+            from_data(Direction, value)
+        assert str(raised.value) == f"expected one of incoming, outgoing, system, got {shown}"
+
+
+def test_a_union_of_dataclasses_decodes_the_member_its_kind_names():
+    union = Union[ImageHash, Sender]
+    assert from_data(union, {"kind": "sender", "identifier": "+41 79", "x": 1}) == Sender("+41 79")
+    assert from_data(union, {"kind": "image_hash", "algorithm": "MD5", "digest": "ab"}) == ImageHash("MD5", "ab")
+    with pytest.raises(ValueError, match=r"^Sender\.identifier: missing$"):
+        from_data(union, "sender")
+    for value in ("hash", {"identifier": "x"}, {"kind": ["sender"]}, 5):
+        with pytest.raises(ValueError) as raised:
+            from_data(union, value)
+        assert str(raised.value) == f"expected one of image_hash, sender, got {value!r}"
+    with pytest.raises(TypeError, match="only decodes"):
+        to_data(_Signed(Sender("x")))
 
 
 def test_missing_required_key_raises_value_error_naming_the_field():

@@ -295,7 +295,7 @@ def test_a_line_nested_deeper_than_orjson_can_read_is_no_record_and_no_crash():
 def test_a_store_casedraft_wrote_is_decoded_by_orjson_alone(golden_bundle, tmp_path, monkeypatch):
     store = tmp_path / "store.jsonl"
     run_experiment(golden_bundle, [MOCK, BackendConfig(name="inject", kind=BackendKind.MOCK,
-                                                       fault_profile=InjectName("Lord Vader"))], store)
+                                                       fault=InjectName("Lord Vader"))], store)
     calls = Counter()
 
     def counted(name, loads):
@@ -437,8 +437,8 @@ def test_run_experiment_derives_each_input_once_for_all_mock_backends(
     monkeypatch.setattr(gateway, "facts_from_input", counting)
     configs = [
         MOCK,
-        BackendConfig(name="drop", kind=BackendKind.MOCK, fault_profile=DropFacts(1)),
-        BackendConfig(name="name", kind=BackendKind.MOCK, fault_profile=InjectName("Mr Moriarty")),
+        BackendConfig(name="drop", kind=BackendKind.MOCK, fault=DropFacts(1)),
+        BackendConfig(name="name", kind=BackendKind.MOCK, fault=InjectName("Mr Moriarty")),
     ]
     store = tmp_path / "store.jsonl"
     run_experiment(golden_bundle, configs, store)
@@ -452,7 +452,7 @@ def test_run_experiment_derives_each_input_once_for_all_mock_backends(
 
     prompts = build_matrix(golden_bundle)
     expected = [
-        mock_complete(prompt, config.fault_profile)
+        mock_complete(prompt, config.fault)
         for _ in range(2) for config in configs for prompt in prompts
     ]
     assert [r["draft"]["text"] for r in iter_store(store)] == expected
@@ -1121,7 +1121,8 @@ def test_wrong_shape_errors_name_the_field(tmp_path, capsys):
     pytest.param("locations", 1, "timestamp", "14.02.2019",
                  "LocationRecord.timestamp: Invalid isoformat string: '14.02.2019'", id="not-iso"),
     pytest.param("messages", 0, "direction", "sideways",
-                 "MessageRecord.direction: 'sideways' is not a valid Direction", id="no-such-enum"),
+                 "MessageRecord.direction: expected one of incoming, outgoing, system, got 'sideways'",
+                 id="no-such-enum"),
 ])
 def test_a_value_its_field_cannot_take_is_rejected_naming_the_field(
     section, index, key, value, message, bundle_file, capsys
@@ -1412,8 +1413,16 @@ def test_cli_store_with_a_line_nested_too_deeply_is_rejected(bundle_file, config
     (['{"record_kind": "result", "prompt": {}, "draft": {"latency_s": "x"}, '
       '"grounding": {"hallucination_count": 1, "completeness": 1}}'],
      "TypeError: can't convert type 'str'"),
-    (['{"backend": 5}', '{"backend": "a"}'],
+    (['{"record_kind": "error", "backend": 5}', '{"record_kind": "error", "backend": "a"}'],
      "TypeError: backend, section or format is no string in (5, '?', '?')"),
+    # a record neither a result nor an error is no error record
+    (['{"backend": "m", "prompt": {}, "draft": {"latency_s": 0.5}, '
+      '"grounding": {"hallucination_count": 0, "completeness": 1.0}}'],
+     "TypeError: record_kind is neither result nor error: None\n"),
+    (['{"record_kind": "error", "backend": "m"}', '{"record_kind": "Result", "backend": "m"}'],
+     "TypeError: record_kind is neither result nor error: 'Result'\n"),
+    (['{"record_kind": ["result"], "backend": "m"}'],
+     "TypeError: record_kind is neither result nor error: ['result']\n"),
 ])
 def test_cli_summarize_rejects_a_store_record_of_the_wrong_shape(lines, problem, tmp_path, capsys):
     store = tmp_path / "store.jsonl"
@@ -1459,11 +1468,11 @@ def test_cli_experiment_rejects_a_store_record_whose_run_id_is_a_list(
     assert store.read_text(encoding="utf-8") == '{"run_id": ["x"]}\n'
 
 
-def _experiment_with_a_bad_profile(bundle_file, tmp_path, endpoint_url):
+def _experiment_with_a_bad_profile(bundle_file, tmp_path, **bad):
     config = tmp_path / "bad_backends.json"
     config.write_text(json.dumps({"profiles": {
         "mock": {"kind": "mock"},
-        "bad": {"kind": "local_generate", "endpoint_url": endpoint_url},
+        "bad": {"kind": "local_generate", **bad},
     }}), encoding="utf-8")
     store = tmp_path / "store.jsonl"
     rc = main(["experiment", "--bundle", str(bundle_file), "--config", str(config),
@@ -1472,7 +1481,7 @@ def _experiment_with_a_bad_profile(bundle_file, tmp_path, endpoint_url):
 
 
 def test_cli_experiment_records_an_unsendable_request_as_errors(bundle_file, tmp_path, capsys):
-    rc, store = _experiment_with_a_bad_profile(bundle_file, tmp_path, "localhost:1")
+    rc, store = _experiment_with_a_bad_profile(bundle_file, tmp_path, endpoint_url="localhost:1")
     assert rc == 0
     assert "appended 72 records" in capsys.readouterr().out
     records = list(iter_store(store))
@@ -1482,8 +1491,8 @@ def test_cli_experiment_records_an_unsendable_request_as_errors(bundle_file, tmp
 
 
 @pytest.mark.parametrize("entry, problem", [
-    ({}, "no kind"),
-    ({"kind": "quantum"}, "unknown kind 'quantum'"),
+    ({}, "missing"),
+    ({"kind": "quantum"}, "expected one of local_generate, hosted_chat, mock, got 'quantum'"),
 ])
 def test_cli_experiment_names_a_profile_without_a_known_kind(
     entry, problem, bundle_file, tmp_path, capsys
@@ -1495,15 +1504,30 @@ def test_cli_experiment_names_a_profile_without_a_known_kind(
     rc = main(["experiment", "--bundle", str(bundle_file), "--config", str(config),
                "--backends", "mock", "--store", str(store)])
     assert rc == 2
-    assert capsys.readouterr().err == (
-        f"error: profile 'bad': {problem}; kinds are local_generate, hosted_chat, mock\n"
-    )
+    assert capsys.readouterr().err == f"error: profile 'bad': BackendConfig.kind: {problem}\n"
     assert not store.exists()
 
 
 def test_cli_experiment_rejects_a_non_string_endpoint(bundle_file, tmp_path, capsys):
-    rc, store = _experiment_with_a_bad_profile(bundle_file, tmp_path, 5)
+    rc, store = _experiment_with_a_bad_profile(bundle_file, tmp_path, endpoint_url=5)
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == "error: profile 'bad': endpoint_url: expected a string, got 5\n"
+    assert err == "error: profile 'bad': BackendConfig.endpoint_url: expected a string, got 5\n"
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("fields, problem", [
+    # a closed port: each failed attempt would sleep for a negative time
+    ({"endpoint_url": "http://127.0.0.1:1", "retry_backoff": -1, "max_retries": 1},
+     "retry_backoff: expected a finite number of at least 0, got -1"),
+    # json reads NaN, which no request can be sent with
+    ({"timeout": math.nan}, "timeout: expected a finite number above 0, got nan"),
+    ({"temperature": math.inf}, "temperature: expected a finite number, got inf"),
+])
+def test_cli_experiment_rejects_an_out_of_range_profile_number_before_any_draft(
+    fields, problem, bundle_file, tmp_path, capsys
+):
+    rc, store = _experiment_with_a_bad_profile(bundle_file, tmp_path, **fields)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: profile 'bad': BackendConfig.{problem}\n"
     assert not store.exists()

@@ -138,6 +138,44 @@ def test_no_hand_written_to_dict():
     assert found == []
 
 
+def _field_type_reads(tree) -> list[int]:
+    """Lines that import or call what reads a dataclass's fields or their types."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module in ("dataclasses", "typing")
+            and any(alias.name in ("fields", "get_type_hints") for alias in node.names))
+        or (isinstance(node, ast.Attribute)
+            and (node.attr in ("get_type_hints", "__dataclass_fields__")
+                 or (node.attr == "fields" and getattr(node.value, "id", None) == "dataclasses")))
+    )
+
+
+# model.from_data decodes every document, backend profiles included, from its
+# dataclass's field types; a module reading them itself would be a second
+# decoder to keep in step
+def test_only_the_model_reads_a_dataclass_s_field_types():
+    reads = {
+        path.name: _field_type_reads(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES
+    }
+    assert reads.pop("model.py")
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def test_field_type_reads_are_seen():
+    tree = ast.parse(
+        "import dataclasses, typing\n"
+        "from dataclasses import dataclass, field, fields\n"
+        "from typing import Optional, get_type_hints as hints\n"
+        "dataclasses.fields(C)\n"
+        "typing.get_type_hints(C)\n"
+        "C.__dataclass_fields__\n"
+        "fields = [f.name for f in fields]\n"
+        "dataclasses.field(default=0)\n"
+    )
+    assert _field_type_reads(tree) == [2, 3, 4, 5, 6]
+
+
 def _called(node, names) -> bool:
     return isinstance(node, ast.Call) and (
         getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) in names
