@@ -117,16 +117,20 @@ class BackendConfig:
     fault: FaultProfile = field(default_factory=Faithful)
 
     def __post_init__(self):
-        # a bad number would otherwise fail mid-run: no request sent, a sleep
-        # of negative length, or a NaN that json.dumps refuses on the wire
+        # a bad value would otherwise fail mid-run: no request sent or none
+        # that can be, a sleep of negative length, a NaN that json.dumps
+        # refuses on the wire, or a token budget no backend can meet
         for key, ok, expected in (
             ("max_retries", self.max_retries >= 0, "a non-negative integer"),
+            ("max_new_tokens", self.max_new_tokens >= 1, "an integer of at least 1"),
             ("timeout", 0 < self.timeout < math.inf, "a finite number above 0"),
             ("retry_backoff", 0 <= self.retry_backoff < math.inf, "a finite number of at least 0"),
             ("temperature", math.isfinite(self.temperature), "a finite number"),
+            ("endpoint_url", self.kind is not BackendKind.HOSTED_CHAT or self.endpoint_url,
+             "a URL for hosted_chat"),
         ):
             if not ok:
-                raise ValueError(f"BackendConfig.{key}: expected {expected}, got {getattr(self, key)}")
+                raise ValueError(f"BackendConfig.{key}: expected {expected}, got {getattr(self, key)!r}")
 
 
 def backend_config_from_dict(name: str, d: dict) -> BackendConfig:

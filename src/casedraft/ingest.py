@@ -5,7 +5,9 @@ tables, reduced CSV exports (of messages and of locations), and free-text
 mandates.  Parsers never raise on malformed content; they return whatever
 records could be recovered plus a list of diagnostics carrying line
 numbers.  Labels may appear in English or French; each parser's patterns
-accept both.
+accept both.  Every multi-line layout is split by one entry walk,
+``_entries``: a head line opens an entry and the lines up to the next head
+are its body, so a dropped entry takes its continuation lines with it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .model import (
     DeviceProfile,
@@ -76,6 +78,7 @@ _DIRECTIONS = {
 }
 
 UTC = timezone.utc
+_Row = TypeVar("_Row")
 
 
 def _warn(diags: list, line: int, msg: str) -> None:
@@ -123,35 +126,60 @@ _TS_MONTHFIRST = re.compile(
 )
 
 
-def _app_from_sources(sources: tuple[str, ...]) -> str:
-    joined = " ".join(sources).casefold()
-    if "telegram" in joined:
-        return "Telegram"
-    if "whatsapp" in joined:
-        return "WhatsApp"
-    if "mail" in joined:
-        return "Email"
-    return ""
+def _numbered(text: str) -> Iterator[tuple[int, str]]:
+    """The text's non-blank lines with their 1-based line numbers."""
+    return ((n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip())
 
 
 def _entries(
-    numbered_lines: Iterable[tuple[int, str]], head_re: re.Pattern
-) -> Iterator[tuple[int, re.Match, list[tuple[int, str]]]]:
-    """Split (line number, line) pairs into entries: each line head_re
-    matches opens one, and the non-blank lines up to the next such line are
-    its body.  Yields the head's line number, its match and the body's
-    (line number, line) pairs; lines before the first head are skipped."""
+    numbered: Iterable[tuple[int, _Row]], head: Callable[[_Row], object]
+) -> Iterator[tuple[int, object, list[tuple[int, _Row]]]]:
+    """Split (line number, row) pairs into entries: each row for which head
+    gives a true value opens one, and the rows up to the next such row are
+    its body.  Yields the head's line number, what head gave and the body's
+    pairs; rows before the first head are skipped."""
     entry = None
-    for n, line in numbered_lines:
-        m = head_re.match(line)
-        if m:
+    for n, row in numbered:
+        opened = head(row)
+        if opened:
             if entry is not None:
                 yield entry
-            entry = (n, m, [])
-        elif entry is not None and line.strip():
-            entry[2].append((n, line))
+            entry = (n, opened, [])
+        elif entry is not None:
+            entry[2].append((n, row))
     if entry is not None:
         yield entry
+
+
+def _message_entries(diags: list, text: str, head_re: re.Pattern) -> Iterator[tuple]:
+    """_entries over a message layout whose heads require an offset.  A body
+    line with a day-first date and clock is likely a head that lost its
+    offset: it is warned of once the caller has read its entry, so that
+    diagnostics stay in line order."""
+    for entry in _entries(_numbered(text), head_re.match):
+        yield entry
+        for n, line in entry[2]:
+            if _TS_DAYFIRST.search(line):
+                _warn(diags, n, "date and time outside an entry head; read into the entry above")
+
+
+# the apps a message's source files may name, the first named wins
+_APPS = (("telegram", "Telegram"), ("whatsapp", "WhatsApp"), ("mail", "Email"))
+
+
+def _message(
+    diags: list, line: int, noun: str, body_lines: list[str], **fields
+) -> Optional[MessageRecord]:
+    """The message of an entry's body lines and fields, its app the first
+    of _APPS its source files name; None, with an error at the entry's
+    line, when the body is blank."""
+    body = "\n".join(body_lines).strip()
+    if not body:
+        _err(diags, line, f"{noun} has no message body; dropped")
+        return None
+    sources = " ".join(fields.get("source_files", ())).casefold()
+    app = next((app for key, app in _APPS if key in sources), "")
+    return MessageRecord(body=body, app=app, **fields)
 
 
 def _sender_from(text: str, parenthesized: bool = False) -> Optional[Sender]:
@@ -165,10 +193,8 @@ def _sender_from(text: str, parenthesized: bool = False) -> Optional[Sender]:
             return Sender(m.group(1), (m.group(2) or "").strip() or None)
         return Sender(t)
     parts = t.split(None, 1)
-    if parts[0].isdigit() and len(parts) > 1:
-        return Sender(parts[0], parts[1].strip())
     if parts[0].isdigit():
-        return Sender(parts[0])
+        return Sender(parts[0], parts[1].strip() if len(parts) > 1 else None)
     return Sender(t)
 
 
@@ -208,11 +234,8 @@ def parse_tool_report_locations(
     """
     diags: list[ParseDiagnostic] = []
     records: list[LocationRecord] = []
-    numbered = (
-        (n, line) for n, line in enumerate(text.splitlines(), start=1)
-        if not line.lstrip().startswith("#")
-    )
-    for start_line, head, body in _entries(numbered, _TOOL_LOC_START):
+    numbered = ((n, line) for n, line in _numbered(text) if not line.lstrip().startswith("#"))
+    for start_line, head, body in _entries(numbered, _TOOL_LOC_START.match):
         name = head.group(3).strip()
         coords = _coord_pair(head.group(2))
         if coords is None:
@@ -308,9 +331,7 @@ def parse_lablog_locations(
     records: list[LocationRecord] = []
     saw_header = False
 
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for n, line in _numbered(text):
         if _LAB_LOC_HEADER.match(line) and "latitude" in line.casefold():
             saw_header = True
             continue
@@ -362,52 +383,38 @@ def parse_tool_report_messages(
 
     An entry opens with ``DD.MM.YYYY HH:MM(UTC+0)Direction:...`` optionally
     followed by ``, id (Display Name)``; body lines follow, then one or more
-    source-file lines.  Direction labels may be English or French.
+    source-file lines.  Direction labels may be English or French.  Heads
+    require an offset, so ``default_offset`` is never read; a head without
+    one is read into the entry above, with a warning.
     """
     diags: list[ParseDiagnostic] = []
     records: list[MessageRecord] = []
-    numbered = enumerate(text.splitlines(), start=1)
-    for line_no, head, entry_body in _entries(numbered, _TOOL_MSG_START):
+    for line_no, head, entry_body in _message_entries(diags, text, _TOOL_MSG_START):
         ts = _instant(head, default_offset)
         if ts is None:
             _err(diags, line_no, "entry has no parseable timestamp; dropped")
             continue
 
         dir_label = head.group("direction").casefold()
-        direction = _DIRECTIONS.get(dir_label)
         if dir_label not in _DIRECTIONS:
             _warn(diags, line_no, f"unknown direction label: {head.group('direction')!r}")
-        sender = _sender_from(head.group("sender") or "", parenthesized=True)
 
         body_lines: list[str] = []
         sources: list[str] = []
-        seen_source = False
         for _, raw in entry_body:
             sm = _SOURCE_LABEL.match(raw)
-            if sm:
-                seen_source = True
-                sources.append(sm.group(1).strip())
-            elif seen_source:
-                sources.append(raw.strip())
+            if sm or sources:
+                sources.append(sm.group(1).strip() if sm else raw.strip())
             else:
                 body_lines.append(raw.strip())
 
-        body = "\n".join(body_lines).strip()
-        if not body:
-            _err(diags, line_no, "entry has no message body; dropped")
-            continue
-
-        src = tuple(s for s in sources if s)
-        records.append(
-            MessageRecord(
-                body=body,
-                timestamp=ts,
-                app=_app_from_sources(src),
-                sender=sender,
-                direction=direction,
-                source_files=src,
-            )
+        message = _message(
+            diags, line_no, "entry", body_lines, timestamp=ts,
+            sender=_sender_from(head.group("sender") or "", parenthesized=True),
+            direction=_DIRECTIONS.get(dir_label), source_files=tuple(s for s in sources if s),
         )
+        if message:
+            records.append(message)
 
     return records, diags
 
@@ -439,50 +446,37 @@ def parse_lablog_messages(
 
     Each record is a header row (From, Timestamp with explicit offset,
     Deleted, Instant Message, Status) followed by the body on its own line
-    and source-file lines, possibly chained with '&'.
+    and source-file lines, possibly chained with '&'.  Header rows require
+    an offset, so ``default_offset`` is never read; a header row without one
+    is read into the row above, with a warning.
     """
     diags: list[ParseDiagnostic] = []
     records: list[MessageRecord] = []
-    numbered = enumerate(text.splitlines(), start=1)
-    for line_no, row, entry_body in _entries(numbered, _LAB_MSG_ROW):
+    for line_no, row, entry_body in _message_entries(diags, text, _LAB_MSG_ROW):
         ts = _instant(row, default_offset)
         if ts is None:
             _err(diags, line_no, "row has no parseable timestamp; dropped")
             continue
 
-        sender = _sender_from(row.group("sender"))
         rest = row.group("rest").split()
         deleted = _parse_deleted(rest[0]) if rest else None
-
         body_lines: list[str] = []
         source_text_parts: list[str] = []
-        in_source = False
         for _, line in entry_body:
             raw = line.strip()
-            if _SOURCEISH.search(raw) or raw.startswith("USERDATA"):
-                in_source = True
-            if in_source:
+            if source_text_parts or _SOURCEISH.search(raw) or raw.startswith("USERDATA"):
                 source_text_parts.append(raw)
             else:
                 body_lines.append(raw)
 
-        body = "\n".join(body_lines).strip()
-        if not body:
-            _err(diags, line_no, "row has no message body; dropped")
-            continue
-
         source_text = " ".join(source_text_parts)
-        sources = tuple(s.strip() for s in re.split(r"\s*&\s*", source_text) if s.strip())
-        records.append(
-            MessageRecord(
-                body=body,
-                timestamp=ts,
-                app=_app_from_sources(sources),
-                sender=sender,
-                deleted=deleted,
-                source_files=sources,
-            )
+        message = _message(
+            diags, line_no, "row", body_lines, timestamp=ts,
+            sender=_sender_from(row.group("sender")), deleted=deleted,
+            source_files=tuple(s.strip() for s in re.split(r"\s*&\s*", source_text) if s.strip()),
         )
+        if message:
+            records.append(message)
 
     return records, diags
 
@@ -496,57 +490,54 @@ def _split_csv_row(line: str) -> list[str]:
     return [c.strip() for c in cells]
 
 
+def _csv_opening(cells: list[str]) -> Optional[list[str]]:
+    """A message row's From, Body and Timestamp cells when its From or
+    Timestamp cell is filled; None for a row that continues a body."""
+    return cells if cells[0] or cells[2] else None
+
+
 def parse_csv_messages(
     text: str, default_offset: timezone = UTC
 ) -> tuple[list[MessageRecord], list[ParseDiagnostic]]:
     """Parse the reduced ' ; '-delimited export (From, Body, Timestamp).
 
-    Rows with empty From and Timestamp cells continue the previous body on
-    a new line.  Cell padding is insignificant.
+    A row with a From or Timestamp cell opens a message; the rows after it
+    with neither continue its body on new lines, and are dropped with it.
+    Cell padding is insignificant.
     """
     diags: list[ParseDiagnostic] = []
-    lines = [l for l in text.splitlines()]
-
     if ";" not in text:
         _err(diags, 1, "field delimiter ' ; ' never found")
         return [], diags
 
-    drafts: list[dict] = []
-    for n, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        cells = _split_csv_row(line)
-        if len(cells) < 2:
-            _err(diags, n, "row has no ' ; ' delimiter; dropped")
-            continue
-        while len(cells) < 3:
-            cells.append("")
-        frm, body, ts_text = cells[0], cells[1], cells[2]
-
-        if frm.casefold().startswith("from") and "body" in line.casefold():
-            continue  # header row
-
-        if not frm and not ts_text:
-            if not drafts:
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        opened = False
+        for n, line in _numbered(text):
+            cells = _split_csv_row(line) + [""]  # a row may leave out its Timestamp
+            if len(cells) < 3:
+                _err(diags, n, "row has no ' ; ' delimiter; dropped")
+            elif cells[0].casefold().startswith("from") and "body" in line.casefold():
+                continue  # header row
+            elif opened or _csv_opening(cells):
+                opened = True
+                yield n, cells[:3]
+            else:
                 _err(diags, n, "continuation row with nothing to continue; dropped")
-                continue
-            drafts[-1]["body"] += "\n" + body
-            continue
 
+    records: list[MessageRecord] = []
+    for n, (frm, body, ts_text), continued in _entries(rows(), _csv_opening):
         tm = _TS_DAYFIRST.search(ts_text)
         ts = _instant(tm, default_offset) if tm else None
         if ts is None:
             _err(diags, n, f"row has no parseable timestamp: {ts_text!r}; dropped")
             continue
-        drafts.append({"sender": _sender_from(frm), "body": body, "timestamp": ts, "line": n})
-
-    records: list[MessageRecord] = []
-    for d in drafts:
-        body = d["body"].strip()
-        if not body:
-            _err(diags, d["line"], "row has no message body; dropped")
-            continue
-        records.append(MessageRecord(body=body, timestamp=d["timestamp"], sender=d["sender"]))
+        body_lines = [body, *(cells[1] for _, cells in continued)]
+        message = _message(diags, n, "row", body_lines, timestamp=ts, sender=_sender_from(frm))
+        if message:
+            records.append(message)
+    # _entries reads on to the next opening row before it yields an entry,
+    # so rows() reports later rows first: sort into line order
+    diags.sort(key=lambda d: d.line_number)
     return records, diags
 
 
@@ -558,9 +549,7 @@ def parse_csv_locations(text: str) -> tuple[list[LocationRecord], list[ParseDiag
     Longitude, Timestamp, Related Location) as prompting renders it."""
     diags: list[ParseDiagnostic] = []
     records: list[LocationRecord] = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for n, line in _numbered(text):
         cells = _split_csv_row(line)
         if len(cells) < 4:
             _err(diags, n, "row has too few cells; dropped")
@@ -609,14 +598,11 @@ def parse_device_profile(text: str) -> tuple[DeviceProfile, list[ParseDiagnostic
     diags: list[ParseDiagnostic] = []
     fields: dict[str, str] = {}
 
-    for n, line in enumerate(text.splitlines(), start=1):
+    for n, line in _numbered(text):
         stripped = line.strip()
-        if not stripped:
-            continue
         folded = re.sub(r"\s+", " ", stripped).casefold()
         if folded in {"name value source", "name value"}:
             continue
-        matched = False
         for key, field_name in _PROFILE_KEYS:
             if folded.startswith(key):
                 remainder = stripped[len(key):].lstrip(" :\t")
@@ -628,9 +614,8 @@ def parse_device_profile(text: str) -> tuple[DeviceProfile, list[ParseDiagnostic
                     _warn(diags, n, f"duplicate row for {field_name!r}; keeping first")
                 else:
                     fields[field_name] = value
-                matched = True
                 break
-        if not matched:
+        else:
             _warn(diags, n, f"unrecognized row: {stripped[:50]!r}")
 
     for required in ("vendor", "model_code"):
@@ -717,18 +702,12 @@ def parse_mandate(text: str) -> tuple[Mandate, list[ParseDiagnostic]]:
     diags: list[ParseDiagnostic] = []
     blocks: dict[str, list[str]] = {}
     block_lines: dict[str, int] = {}
-    label: Optional[str] = None
-
-    for n, line in enumerate(text.splitlines(), start=1):
-        m = _BLOCK_LABEL.match(line)
-        if m:
-            label = m.group(1).casefold()
-            if label == "transmitted items":
-                label = "items"
-            blocks.setdefault(label, []).append(line[m.end():])
-            block_lines.setdefault(label, n)
-        elif label:
-            blocks[label].append(line)
+    for n, m, body in _entries(_numbered(text), _BLOCK_LABEL.match):
+        label = m.group(1).casefold()
+        if label == "transmitted items":
+            label = "items"
+        blocks.setdefault(label, []).extend([m.string[m.end():], *(line for _, line in body)])
+        block_lines.setdefault(label, n)
 
     received = None
     if "date" in blocks:
@@ -736,10 +715,8 @@ def parse_mandate(text: str) -> tuple[Mandate, list[ParseDiagnostic]]:
         if received is None:
             _warn(diags, block_lines["date"], "Date block has no readable date")
 
-    description = ""
-    if "description" in blocks:
-        description = _flatten(blocks["description"])
-    else:
+    description = _flatten(blocks.get("description", []))
+    if "description" not in blocks:
         _err(diags, 1, "no Description block found")
 
     questions: tuple[str, ...] = ()
@@ -757,14 +734,8 @@ def parse_mandate(text: str) -> tuple[Mandate, list[ParseDiagnostic]]:
             else:
                 _warn(diags, block_lines["mandate"], f"unknown month: {dm.group(2)!r}")
         body = _CLOSING_SENTENCE.sub("", mandate_text)
-        items = _split_enumerated(body)
-        cleaned = []
-        for q in items:
-            q = _ELLIPSIS.sub("", q).strip()
-            q = re.sub(r"\s+", " ", q)
-            if q:
-                cleaned.append(q)
-        questions = tuple(cleaned)
+        cleaned = (_ELLIPSIS.sub("", q).strip() for q in _split_enumerated(body))
+        questions = tuple(re.sub(r"\s+", " ", q) for q in cleaned if q)
         if not questions:
             _warn(diags, block_lines["mandate"], "Mandate block has no enumerated questions")
     else:
@@ -781,18 +752,14 @@ def parse_mandate(text: str) -> tuple[Mandate, list[ParseDiagnostic]]:
     transmitted: tuple[str, ...] = ()
     if "items" in blocks:
         flat = _flatten(blocks["items"])
-        listed = _split_enumerated(flat)
-        if not listed:
-            listed = [p.strip() for p in re.split(r"\s*(?:;|,(?!\d)| and )\s*", flat) if p.strip()]
-        transmitted = tuple(listed)
+        transmitted = tuple(_split_enumerated(flat) or [
+            p.strip() for p in re.split(r"\s*(?:;|,(?!\d)| and )\s*", flat) if p.strip()
+        ])
 
-    suspects: list[str] = []
-    seen: set[tuple[str, str]] = set()
+    suspects: dict[tuple[str, str], str] = {}  # each name as first spelt
     for hm in HONORIFIC_NAME.finditer(text):
-        key = (hm.group(1).casefold(), hm.group(2).casefold())
-        if key not in seen:
-            seen.add(key)
-            suspects.append(f"{hm.group(1)} {hm.group(2)}")
+        title, name = hm.groups()
+        suspects.setdefault((title.casefold(), name.casefold()), f"{title} {name}")
 
     mandate = Mandate(
         description=description,
@@ -800,7 +767,7 @@ def parse_mandate(text: str) -> tuple[Mandate, list[ParseDiagnostic]]:
         received_date=received,
         deadline=deadline,
         investigator_name=investigator,
-        suspects=tuple(suspects),
+        suspects=tuple(suspects.values()),
         transmitted_items=transmitted,
     )
     return mandate, diags
@@ -816,10 +783,8 @@ def parse_method_steps(text: str) -> tuple[list[MethodStep], list[ParseDiagnosti
     """Parse the lab log's numbered step table: Step, Action, Purpose, Tool, Version."""
     diags: list[ParseDiagnostic] = []
     steps: list[MethodStep] = []
-    for n, line in enumerate(text.splitlines(), start=1):
+    for n, line in _numbered(text):
         stripped = line.strip()
-        if not stripped:
-            continue
         if stripped.casefold().startswith("step"):
             continue
         m = _STEP_ROW.match(stripped)

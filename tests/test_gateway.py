@@ -125,15 +125,30 @@ def test_backend_config_rejects_a_negative_max_retries():
     ("timeout", "a finite number above 0", (0, -1.5, math.nan, math.inf)),
     ("retry_backoff", "a finite number of at least 0", (-1, -0.001, math.nan, math.inf)),
     ("temperature", "a finite number", (math.nan, math.inf, -math.inf)),
+    ("max_new_tokens", "an integer of at least 1", (0, -5)),
 ])
 def test_backend_config_rejects_an_out_of_range_number(key, expected, values):
     for value in values:
         with pytest.raises(ValueError) as raised:
             backend_config_from_dict("neg", {"kind": "local_generate", key: value})
         assert str(raised.value) == f"profile 'neg': BackendConfig.{key}: expected {expected}, got {value}"
-    edges = {"timeout": 0.001, "retry_backoff": 0, "temperature": -2.5}
+    edges = {"timeout": 0.001, "retry_backoff": 0, "temperature": -2.5, "max_new_tokens": 1}
     config = backend_config_from_dict("m", {"kind": "local_generate", key: edges[key]})
     assert getattr(config, key) == edges[key]
+
+
+def test_a_hosted_chat_profile_needs_an_endpoint():
+    # without one, every draft would fail on the relative URL '/v1/chat/completions'
+    for entry in ({"kind": "hosted_chat"}, {"kind": "hosted_chat", "endpoint_url": ""}):
+        with pytest.raises(ValueError) as raised:
+            backend_config_from_dict("h", entry)
+        assert str(raised.value) == (
+            "profile 'h': BackendConfig.endpoint_url: expected a URL for hosted_chat, got ''"
+        )
+    config = backend_config_from_dict("h", {"kind": "hosted_chat", "endpoint_url": "http://x"})
+    assert config.endpoint_url == "http://x"
+    # the local backend keeps its default endpoint
+    assert backend_config_from_dict("l", {"kind": "local_generate"}).endpoint_url == ""
 
 
 @pytest.mark.parametrize("key, expected, value", [

@@ -22,7 +22,9 @@ from casedraft.ingest import (
     parse_tool_report_locations,
     parse_tool_report_messages,
 )
-from casedraft.model import Direction, LocationRecord, MessageRecord, Sender, parse_offset
+from casedraft.model import (
+    Direction, LocationRecord, Mandate, MessageRecord, Sender, parse_offset,
+)
 from casedraft.prompting import (
     render_csv_locations,
     render_lablog_locations,
@@ -223,6 +225,17 @@ def test_tool_report_message_app_follows_its_source(source, app):
     assert (records[0].app, records[0].source_files) == (app, (source,))
 
 
+def test_a_message_head_without_its_offset_is_read_into_the_entry_above_with_a_warning():
+    lines = read_fixture("tool_report_messages.txt").splitlines()
+    assert parse_tool_report_messages("\n".join(lines))[1] == []
+    lines[4] = lines[4].replace("(UTC+0)", "")
+    records, diags = parse_tool_report_messages("\n".join(lines))
+    assert len(records) == 2
+    assert [(d.line_number, d.severity, d.message) for d in diags] == [
+        (5, Severity.WARNING, "date and time outside an entry head; read into the entry above"),
+    ]
+
+
 # --- lab-log messages --------------------------------------------------------
 
 def test_lablog_messages_golden():
@@ -244,6 +257,17 @@ def test_lablog_messages_golden():
     third = records[2]
     assert third.timestamp == datetime(2019, 2, 5, 7, 17, 49, tzinfo=MINUS5)
     assert third.body.endswith("near Union Park.")
+
+
+def test_a_lablog_row_without_its_offset_is_read_into_the_row_above_with_a_warning():
+    lines = read_fixture("lablog_messages.txt").splitlines()
+    assert parse_lablog_messages("\n".join(lines))[1] == []
+    lines[9] = lines[9].replace("(UTC-5)", "")
+    records, diags = parse_lablog_messages("\n".join(lines))
+    assert len(records) == 2
+    assert [(d.line_number, d.severity, d.message) for d in diags] == [
+        (10, Severity.WARNING, "date and time outside an entry head; read into the entry above"),
+    ]
 
 
 def test_lablog_messages_empty_text_is_quiet():
@@ -285,6 +309,54 @@ def test_csv_orphan_continuation_is_error():
     records, diags = parse_csv_messages(text)
     assert records == []
     assert len(errors(diags)) == 1
+
+
+def test_csv_continuation_rows_are_dropped_with_their_own_row():
+    text = (
+        "A ; hello ; 05.02.2019 12:00:00(UTC+0)\n"
+        "B ; bye ; 31.02.2019 12:00:00(UTC+0)\n"
+        "  ; more of bye ;\n"
+    )
+    records, diags = parse_csv_messages(text)
+    assert [(r.sender.identifier, r.body) for r in records] == [("A", "hello")]
+    assert [(d.line_number, d.message) for d in diags] == [
+        (2, "row has no parseable timestamp: '31.02.2019 12:00:00(UTC+0)'; dropped"),
+    ]
+
+
+_WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyzABC0123456789", min_size=1, max_size=8)
+_CSV_MESSAGES = st.lists(
+    st.tuples(
+        st.lists(st.lists(_WORDS, min_size=1, max_size=3).map(" ".join), min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=10**9),
+        st.one_of(st.none(), st.from_regex(r"[0-9]{1,9}", fullmatch=True)),
+        st.booleans(),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CSV_MESSAGES)
+def test_csv_messages_with_impossible_dates_drop_out_and_leave_the_others_intact(items):
+    base = datetime(2019, 1, 1, tzinfo=UTC)
+    records = [
+        MessageRecord(
+            "\n".join(lines), base + timedelta(seconds=s), sender=sender and Sender(sender)
+        )
+        for lines, s, sender, _ in items
+    ]
+    broken = [b for *_, b in items]
+    rows = reduce_to_csv(records).splitlines()
+    # the opening rows are those with a timestamp, one per message in order
+    openings = [n for n, row in enumerate(rows) if re.search(r"\d{2}\.\d{2}\.\d{4}", row)]
+    for n, bad in zip(openings, broken):
+        if bad:
+            rows[n] = re.sub(r"\d{2}\.\d{2}\.", "31.02.", rows[n])
+    again, diags = parse_csv_messages("\n".join(rows))
+    kept = [r for r, bad in zip(records, broken) if not bad]
+    assert again == kept
+    assert [d.line_number for d in diags] == [n + 1 for n, bad in zip(openings, broken) if bad]
 
 
 # --- device profiles ---------------------------------------------------------
@@ -352,6 +424,36 @@ def test_full_mandate_golden():
     assert mandate.transmitted_items == (
         "One Samsung Galaxy S6 Edge smartphone",
         "One Apple iPhone 6 smartphone",
+    )
+
+
+def test_mandate_blocks_gather_their_repeats_and_skip_blank_lines_and_text_before_them():
+    text = (
+        "Cantonal police, forensic unit: file of Mr Pressive\n"
+        "\n"
+        "Date: 01.10.2023\n"
+        "Description: The phones of\n"
+        "\n"
+        "Mr Sforza were seized.\n"
+        "Mandate: Using the information provided, answer the following questions:\n"
+        "i. Where was Mr Sforza?\n"
+        "\n"
+        "ii. Whom did he meet?\n"
+        "Description: Both were seized at his home.\n"
+        "Note: The investigator is X.\n"
+        "Mandate: iii. When did they meet?\n"
+    )
+    mandate, diags = parse_mandate(text)
+    assert diags == []
+    assert mandate == Mandate(
+        description="The phones of Mr Sforza were seized. Both were seized at his home.",
+        questions=("Where was Mr Sforza?", "Whom did he meet?", "When did they meet?"),
+        received_date=date(2023, 10, 1),
+        deadline=None,
+        investigator_name="X",
+        # the text before the first label names a suspect too
+        suspects=("Mr Pressive", "Mr Sforza"),
+        transmitted_items=(),
     )
 
 

@@ -1531,3 +1531,13 @@ def test_cli_experiment_rejects_an_out_of_range_profile_number_before_any_draft(
     assert rc == 2
     assert capsys.readouterr().err == f"error: profile 'bad': BackendConfig.{problem}\n"
     assert not store.exists()
+
+
+def test_cli_experiment_rejects_a_hosted_profile_without_an_endpoint(bundle_file, tmp_path, capsys):
+    # were it loaded, each of the 36 prompts would fail on a relative URL
+    rc, store = _experiment_with_a_bad_profile(bundle_file, tmp_path, kind="hosted_chat")
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: profile 'bad': BackendConfig.endpoint_url: expected a URL for hosted_chat, got ''\n"
+    )
+    assert not store.exists()
