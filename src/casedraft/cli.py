@@ -17,6 +17,7 @@ import os
 import stat
 import sys
 from datetime import timedelta
+from functools import partial
 from pathlib import Path
 
 from . import gateway, grounding, ingest, pipeline, prompting, transform
@@ -89,16 +90,19 @@ def _cmd_ingest(args) -> int:
     locations: dict[str, list] = {}
     messages: dict[str, list] = {}
     profiles = {}
+    # the message heads of tool reports and lab logs always carry an offset
     parser_flags = [
-        (args.tool_locations, ingest.parse_tool_report_locations, locations),
-        (args.lablog_locations, ingest.parse_lablog_locations, locations),
+        (args.tool_locations, partial(ingest.parse_tool_report_locations, default_offset=offset),
+         locations),
+        (args.lablog_locations, partial(ingest.parse_lablog_locations, default_offset=offset),
+         locations),
         (args.tool_messages, ingest.parse_tool_report_messages, messages),
         (args.lablog_messages, ingest.parse_lablog_messages, messages),
-        (args.csv_messages, ingest.parse_csv_messages, messages),
+        (args.csv_messages, partial(ingest.parse_csv_messages, default_offset=offset), messages),
     ]
     for values, parser, sink in parser_flags:
         for item_id, path in _item_file_pairs(values):
-            records, diags = parser(_read(path), default_offset=offset)
+            records, diags = parser(_read(path))
             _emit_diags(diags, path)
             sink.setdefault(item_id, []).extend(records)
     for item_id, path in _item_file_pairs(args.device_profile):
@@ -331,7 +335,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device-profile", action="append", metavar="ITEM=FILE")
     p.add_argument("--method-steps", metavar="FILE")
     p.add_argument("--items", metavar="FILE", help="JSON list of evidence items")
-    p.add_argument("--default-offset", default="UTC+0")
+    p.add_argument("--default-offset", default="UTC+0",
+                   help="offset of a timestamp that has none, in tool-report and lab-log"
+                        " locations and reduced-CSV messages (default: %(default)s)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_ingest)
 

@@ -6,23 +6,28 @@ stateless: one prompt in, one draft out, no conversation history on the
 wire.  Transient transport failures retry with exponential backoff; other
 failures map to typed errors.  The hosted API key comes from the
 environment only, never from config files.  Requests go out through the
-standard library's urllib, one connection each, through whatever proxy the
-environment names when the request is made.  No redirect is followed: a
-3xx is a refusal naming its status.  generate drafts one prompt;
-drafting drafts a matrix, and it alone decides how each kind of backend runs.
+standard library's http.client, through whatever proxy the environment
+names when the connection opens.  No redirect is followed: a 3xx is a
+refusal naming its status.  generate drafts one prompt, on a connection of
+its own unless it is handed one; drafting drafts a matrix, and it alone
+decides how each kind of backend runs: an HTTP backend keeps one
+connection alive for the run.
 """
 
 from __future__ import annotations
 
+import base64
 import http.client
 import json
 import math
 import os
+import select
+import socket
 import time
-import urllib.error
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -248,50 +253,100 @@ def mock_complete(
 # ---------------------------------------------------------------------------
 # HTTP adapters
 
-# made once, as an HTTPSHandler may set up TLS when made; each reads of its
-# opener only the stock default headers, so every request's opener shares them
-_HANDLERS = (urllib.request.UnknownHandler(), urllib.request.HTTPHandler(),
-             urllib.request.HTTPSHandler())
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only
 
 
-def _exchange(url: str, payload: dict, timeout: float, headers: Optional[dict]) -> tuple[int, bytes]:
-    """One POST on a connection of its own, through the proxy that
-    http_proxy/https_proxy/no_proxy name when it is sent; returns the
-    answer's status and body.  No redirect is followed: a 3xx comes back
-    like any other answer."""
-    request = urllib.request.Request(
-        url,
-        json.dumps(payload, allow_nan=False).encode("utf-8"),
-        {"Content-Type": "application/json", "User-Agent": "casedraft", **(headers or {})},
-        method="POST",
-    )
-    if request.type not in ("http", "https"):
-        raise ValueError(f"unsupported URL scheme {request.type!r} in {url!r}")
-    opener = urllib.request.OpenerDirector()
-    for handler in (urllib.request.ProxyHandler(), *_HANDLERS):
-        opener.add_handler(handler)
-    with opener.open(request, timeout=timeout) as response:
-        return response.status, response.read()
+class _Connection:
+    """An HTTP backend's one connection, opened by its first request and
+    kept alive for the next.  Opening reads the proxy that
+    http_proxy/https_proxy/no_proxy name, once: an http URL goes to the
+    proxy as an absolute URI, an https one through a CONNECT tunnel, and
+    the proxy URL's credentials become Basic Proxy-Authorization.  A
+    connection the peer has closed is reopened before a request goes out
+    on it, and any failure closes it, so the next request opens a fresh
+    one; no request is sent twice here."""
+
+    def __init__(self, config: BackendConfig) -> None:
+        self.url, self.timeout = _endpoint(config), config.timeout
+        self._http: Optional[http.client.HTTPConnection] = None
+        self._target = ""  # what the request line names
+        self._headers: dict[str, str] = {}  # for the proxy
+
+    def _open(self) -> http.client.HTTPConnection:
+        parts = urllib.parse.urlsplit(self.url)
+        if parts.scheme not in ("http", "https"):
+            raise ValueError(f"unsupported URL scheme {parts.scheme!r} in {self.url!r}")
+        https = parts.scheme == "https"
+        self._target = urllib.parse.urlunsplit(("", "", parts.path, parts.query, ""))
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if not proxy or urllib.request.proxy_bypass(parts.netloc):
+            cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
+            return cls(parts.netloc, timeout=self.timeout)
+        via = urllib.parse.urlsplit(proxy if "://" in proxy else f"{parts.scheme}://{proxy}")
+        if via.scheme not in ("http", "https"):
+            raise ValueError(f"unsupported proxy scheme {via.scheme!r} in {proxy!r}")
+        auth = {}
+        if via.username and via.password:
+            pair = f"{urllib.parse.unquote(via.username)}:{urllib.parse.unquote(via.password)}"
+            auth["Proxy-Authorization"] = "Basic " + base64.b64encode(pair.encode()).decode("ascii")
+        hostport = via.netloc.rpartition("@")[2]
+        if https:
+            tunnel = http.client.HTTPSConnection(hostport, timeout=self.timeout)
+            tunnel.set_tunnel(parts.netloc, headers=auth)
+            return tunnel
+        self._target, self._headers = self.url, auth
+        cls = http.client.HTTPSConnection if via.scheme == "https" else http.client.HTTPConnection
+        return cls(hostport, timeout=self.timeout)
+
+    def post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """One POST; returns the answer's status and its body, read in full
+        whatever the status.  No redirect is followed: a 3xx comes back
+        like any other answer."""
+        if self._http is None:
+            self._http = self._open()
+        conn = self._http
+        # urllib3's check before it reuses a socket: between answers a server
+        # has nothing to send, so a socket that polls readable is one it closed
+        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()
+        try:
+            conn.request("POST", self._target, body, {**self._headers, **headers})
+            if _QUICKACK is not None:
+                # a server like http.server's writes an answer's head and body
+                # apart with Nagle's algorithm on, so its body waits for the
+                # head's ACK, which a reused connection's delayed ACK would
+                # hold back some 40 ms
+                conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+            with conn.getresponse() as response:
+                return response.status, response.read()
+        except BaseException:
+            conn.close()
+            raise
+
+    def close(self) -> None:
+        if self._http is not None:
+            self._http.close()
 
 
 def _retryable(exc: Exception) -> bool:
     """A connection failure or a timeout, on connect or on read: a refused
     connection, a DNS or TLS failure, a server that closes without
-    answering.  A URLError wraps one unless the URL itself is at fault."""
-    if isinstance(exc, urllib.error.URLError):
-        exc = exc.reason
+    answering."""
     return isinstance(exc, (OSError, http.client.BadStatusLine))
 
 
-def _post_json(url: str, payload: dict, config: BackendConfig, headers: Optional[dict] = None):
+def _post_json(connection: _Connection, payload: dict, config: BackendConfig,
+               headers: Optional[dict] = None):
     """POST with retries on connection failures and timeouts; returns
     (body, latency_s).  Any other request failure, such as a URL without a
     scheme, fails at once."""
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    headers = {"Content-Type": "application/json", "User-Agent": "casedraft", **(headers or {})}
     last_exc: Optional[Exception] = None
     for attempt in range(config.max_retries + 1):
         started = time.monotonic()
         try:
-            status, raw = _exchange(url, payload, config.timeout, headers)
+            status, raw = connection.post(body, headers)
         except (OSError, ValueError, http.client.HTTPException) as exc:
             if not _retryable(exc):
                 raise TransportError(f"{config.name}: request failed: {exc}") from exc
@@ -335,15 +390,24 @@ def _http_draft(config: BackendConfig, prompt: PromptSpec, text, latency: float,
     )
 
 
-def _generate_local(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraft:
-    base = (config.endpoint_url or "http://127.0.0.1:5001").rstrip("/")
-    url = base if base.endswith("/api/v1/generate") else f"{base}/api/v1/generate"
+def _endpoint(config: BackendConfig) -> str:
+    """The URL an HTTP backend's drafts are posted to."""
+    if config.kind is BackendKind.LOCAL_GENERATE:
+        base = (config.endpoint_url or "http://127.0.0.1:5001").rstrip("/")
+        return base if base.endswith("/api/v1/generate") else f"{base}/api/v1/generate"
+    base = config.endpoint_url.rstrip("/")
+    return base if base.endswith("/chat/completions") else f"{base}/v1/chat/completions"
+
+
+def _generate_local(
+    config: BackendConfig, prompt: PromptSpec, connection: _Connection
+) -> GeneratedDraft:
     payload = {
         "prompt": prompt.rendered_text,
         "max_length": config.max_new_tokens,
         "temperature": config.temperature,
     }
-    body, latency = _post_json(url, payload, config)
+    body, latency = _post_json(connection, payload, config)
     try:
         text = body["results"][0]["text"]
     except (KeyError, IndexError, TypeError) as exc:
@@ -351,14 +415,14 @@ def _generate_local(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraft
     return _http_draft(config, prompt, text, latency)
 
 
-def _generate_hosted(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraft:
+def _generate_hosted(
+    config: BackendConfig, prompt: PromptSpec, connection: _Connection
+) -> GeneratedDraft:
     key = os.environ.get(config.api_key_env, "")
     if not key:
         raise GatewayError(
             f"{config.name}: no API key in environment variable {config.api_key_env}"
         )
-    base = config.endpoint_url.rstrip("/")
-    url = base if base.endswith("/chat/completions") else f"{base}/v1/chat/completions"
     payload = {
         "model": config.model_name,
         "messages": [{"role": "user", "content": prompt.rendered_text}],
@@ -366,7 +430,7 @@ def _generate_hosted(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraf
         "temperature": config.temperature,
     }
     headers = {"Authorization": f"Bearer {key}"}
-    body, latency = _post_json(url, payload, config, headers)
+    body, latency = _post_json(connection, payload, config, headers)
     try:
         text = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
@@ -377,10 +441,15 @@ def _generate_hosted(config: BackendConfig, prompt: PromptSpec) -> GeneratedDraf
 
 
 def generate(
-    config: BackendConfig, prompt: PromptSpec, inputs: Optional[InputFacts] = None
+    config: BackendConfig,
+    prompt: PromptSpec,
+    inputs: Optional[InputFacts] = None,
+    connection: Optional[_Connection] = None,
 ) -> GeneratedDraft:
     """One stateless completion: exactly this prompt goes over the wire.
-    A mock backend takes its input facts from `inputs` when given."""
+    A mock backend takes its input facts from `inputs` when given.  An HTTP
+    backend sends on `connection` when given, drafting's for the run, and
+    otherwise on a connection of its own, closed before the call returns."""
     if config.kind is BackendKind.MOCK:
         text = mock_complete(prompt, config.fault, inputs)
         return GeneratedDraft(
@@ -391,9 +460,11 @@ def generate(
             created_at=MOCK_CREATED_AT,
             token_estimate=max(1, len(text) // 4),
         )
-    if config.kind is BackendKind.LOCAL_GENERATE:
-        return _generate_local(config, prompt)
-    return _generate_hosted(config, prompt)
+    draft = _generate_local if config.kind is BackendKind.LOCAL_GENERATE else _generate_hosted
+    if connection is not None:
+        return draft(config, prompt, connection)
+    with closing(_Connection(config)) as own:
+        return draft(config, prompt, own)
 
 
 @contextmanager
@@ -403,13 +474,17 @@ def drafting(
     """For each backend, one call per prompt, in the prompts' order, that
     returns the prompt's draft or raises GatewayError.  An HTTP backend
     sends its prompts in order from a worker of its own, one request in
-    flight, so backends wait in parallel and a draft's latency_s is its own
-    request's.  A mock drafts when called, on the caller's thread, from one
-    InputFacts memo all mocks share.  Leaving the context cancels every
-    backend's prompts not yet sent before it waits for any request in
-    flight, so each backend sends at most the one it has."""
+    flight, on one connection kept alive for the run, so backends wait in
+    parallel and a draft's latency_s is its own request's.  The worker
+    reads the backend's proxy when its first request opens the connection.
+    A mock drafts when called, on the caller's thread, from one InputFacts
+    memo all mocks share.  Leaving the context cancels every backend's
+    prompts not yet sent before it waits for any request in flight, so each
+    backend sends at most the one it has, and then closes every
+    connection."""
     inputs = InputFacts()
     pools: list[ThreadPoolExecutor] = []
+    connections: list[_Connection] = []
     try:
         calls = []
         for config in configs:
@@ -417,10 +492,14 @@ def drafting(
                 calls.append([partial(generate, config, prompt, inputs) for prompt in prompts])
                 continue
             pools.append(ThreadPoolExecutor(max_workers=1))
-            calls.append([pools[-1].submit(generate, config, prompt).result for prompt in prompts])
+            connections.append(_Connection(config))
+            calls.append([pools[-1].submit(generate, config, prompt, connection=connections[-1]).result
+                          for prompt in prompts])
         yield calls
     finally:
         for pool in pools:
             pool.shutdown(wait=False, cancel_futures=True)
         for pool in pools:
             pool.shutdown()
+        for connection in connections:
+            connection.close()

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .model import (
@@ -152,11 +153,19 @@ def _entries(
 
 
 def _message_entries(diags: list, text: str, head_re: re.Pattern) -> Iterator[tuple]:
-    """_entries over a message layout whose heads require an offset.  A body
-    line with a day-first date and clock is likely a head that lost its
-    offset: it is warned of once the caller has read its entry, so that
-    diagnostics stay in line order."""
-    for entry in _entries(_numbered(text), head_re.match):
+    """_entries over a message layout whose heads require an offset.  A line
+    outside a head with a day-first date and clock is likely a head that
+    lost its offset.  Before the first head it is warned of as it is
+    dropped; in a body it is warned of once the caller has read its entry,
+    so that diagnostics stay in line order."""
+    lines = _numbered(text)
+    for n, line in lines:
+        if head_re.match(line):
+            lines = chain([(n, line)], lines)
+            break
+        if _TS_DAYFIRST.search(line):
+            _warn(diags, n, "date and time outside an entry head; no entry above, dropped")
+    for entry in _entries(lines, head_re.match):
         yield entry
         for n, line in entry[2]:
             if _TS_DAYFIRST.search(line):
@@ -376,21 +385,19 @@ _TOOL_MSG_START = re.compile(
 )
 
 
-def parse_tool_report_messages(
-    text: str, default_offset: timezone = UTC
-) -> tuple[list[MessageRecord], list[ParseDiagnostic]]:
+def parse_tool_report_messages(text: str) -> tuple[list[MessageRecord], list[ParseDiagnostic]]:
     """Parse chat entries as a tool report prints them.
 
     An entry opens with ``DD.MM.YYYY HH:MM(UTC+0)Direction:...`` optionally
     followed by ``, id (Display Name)``; body lines follow, then one or more
     source-file lines.  Direction labels may be English or French.  Heads
-    require an offset, so ``default_offset`` is never read; a head without
-    one is read into the entry above, with a warning.
+    require an offset; a head without one is read into the entry above,
+    with a warning, or dropped with one before the first head.
     """
     diags: list[ParseDiagnostic] = []
     records: list[MessageRecord] = []
     for line_no, head, entry_body in _message_entries(diags, text, _TOOL_MSG_START):
-        ts = _instant(head, default_offset)
+        ts = _instant(head, UTC)  # never read: the head has an offset
         if ts is None:
             _err(diags, line_no, "entry has no parseable timestamp; dropped")
             continue
@@ -439,21 +446,19 @@ def _parse_deleted(token: str) -> Optional[bool]:
     return None
 
 
-def parse_lablog_messages(
-    text: str, default_offset: timezone = UTC
-) -> tuple[list[MessageRecord], list[ParseDiagnostic]]:
+def parse_lablog_messages(text: str) -> tuple[list[MessageRecord], list[ParseDiagnostic]]:
     """Parse the lab log's columnar message layout.
 
     Each record is a header row (From, Timestamp with explicit offset,
     Deleted, Instant Message, Status) followed by the body on its own line
     and source-file lines, possibly chained with '&'.  Header rows require
-    an offset, so ``default_offset`` is never read; a header row without one
-    is read into the row above, with a warning.
+    an offset; a header row without one is read into the row above, with a
+    warning, or dropped with one before the first header row.
     """
     diags: list[ParseDiagnostic] = []
     records: list[MessageRecord] = []
     for line_no, row, entry_body in _message_entries(diags, text, _LAB_MSG_ROW):
-        ts = _instant(row, default_offset)
+        ts = _instant(row, UTC)  # never read: the row has an offset
         if ts is None:
             _err(diags, line_no, "row has no parseable timestamp; dropped")
             continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -68,19 +69,51 @@ def golden_bundle() -> CaseBundle:
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Records every request, with its method and raw body bytes; serves
-    canned generate/chat responses, to a GET as to a POST.
+    """Records every request, with its method, raw body bytes and the
+    client port of its connection; serves canned generate/chat responses,
+    to a GET as to a POST.  A CONNECT is recorded and answered 502.
 
     Each request is held for the state's `delay` seconds before it is
-    answered, or for `path_delay[path]` seconds where its path has one, and
+    answered, or for `path_delay[path]` seconds where its path has one, or
+    for `delay_on[number]` seconds where its overall number has one, and
     counts as in flight from its arrival until its answer is ready.  `fail_on` holds overall request numbers, counting from 1, or
     (path, number) pairs counting that path's requests, to answer with 503
     and the body `fail_body`.  `redirect` maps a path to the (status,
     Location) a POST to it is answered with.  `texts` maps (path, number)
     pairs to the draft text to answer with in place of the canned one.
+
+    Answers are HTTP/1.0, one connection each, unless `keep_alive` is set:
+    then they are HTTP/1.1 and the connection carries the client's next
+    request.  With `close_after_answer` as well, the server closes each
+    connection after its first answer without saying so in a header; the
+    answer and the close go out in one segment (TCP_CORK), so the close has
+    arrived by the time the client has read the answer.  `connections`
+    counts the connections accepted.
     """
 
     server_version = "stub/0"
+
+    def setup(self) -> None:
+        super().setup()
+        state = self.server.state  # type: ignore[attr-defined]
+        with state["lock"]:
+            state["connections"] += 1
+        if state["keep_alive"]:
+            self.protocol_version = "HTTP/1.1"
+
+    def _close_with_answer(self) -> None:
+        if self.server.state["close_after_answer"]:  # type: ignore[attr-defined]
+            self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 1)
+            self.close_connection = True
+
+    def do_CONNECT(self) -> None:  # noqa: N802 (http.server API)
+        state = self.server.state  # type: ignore[attr-defined]
+        with state["lock"]:
+            state["requests"].append({"method": self.command, "path": self.path,
+                                      "headers": {k.lower(): v for k, v in self.headers.items()}})
+        self.send_response(502)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         state = self.server.state  # type: ignore[attr-defined]
@@ -98,6 +131,7 @@ class StubHandler(BaseHTTPRequestHandler):
                     "headers": {k.lower(): v for k, v in self.headers.items()},
                     "body": json.loads(raw) if raw else None,
                     "raw": raw,
+                    "port": self.client_address[1],
                 }
             )
             flight = state["in_flight"]  # path -> requests in flight
@@ -105,13 +139,15 @@ class StubHandler(BaseHTTPRequestHandler):
             state["peak_in_flight"] = max(state["peak_in_flight"], sum(flight.values()))
             peaks = state["peak_in_flight_by_path"]
             peaks[self.path] = max(peaks.get(self.path, 0), flight[self.path])
-        time.sleep(state["path_delay"].get(self.path, state["delay"]))
+        time.sleep(state["delay_on"].get(n, state["path_delay"].get(self.path, state["delay"])))
         # no longer in flight once the answer is ready, so that a client's
         # next request never overlaps this one
         with state["lock"]:
             flight[self.path] -= 1
+        self._close_with_answer()
         if n in state["fail_on"] or (self.path, path_n) in state["fail_on"]:
             self.send_response(503)
+            self.send_header("Content-Length", str(len(state["fail_body"])))
             self.end_headers()
             self.wfile.write(state["fail_body"])
             return
@@ -170,6 +206,10 @@ class StubServer:
             "raw_response": None,
             "delay": 0.0,
             "path_delay": {},
+            "delay_on": {},
+            "keep_alive": False,
+            "close_after_answer": False,
+            "connections": 0,
             "in_flight": {},
             "peak_in_flight": 0,
             "peak_in_flight_by_path": {},

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import math
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+import urllib.request
 from collections import Counter
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +42,8 @@ from casedraft.gateway import (
 )
 from casedraft.grounding import facts_from_input
 from casedraft.ingest import SourceFormat
-from casedraft.model import CaseBundle, Mandate, ReportSectionKind, from_data, to_data
+from casedraft.model import CaseBundle, Mandate, ReportSectionKind, bundle_to_json, from_data, to_data
+from casedraft.pipeline import run_experiment
 from casedraft.prompting import (
     Placement,
     PromptVariant,
@@ -684,3 +691,166 @@ def test_leaving_drafting_cancels_every_backend_before_waiting_on_any(
     # once the context is left, each backend sends at most the request it has
     assert all(after[path] <= before[path] + 1 for path in (local_path, hosted_path)), (before, after)
     assert set(stub_server.state["in_flight"].values()) == {0}
+
+
+# --- one kept-alive connection per HTTP backend --------------------------------
+
+def _local_and_hosted(stub_server, monkeypatch, **fields):
+    monkeypatch.setenv(DEFAULT_API_KEY_ENV, "sk-test")
+    return [
+        BackendConfig(name="local", kind=BackendKind.LOCAL_GENERATE,
+                      endpoint_url=stub_server.url, max_retries=0, **fields),
+        BackendConfig(name="hosted", kind=BackendKind.HOSTED_CHAT,
+                      endpoint_url=stub_server.url, model_name="stub-chat", max_retries=0, **fields),
+    ]
+
+
+def test_a_run_opens_one_connection_per_http_backend(
+    golden_bundle, stub_server, monkeypatch, tmp_path
+):
+    stub_server.state["keep_alive"] = True
+    configs = _local_and_hosted(stub_server, monkeypatch)
+    _, appended, errors = run_experiment(golden_bundle, configs, tmp_path / "store.jsonl")
+    assert (appended, errors) == (72, 0)
+    ports = {}
+    for request in stub_server.requests:
+        ports.setdefault(request["path"], set()).add(request["port"])
+    assert Counter(r["path"] for r in stub_server.requests) == {
+        "/api/v1/generate": 36, "/v1/chat/completions": 36}
+    assert [len(p) for p in ports.values()] == [1, 1]
+    assert stub_server.state["connections"] == 2
+
+
+def test_proxies_are_read_once_per_http_backend_per_run(
+    golden_bundle, stub_server, monkeypatch, tmp_path
+):
+    stub_server.state["keep_alive"] = True
+    configs = _local_and_hosted(stub_server, monkeypatch)
+    original, reads = urllib.request.getproxies, []
+
+    def counting():
+        reads.append(threading.current_thread().name)
+        return original()
+
+    monkeypatch.setattr(urllib.request, "getproxies", counting)
+    run_experiment(golden_bundle, configs, tmp_path / "store.jsonl")
+    assert len(stub_server.requests) == 72
+    # read by each backend's own worker, when it opened its connection
+    assert len(reads) == len(set(reads)) == 2
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_CORK"), reason="the stub closes with TCP_CORK")
+def test_a_connection_the_server_closed_after_its_answer_is_not_reused(
+    golden_bundle, stub_server, tmp_path
+):
+    # no Connection: close header says so; the socket is found closed
+    # before the next request, which goes out once, on a fresh connection
+    stub_server.state.update(keep_alive=True, close_after_answer=True)
+    config = BackendConfig(name="local", kind=BackendKind.LOCAL_GENERATE,
+                           endpoint_url=stub_server.url, max_retries=0)
+    _, appended, errors = run_experiment(golden_bundle, [config], tmp_path / "store.jsonl")
+    assert (appended, errors) == (36, 0)
+    prompts = [r["body"]["prompt"] for r in stub_server.requests]
+    assert prompts == [p.rendered_text for p in build_matrix(golden_bundle)]
+    assert stub_server.state["connections"] == 36
+
+
+def test_a_refusals_body_is_read_and_the_connection_carries_the_next_prompt(
+    golden_bundle, stub_server
+):
+    stub_server.state.update(keep_alive=True, fail_on={1}, fail_body=b"overloaded, try later")
+    config = BackendConfig(name="local", kind=BackendKind.LOCAL_GENERATE,
+                           endpoint_url=stub_server.url, max_retries=0)
+    with drafting([config], build_matrix(golden_bundle)[:2]) as [[first, second]]:
+        with pytest.raises(BackendRefusal, match="^local: status 503: overloaded, try later$"):
+            first()
+        assert second().text == "local draft 2"
+    assert [r["port"] for r in stub_server.requests] == [stub_server.requests[0]["port"]] * 2
+    assert stub_server.state["connections"] == 1
+
+
+def test_a_read_timeout_closes_the_connection_and_the_retry_opens_a_new_one(
+    golden_bundle, stub_server
+):
+    stub_server.state.update(keep_alive=True, delay_on={1: 0.5})
+    config = BackendConfig(name="local", kind=BackendKind.LOCAL_GENERATE,
+                           endpoint_url=stub_server.url, max_retries=1, retry_backoff=0.01,
+                           timeout=0.2)
+    with drafting([config], build_matrix(golden_bundle)[:2]) as [[first, second]]:
+        assert first().text == "local draft 2"
+        assert second().text == "local draft 3"
+    timed_out, retried, following = (r["port"] for r in stub_server.requests)
+    assert timed_out != retried == following
+    assert stub_server.state["connections"] == 2
+
+
+def test_an_http_proxy_takes_the_credentials_of_its_url(stub_server, intro_prompt, monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", stub_server.url.replace("//", "//ex%40mple:s3cret@"))
+    cfg = BackendConfig(name="local", kind=BackendKind.LOCAL_GENERATE,
+                        endpoint_url="http://backend.invalid", max_retries=0)
+    assert generate(cfg, intro_prompt).text == "local draft 1"
+    [request] = stub_server.requests
+    assert request["path"] == "http://backend.invalid/api/v1/generate"
+    assert request["headers"]["proxy-authorization"] == "Basic " + base64.b64encode(
+        b"ex@mple:s3cret").decode()
+
+def test_a_proxy_tunnels_https_and_takes_the_credentials_of_its_url(
+    stub_server, intro_prompt, monkeypatch
+):
+    for name in ("https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTPS_PROXY", stub_server.url.replace("//", "//ex%40mple:s3cret@"))
+    monkeypatch.setenv(DEFAULT_API_KEY_ENV, "sk-test")
+    cfg = BackendConfig(name="hosted", kind=BackendKind.HOSTED_CHAT,
+                        endpoint_url="https://backend.invalid", model_name="m", max_retries=0)
+    with pytest.raises(TransportError, match="^hosted: unreachable after 1 attempts: .*502"):
+        generate(cfg, intro_prompt)
+    [request] = stub_server.requests
+    assert (request["method"], request["path"]) == ("CONNECT", "backend.invalid:443")
+    assert request["headers"]["proxy-authorization"] == "Basic " + base64.b64encode(
+        b"ex@mple:s3cret").decode()
+    assert "authorization" not in request["headers"]  # the API key goes through the tunnel only
+
+
+def test_an_aborted_run_leaves_no_socket_open(golden_bundle, stub_server, tmp_path):
+    # development mode warns of every socket dropped unclosed; -W error
+    # makes each such warning an exception printed as it is ignored
+    stub_server.state.update(keep_alive=True, delay=0.01)
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(bundle_to_json(golden_bundle), encoding="utf-8")
+    script = f"""
+import gc, os, sys
+from pathlib import Path
+from casedraft import pipeline
+from casedraft.gateway import BackendConfig, BackendKind
+from casedraft.model import bundle_from_json
+
+os.environ["CASEDRAFT_API_KEY"] = "sk-test"
+configs = [
+    BackendConfig(name="local", kind=BackendKind.LOCAL_GENERATE, endpoint_url={stub_server.url!r}),
+    BackendConfig(name="hosted", kind=BackendKind.HOSTED_CHAT, endpoint_url={stub_server.url!r},
+                  model_name="m"),
+]
+scored = []
+def score(*args, **kwargs):
+    scored.append(1)
+    if len(scored) == 3:
+        raise RuntimeError("scoring broke")
+    return original(*args, **kwargs)
+original, pipeline.score = pipeline.score, score
+bundle = bundle_from_json(Path({str(bundle)!r}).read_text(encoding="utf-8"))
+try:
+    pipeline.run_experiment(bundle, configs, {str(tmp_path / "store.jsonl")!r})
+except RuntimeError:
+    pass
+gc.collect()
+print("done", flush=True)
+"""
+    src = str(Path(gateway.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "done\n", "")
+    assert stub_server.state["connections"] == 2

@@ -236,6 +236,17 @@ def test_a_message_head_without_its_offset_is_read_into_the_entry_above_with_a_w
     ]
 
 
+
+def test_a_first_message_head_without_its_offset_is_dropped_with_a_warning():
+    lines = read_fixture("tool_report_messages.txt").splitlines()
+    lines[0] = lines[0].replace("(UTC+0)", "")
+    records, diags = parse_tool_report_messages("\n".join(lines))
+    assert len(records) == 2
+    assert [(d.line_number, d.severity, d.message) for d in diags] == [
+        (1, Severity.WARNING, "date and time outside an entry head; no entry above, dropped"),
+    ]
+
+
 # --- lab-log messages --------------------------------------------------------
 
 def test_lablog_messages_golden():
@@ -269,6 +280,16 @@ def test_a_lablog_row_without_its_offset_is_read_into_the_row_above_with_a_warni
         (10, Severity.WARNING, "date and time outside an entry head; read into the entry above"),
     ]
 
+
+
+def test_a_first_lablog_row_without_its_offset_is_dropped_with_a_warning():
+    lines = read_fixture("lablog_messages.txt").splitlines()
+    lines[5] = lines[5].replace("(UTC-5)", "")
+    records, diags = parse_lablog_messages("\n".join(lines))
+    assert len(records) == 2
+    assert [(d.line_number, d.severity, d.message) for d in diags] == [
+        (6, Severity.WARNING, "date and time outside an entry head; no entry above, dropped"),
+    ]
 
 def test_lablog_messages_empty_text_is_quiet():
     records, diags = parse_lablog_messages("")
