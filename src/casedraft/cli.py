@@ -197,13 +197,8 @@ def _cmd_transform(args) -> int:
             raise ValueError("places needs --gazetteer")
         gazetteer = transform.load_gazetteer(_read(args.gazetteer))
         records = _records_for(bundle, args.item, "locations")
-        out = [
-            {
-                "name": r.name,
-                "place": transform.resolve_place(r.latitude, r.longitude, gazetteer),
-            }
-            for r in records
-        ]
+        out = [{"name": r.name, "place": transform.resolve_place(r.latitude, r.longitude, gazetteer)}
+               for r in records]
 
     _save_text(json.dumps(out, indent=2, ensure_ascii=False) + "\n", args.output)
     return 0
@@ -318,14 +313,7 @@ def _cmd_summarize(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="casedraft",
-        description="Draft forensic report sections from a case bundle and check them against the evidence.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="parse source texts into a bundle file")
+def _ingest_args(p) -> None:
     p.add_argument("--mandate", help="mandate text file")
     p.add_argument("--tool-locations", action="append", metavar="ITEM=FILE")
     p.add_argument("--lablog-locations", action="append", metavar="ITEM=FILE")
@@ -339,13 +327,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="offset of a timestamp that has none, in tool-report and lab-log"
                         " locations and reduced-CSV messages (default: %(default)s)")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("validate", help="check a bundle's invariants")
+
+def _validate_args(p) -> None:
     p.add_argument("--bundle", required=True)
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("transform", help="cluster, bucket, co-locate, reduce")
+
+def _transform_args(p) -> None:
     p.add_argument("op", choices=["spatial", "chrono", "days", "colocate", "csv", "places"])
     p.add_argument("--bundle", required=True)
     p.add_argument("--item")
@@ -356,15 +344,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", default="UTC+0")
     p.add_argument("--gazetteer")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("matrix", help="enumerate the 36-prompt experiment matrix")
+
+def _matrix_args(p) -> None:
     p.add_argument("--bundle", required=True)
     p.add_argument("--french-labels", action="store_true")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("generate", help="run one prompt against one backend")
+
+def _generate_args(p) -> None:
     p.add_argument("--bundle", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--backend", required=True)
@@ -372,9 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--french-labels", action="store_true")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("score", help="ground a draft against the bundle")
+
+def _score_args(p) -> None:
     p.add_argument("--bundle", required=True)
     p.add_argument("--section", required=True,
                    choices=[k.value for k in ReportSectionKind])
@@ -383,33 +371,59 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--draft", help="draft JSON from generate")
     group.add_argument("--text", help="plain text file")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("assemble", help="compose the six-section report")
+
+def _assemble_args(p) -> None:
     p.add_argument("--bundle", required=True)
     p.add_argument("-d", "--draft", action="append", metavar="SECTION=FILE")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_assemble)
 
-    p = sub.add_parser("experiment", help="run the matrix against backends")
+
+def _experiment_args(p) -> None:
     p.add_argument("--bundle", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--backends", required=True, help="comma-separated profile names")
     p.add_argument("--store", required=True)
     p.add_argument("--french-labels", action="store_true")
-    p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("summarize", help="fold a results store into statistics")
+
+def _summarize_args(p) -> None:
     p.add_argument("--store", required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_summarize)
 
+
+# name -> (help line, argument declarations, handler), in the order help lists them
+_COMMANDS = {
+    "ingest": ("parse source texts into a bundle file", _ingest_args, _cmd_ingest),
+    "validate": ("check a bundle's invariants", _validate_args, _cmd_validate),
+    "transform": ("cluster, bucket, co-locate, reduce", _transform_args, _cmd_transform),
+    "matrix": ("enumerate the 36-prompt experiment matrix", _matrix_args, _cmd_matrix),
+    "generate": ("run one prompt against one backend", _generate_args, _cmd_generate),
+    "score": ("ground a draft against the bundle", _score_args, _cmd_score),
+    "assemble": ("compose the six-section report", _assemble_args, _cmd_assemble),
+    "experiment": ("run the matrix against backends", _experiment_args, _cmd_experiment),
+    "summarize": ("fold a results store into statistics", _summarize_args, _cmd_summarize),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The named command's parser alone, else every command's; usage and errors read the same."""
+    description = "Draft forensic report sections from a case bundle and check them against the evidence."
+    parser = argparse.ArgumentParser(prog="casedraft", description=description)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if command in _COMMANDS else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if metavar else _COMMANDS:
+        help_line, declare, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        declare(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, gateway.GatewayError) as exc:

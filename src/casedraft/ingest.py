@@ -121,6 +121,8 @@ def _instant(m: re.Match, default_offset: timezone) -> Optional[datetime]:
 
 # timestamp with day first: 05.02.2019 12:16:04(UTC-5), seconds and offset optional
 _TS_DAYFIRST = re.compile(_DATE + r"\s+" + _CLOCK + r"\s*(?:" + _OFFSET + ")?")
+# a part of every _TS_DAYFIRST match that re finds by its leading literal
+_YEAR_AND_CLOCK = re.compile(r"\.\d{4}\s+\d{1,2}:\d{2}")
 # timestamp with month first: 02/14/2019 14:33:44, as tool reports render Hour
 _TS_MONTHFIRST = re.compile(
     r"(?P<month>\d{2})/(?P<day>\d{2})/(?P<year>\d{4})\s+" + _CLOCK + r"\s*(?:" + _OFFSET + ")?"
@@ -152,6 +154,11 @@ def _entries(
         yield entry
 
 
+def _dated(line: str) -> bool:
+    """Whether the line holds a day-first date and clock; most lines lack a year and clock."""
+    return bool(_YEAR_AND_CLOCK.search(line) and _TS_DAYFIRST.search(line))
+
+
 def _message_entries(diags: list, text: str, head_re: re.Pattern) -> Iterator[tuple]:
     """_entries over a message layout whose heads require an offset.  A line
     outside a head with a day-first date and clock is likely a head that
@@ -163,12 +170,12 @@ def _message_entries(diags: list, text: str, head_re: re.Pattern) -> Iterator[tu
         if head_re.match(line):
             lines = chain([(n, line)], lines)
             break
-        if _TS_DAYFIRST.search(line):
+        if _dated(line):
             _warn(diags, n, "date and time outside an entry head; no entry above, dropped")
     for entry in _entries(lines, head_re.match):
         yield entry
         for n, line in entry[2]:
-            if _TS_DAYFIRST.search(line):
+            if _dated(line):
                 _warn(diags, n, "date and time outside an entry head; read into the entry above")
 
 

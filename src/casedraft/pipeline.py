@@ -162,10 +162,12 @@ def render_markdown(document: ReportDocument) -> str:
 # bracket or brace per level, so a line with no more of them than this is
 # too shallow for either limit, and json alone decodes any other line.
 _ORJSON_OPENERS = 512
+# every byte but the openers, for counting them in one pass with translate
+_NOT_OPENERS = bytes(b for b in range(256) if b not in b"{[")
 
 
 def _decode(line: bytes):
-    if line.count(b"{") + line.count(b"[") <= _ORJSON_OPENERS:
+    if len(line.translate(None, _NOT_OPENERS)) <= _ORJSON_OPENERS:
         try:
             return orjson.loads(line)
         except orjson.JSONDecodeError:

@@ -34,7 +34,7 @@ from casedraft.prompting import (
 )
 from casedraft.transform import reduce_to_csv
 
-from conftest import read_fixture
+from conftest import DATA_DIR, read_fixture
 
 UTC = timezone.utc
 MINUS5 = timezone(timedelta(hours=-5))
@@ -696,6 +696,25 @@ def test_the_shared_grammar_matches_as_each_layout_once_spelt_it(text):
             assert [a.group(g) for g in shared] == [b.group(g) for g in shared]
             assert a.group("time") == text[b.start("hour"):max(b.end("minute"), b.end("second"))]
             assert _old_instant(a, MINUS5) == ingest._instant(b, MINUS5)
+
+
+# lines of the characters a day-first stamp is made of, Unicode digits and spaces too
+_STAMP_PARTS = st.lists(st.sampled_from(
+    ["0", "1", "5", "9", "12", "31", "2019", "٣", ".", ":", " ", "\t", "\u2009", "(UTC+1)", "x"]
+), max_size=30).map("".join)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.one_of(_STAMP_PARTS, _TIME_LINES))
+def test_the_year_and_clock_prefilter_keeps_every_day_first_verdict(line):
+    assert ingest._dated(line) == bool(ingest._TS_DAYFIRST.search(line))
+
+
+def test_the_year_and_clock_prefilter_agrees_on_every_fixture_line():
+    lines = [line for path in sorted(DATA_DIR.glob("*.txt"))
+             for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [ingest._dated(line) for line in lines] == [bool(ingest._TS_DAYFIRST.search(line)) for line in lines]
+    assert sum(map(ingest._dated, lines)) > 10
 
 
 _TOO_MANY_DIGITS = "9" * 5000  # past int()'s default limit of 4,300 digits

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -22,8 +23,8 @@ import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casedraft.cli import _save_text, main
-from casedraft import gateway, pipeline
+from casedraft.cli import _build_parser, _save_text, main
+from casedraft import cli, gateway, pipeline
 from casedraft.gateway import (
     DEFAULT_API_KEY_ENV,
     BackendConfig,
@@ -277,6 +278,16 @@ def test_a_store_line_gets_the_verdict_and_value_json_gives_it(value, ensure_asc
 def test_store_lines_orjson_refuses_or_reads_otherwise(line, expected):
     record = pipeline._record(line + b"\n")
     assert (record is None) if expected is None else _same(record, expected)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=80),
+    st.lists(st.sampled_from([b"{", b"[", b"}", b"]", b'"', b"\\", b":", b"a", b" ", "é".encode(),
+                              "€[".encode(), "😀".encode(), b"\xed\xa0\x80"]), max_size=60).map(b"".join),
+))
+def test_one_pass_counts_the_brackets_and_braces_the_two_counts_did(line):
+    assert len(line.translate(None, pipeline._NOT_OPENERS)) == line.count(b"{") + line.count(b"[")
 
 
 def test_a_line_nested_deeper_than_orjson_can_read_is_no_record_and_no_crash():
@@ -1027,6 +1038,90 @@ def test_cli_experiment_drafts_from_no_bundle_validate_rejects(bundle_file, conf
                  "--backends", "mock", "--store", str(store)]) == 2
     assert capsys.readouterr().err == "error: messages['IPX']: unknown item_id\n"
     assert not store.exists()
+
+
+# --- the parser each call builds ----------------------------------------------------
+
+_VALID_CALLS = {
+    "ingest": ["--mandate", "m.txt", "--tool-locations", "S1=a.txt", "--tool-locations", "S2=b.txt", "-o", "b.json"],
+    "validate": ["--bundle", "b.json"],
+    "transform": ["spatial", "--bundle", "b.json", "--radius", "200"],
+    "matrix": ["--bundle", "b.json", "--french-labels"],
+    "generate": ["--bundle", "b.json", "--config", "c.json", "--backend", "mock", "--index", "3"],
+    "score": ["--bundle", "b.json", "--section", ReportSectionKind.INTRODUCTION.value, "--draft", "d.json"],
+    "assemble": ["--bundle", "b.json", "-d", "introduction=d.json", "-d", "results=e.json"],
+    "experiment": ["--bundle", "b.json", "--config", "c.json", "--backends", "mock", "--store", "s.jsonl"],
+    "summarize": ["--store", "s.jsonl", "--json"],
+}
+_PARSER_CORPUS = [
+    [], ["-h"], ["--help"], ["nosuch"], ["nosuch", "--store", "s"], ["--store", "s", "summarize"],
+    ["--", "validate"], ["Validate", "--bundle", "b.json"], ["ingest", "nosuch"],
+    *([command, *tail] for command, valid in _VALID_CALLS.items() for tail in (
+        [], ["-h"], ["--nosuch"], [valid[0]], [*valid, "extra"], valid, [*valid, "--help"],
+    )),
+    ["transform", "nope", "--bundle", "b.json"],
+    ["transform", "spatial", "--bundle", "b.json", "--radius", "far"], ["transform", "spatial", "--bundle"],
+    ["score", "--bundle", "b.json", "--section", "zzz", "--text", "t.txt"],
+    ["score", "--bundle", "b.json", "--section", "introduction", "--topic", "x", "--text", "t.txt"],
+    ["score", "--bundle", "b.json", "--section", "introduction", "--draft", "d.json", "--text", "t.txt"],
+    ["score", "--bundle", "b.json", "--section", "introduction"],
+    ["generate", "--bundle", "b.json", "--config", "c.json", "--backend", "mock", "--index", "x"],
+    ["ingest", "--mand", "m.txt"], ["summarize", "--st", "s.jsonl"],
+]
+
+
+def _parsed(parser, argv, capsys):
+    """What parsing argv gives: exit status, stdout, stderr and the
+    namespace, with its handler by name."""
+    try:
+        namespace = vars(parser.parse_args(argv))
+        namespace["func"] = namespace["func"].__name__
+        status = None
+    except SystemExit as exc:
+        namespace, status = None, exc.code
+    out, err = capsys.readouterr()
+    return status, out, err, namespace
+
+
+@pytest.mark.parametrize("argv", _PARSER_CORPUS, ids=" ".join)
+def test_each_call_parses_as_the_parser_of_every_command_does(argv, capsys):
+    full = _parsed(cli._build_parser(), argv, capsys)
+    ours = _parsed(cli._build_parser(argv[0] if argv else None), argv, capsys)
+    assert ours == full
+
+
+def test_the_full_parser_names_the_command_argument_in_its_errors(capsys):
+    # a metavar on it would name the argument by its choice list instead
+    assert _parsed(cli._build_parser(), [], capsys)[2].endswith(
+        "error: the following arguments are required: command\n")
+    assert "error: argument command: invalid choice: 'nosuch'" in _parsed(cli._build_parser(), ["nosuch"], capsys)[2]
+
+
+def test_the_parser_of_a_named_command_declares_that_command_alone():
+    def declared(parser, command):
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return list(sub.choices), [a.dest for a in sub.choices[command]._actions]
+
+    names, ingest_args = declared(cli._build_parser("ingest"), "ingest")
+    assert names == ["ingest"]
+    assert ingest_args == declared(cli._build_parser(), "ingest")[1]
+    assert "mandate" in ingest_args and "bundle" not in ingest_args and "store" not in ingest_args
+
+
+def test_main_builds_the_parser_of_the_command_it_runs(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def recording(command=None):
+        built.append(command)
+        return _build_parser(command)
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    missing = str(tmp_path / "missing.json")
+    monkeypatch.setattr(sys, "argv", ["casedraft", "validate", "--bundle", missing])
+    assert main() == 2
+    assert main(("summarize", "--store", missing)) == 0
+    assert built == ["validate", "summarize"]
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # --- rejected input: one error line, exit 2, nothing written ---------------------
