@@ -44,13 +44,14 @@ def _emit_diags(diags, source: str) -> None:
         print(d.render(source), file=sys.stderr)
 
 
-def _item_file_pairs(values):
+def _file_pairs(values, name: str) -> list[tuple[str, str]]:
+    """A flag's values, each split at its first "=" into name and FILE."""
     pairs = []
     for value in values or ():
-        if "=" not in value:
-            raise ValueError(f"expected ITEM=FILE, got {value!r}")
-        item_id, path = value.split("=", 1)
-        pairs.append((item_id, path))
+        key, sep, path = value.partition("=")
+        if not sep:
+            raise ValueError(f"expected {name}=FILE, got {value!r}")
+        pairs.append((key, path))
     return pairs
 
 
@@ -101,11 +102,11 @@ def _cmd_ingest(args) -> int:
         (args.csv_messages, partial(ingest.parse_csv_messages, default_offset=offset), messages),
     ]
     for values, parser, sink in parser_flags:
-        for item_id, path in _item_file_pairs(values):
+        for item_id, path in _file_pairs(values, "ITEM"):
             records, diags = parser(_read(path))
             _emit_diags(diags, path)
             sink.setdefault(item_id, []).extend(records)
-    for item_id, path in _item_file_pairs(args.device_profile):
+    for item_id, path in _file_pairs(args.device_profile, "ITEM"):
         profile, diags = ingest.parse_device_profile(_read(path))
         _emit_diags(diags, path)
         profiles[item_id] = profile
@@ -264,10 +265,7 @@ def _cmd_score(args) -> int:
 def _cmd_assemble(args) -> int:
     bundle = _load_bundle(args.bundle)
     drafts = {}
-    for pair in args.draft or ():
-        if "=" not in pair:
-            raise ValueError(f"expected SECTION=FILE, got {pair!r}")
-        name, path = pair.split("=", 1)
+    for name, path in _file_pairs(args.draft, "SECTION"):
         drafts[ReportSectionKind(name)] = _load_draft(path)
     document = pipeline.assemble(bundle, drafts)
     _save_text(pipeline.render_markdown(document), args.output)

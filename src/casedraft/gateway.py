@@ -328,13 +328,6 @@ class _Connection:
             self._http.close()
 
 
-def _retryable(exc: Exception) -> bool:
-    """A connection failure or a timeout, on connect or on read: a refused
-    connection, a DNS or TLS failure, a server that closes without
-    answering."""
-    return isinstance(exc, (OSError, http.client.BadStatusLine))
-
-
 def _post_json(connection: _Connection, payload: dict, config: BackendConfig,
                headers: Optional[dict] = None):
     """POST with retries on connection failures and timeouts; returns
@@ -347,13 +340,15 @@ def _post_json(connection: _Connection, payload: dict, config: BackendConfig,
         started = time.monotonic()
         try:
             status, raw = connection.post(body, headers)
-        except (OSError, ValueError, http.client.HTTPException) as exc:
-            if not _retryable(exc):
-                raise TransportError(f"{config.name}: request failed: {exc}") from exc
+        except (OSError, http.client.BadStatusLine) as exc:
+            # a connection failure or a timeout, on connect or on read: a refused
+            # connection, a DNS or TLS failure, a server that closes without answering
             last_exc = exc
             if attempt < config.max_retries:
                 time.sleep(config.retry_backoff * (2 ** attempt))
             continue
+        except (ValueError, http.client.HTTPException) as exc:
+            raise TransportError(f"{config.name}: request failed: {exc}") from exc
         latency = time.monotonic() - started
         if not 200 <= status < 300:
             snippet = raw.decode("utf-8", "replace")[:200]

@@ -55,7 +55,6 @@ __all__ = [
     "ClaimStatus",
     "Claim",
     "Roster",
-    "build_roster",
     "GroundingContext",
     "extract_claims",
     "verify",
@@ -182,36 +181,16 @@ class Roster:
                 at = folded.find(anchor, at + 1)
 
 
-def build_roster(bundle: CaseBundle) -> Roster:
-    persons: list[str] = []
-    for s in bundle.mandate.suspects:
-        persons.append(s)
-    if bundle.mandate.investigator_name:
-        persons.append(bundle.mandate.investigator_name)
-    for msg in bundle.all_messages():
-        if msg.sender and msg.sender.display_name:
-            persons.append(msg.sender.display_name)
-
-    places: list[str] = []
-    for rec in bundle.all_locations():
-        if rec.related_location:
-            places.append(rec.related_location)
-            for segment in rec.related_location.split(","):
-                segment = segment.strip()
-                if segment and not segment.isdigit():
-                    places.append(segment)
-
-    def dedupe(seq: list[str]) -> tuple[str, ...]:
-        seen: set[str] = set()
-        out = []
-        for s in seq:
-            key = _norm_phrase(s)
-            if key and key not in seen:
-                seen.add(key)
-                out.append(s)
-        return tuple(out)
-
-    return Roster(person_names=dedupe(persons), place_names=dedupe(places))
+def _distinct(names: list[str]) -> tuple[str, ...]:
+    """The first spelling of each name's normalized form, unless it is blank."""
+    seen: set[str] = set()
+    out = []
+    for s in names:
+        key = _norm_phrase(s)
+        if key and key not in seen:
+            seen.add(key)
+            out.append(s)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +323,6 @@ class GroundingContext:
 
     def __init__(self, bundle: CaseBundle):
         self.bundle = bundle
-        self.roster = build_roster(bundle)
         self._facts: dict[tuple, tuple] = {}  # facts and their index, by (section, topic)
         self._claimed_coords: dict[str, tuple[float, float]] = {}  # by normalized value, rounded
         self.coords: set[tuple[float, float]] = set()
@@ -353,9 +331,11 @@ class GroundingContext:
         self.versions: set[str] = set()
         aware: list[datetime] = []
         walls: list[datetime] = []
-        place_names: list[str] = []
-        # the roster's persons, and the senders by identifier as well
-        persons = list(self.roster.person_names)
+        persons = list(bundle.mandate.suspects)
+        if bundle.mandate.investigator_name:
+            persons.append(bundle.mandate.investigator_name)
+        identifiers: list[str] = []
+        places: list[str] = []
 
         def add_instant(ts: datetime) -> None:
             if ts.utcoffset() is not None:
@@ -384,7 +364,11 @@ class GroundingContext:
             if rec.source_file:
                 add_source(rec.source_file)
             if rec.related_location:
-                place_names.append(_norm_phrase(rec.related_location))
+                places.append(rec.related_location)
+                for segment in rec.related_location.split(","):
+                    segment = segment.strip()
+                    if segment and not segment.isdigit():
+                        places.append(segment)
             if rec.size_bytes is not None:
                 self.sizes.add(rec.size_bytes)
 
@@ -393,7 +377,9 @@ class GroundingContext:
             for src in msg.source_files:
                 add_source(src)
             if msg.sender:
-                persons.append(msg.sender.identifier)
+                identifiers.append(msg.sender.identifier)
+                if msg.sender.display_name:
+                    persons.append(msg.sender.display_name)
 
         for item in bundle.items:
             if item.storage_size is not None:
@@ -408,14 +394,16 @@ class GroundingContext:
 
         self.aware_instants = sorted(aware)
         self.wall_instants = sorted(walls)
+        self.roster = Roster(person_names=_distinct(persons), place_names=_distinct(places))
         # a place claim never holds a newline, so one joined string answers
-        # "is it a substring of some place" in a single search
-        self.place_names = "\n".join(place_names)
+        # "is it a substring of some place" in a single search; each comma
+        # segment's form lies in its whole place's, so distinct places do
+        self.place_names = "\n".join(_norm_phrase(p) for p in self.roster.place_names)
         # each person as a token sequence, and every contiguous run of
-        # tokens inside one
+        # tokens inside one; the identifiers ground but are no roster names
         self.persons: set[tuple[str, ...]] = set()
         self.person_parts: set[tuple[str, ...]] = set()
-        for name in persons:
+        for name in chain(self.roster.person_names, identifiers):
             tokens = tuple(tokens_of(name))
             self.persons.add(tokens)
             self.person_parts.update(_token_runs(tokens))

@@ -224,7 +224,8 @@ def render_tool_report_locations(
     """Numbered tool-report location entries; parse_tool_report_locations
     reads them back.  A record's source goes on its one Source File line,
     with its size, so a source must fit on one line and hold no size text
-    of its own."""
+    of its own.  The layout has no related location, which reads back as
+    None."""
     out = ["# Source Position Info Confidence Category Deleted"]
     for n, rec in enumerate(records, start=1):
         lat = f"{rec.latitude:.6f}"
@@ -292,7 +293,8 @@ def render_tool_report_messages(
 
 
 def render_lablog_messages(records: Sequence[MessageRecord]) -> str:
-    """Lab-log columnar message layout; parse_lablog_messages reads it back."""
+    """Lab-log columnar message layout; parse_lablog_messages reads it back,
+    but for deleted=False: its "-" reads back as None, like an unknown."""
     out = ["From\tTimestamp: Time\tDeleted\tInstant Message\tStatus", "Body", "Source file information", ""]
     for rec in records:
         sender = rec.sender.as_text() if rec.sender else "-"

@@ -368,6 +368,37 @@ def test_a_server_that_closes_without_answering_is_retried(intro_prompt):
     assert len(accepted) == 2
 
 
+def test_an_answer_cut_short_fails_at_once(intro_prompt):
+    """A body shorter than its Content-Length is an HTTPException but no
+    BadStatusLine: the server answered, so the POST is not retried."""
+    accepted = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5)
+
+        def cut_short():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5)
+                conn.recv(1 << 16)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}")
+                conn.shutdown(socket.SHUT_WR)
+                while conn.recv(1 << 16):  # until the client hangs up
+                    pass
+            accepted.append(conn)
+
+        thread = threading.Thread(target=cut_short, daemon=True)
+        thread.start()
+        cfg = BackendConfig(
+            name="short", kind=BackendKind.LOCAL_GENERATE,
+            endpoint_url=f"http://127.0.0.1:{listener.getsockname()[1]}",
+            max_retries=1, retry_backoff=0.01, timeout=1,
+        )
+        with pytest.raises(TransportError, match="short: request failed"):
+            generate(cfg, intro_prompt)
+        thread.join(5)
+    assert len(accepted) == 1
+
+
 @pytest.mark.parametrize("endpoint", ["{host}:{port}", "ftp://{host}:{port}"])
 def test_a_url_with_no_or_an_unsupported_scheme_fails_at_once(endpoint, stub_server, intro_prompt):
     host, port = stub_server.url.removeprefix("http://").split(":")

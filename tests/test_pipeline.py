@@ -816,6 +816,13 @@ def test_cli_ingest_items_need_an_id(tmp_path, capsys):
     assert "items file" in capsys.readouterr().err
 
 
+def test_cli_ingest_rejects_an_item_flag_without_a_file(tmp_path, capsys):
+    out = tmp_path / "bundle.json"
+    assert main(["ingest", "--tool-locations", "IMG1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: expected ITEM=FILE, got 'IMG1'\n"
+    assert not out.exists()
+
+
 def test_cli_validate(bundle_file):
     assert main(["validate", "--bundle", str(bundle_file)]) == 0
 
@@ -997,6 +1004,13 @@ def test_cli_assemble_rejects_conclusion_draft(bundle_file, config_file, tmp_pat
     ])
     assert rc == 2
     assert "reserved" in capsys.readouterr().err
+
+
+def test_cli_assemble_rejects_a_draft_flag_without_a_file(bundle_file, tmp_path, capsys):
+    out = tmp_path / "report.md"
+    assert main(["assemble", "--bundle", str(bundle_file), "-d", "introduction", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: expected SECTION=FILE, got 'introduction'\n"
+    assert not out.exists()
 
 
 def test_cli_experiment_and_summarize(bundle_file, config_file, tmp_path, capsys):

@@ -206,6 +206,25 @@ def test_each_results_layout_reads_back_every_field_it_carries(
     assert [d.message for d in diags] == no_category
 
 
+# the two fields a layout loses: a renderer that starts or stops carrying
+# one fails here
+def test_the_lablog_message_layout_reads_deleted_false_back_as_unknown(golden_bundle):
+    first = golden_bundle.all_messages()[0]
+    records = [replace(first, deleted=deleted) for deleted in (False, True, None)]
+    again, diags = parse_lablog_messages(render_lablog_messages(records))
+    assert diags == []
+    assert again == [replace(first, deleted=deleted) for deleted in (None, True, None)]
+
+
+@pytest.mark.parametrize("french_labels", [False, True])
+def test_the_tool_report_location_layout_reads_no_related_location_back(french_labels):
+    records, _ = parse_tool_report_locations(read_fixture("tool_report_locations.txt"))
+    record = replace(records[0], related_location="Healy Hall, 37th St NW, Washington")
+    again, diags = parse_tool_report_locations(render_tool_report_locations([record], french_labels))
+    assert diags == []
+    assert again == [replace(record, related_location=None)]
+
+
 # --- request sentences ----------------------------------------------------------
 
 def test_introduction_request_sentence_pinned():
